@@ -445,7 +445,7 @@ let run_obs_profile config ~total_seconds =
          { Agrid_churn.Event.at = tau / 8; kind = Agrid_churn.Event.Leave 1 };
          { Agrid_churn.Event.at = tau / 2; kind = Agrid_churn.Event.Rejoin 1 };
        ]);
-  (* Pool-reuse rate of the incremental mode (the default above): both
+  (* Pool-reuse rate of the soa mode (the default above): both
      counters are seed-deterministic, so the CI gate pins them exactly —
      a drop in the reuse rate is a perf regression even before it shows
      up in span timings. *)
@@ -495,10 +495,10 @@ let run_obs_profile config ~total_seconds =
   Agrid_obs.Sink.set_gauge sink "slrh/minor_alloc_bytes" per_step;
   Fmt.pr "steady-state allocation: %g bytes/timestep (%d vs %d steps)@." per_step
     steps_a steps_b;
-  (* SoA vs boxed scoring latency, for the record: the regression gate
-     pins the SoA p50 through the committed baseline plus the tightened
-     "slrh/score" tolerance, so scoring cannot silently fall back to
-     boxed-path speed. *)
+  (* SoA vs rescan-oracle scoring latency, for the record: the regression
+     gate pins the SoA p50 through the committed baseline plus the
+     tightened "slrh/score" tolerance, so scoring cannot silently fall
+     back to boxed-path speed. *)
   let score_p50 mode =
     let s = Agrid_obs.Sink.create ~stride:8 () in
     ignore
@@ -511,10 +511,10 @@ let run_obs_profile config ~total_seconds =
     | Some st -> st.Agrid_obs.Span.p50_s
     | None -> Float.nan
   in
-  let soa_p50 = score_p50 `Soa and boxed_p50 = score_p50 `Incremental in
-  Fmt.pr "slrh/score p50: soa %.3gus, boxed %.3gus (%.1fx)@." (1e6 *. soa_p50)
-    (1e6 *. boxed_p50)
-    (boxed_p50 /. soa_p50);
+  let soa_p50 = score_p50 `Soa and rescan_p50 = score_p50 `Rescan in
+  Fmt.pr "slrh/score p50: soa %.3gus, rescan %.3gus (%.1fx)@." (1e6 *. soa_p50)
+    (1e6 *. rescan_p50)
+    (rescan_p50 /. soa_p50);
   (* Sharded Monte Carlo campaign profile: a separate sink so the
      campaign's counters land in their own gated section. Counter totals
      are shard-count-invariant (pinned by the differential suite), so the
@@ -533,7 +533,7 @@ let run_obs_profile config ~total_seconds =
   (* Online dual-ascent profile: one adaptive-lagrange run plus one churn
      run with chance-constrained admission, in its own gated section. The
      controller's trajectory is seed-deterministic (the differential
-     suite pins adaptive rescan and incremental modes bit-identical), so
+     suite pins adaptive rescan and soa modes bit-identical), so
      the gate compares lagrange/updates, lagrange/churn_updates and the
      final schedule counters exactly; the lambda gauges and the violation
      histogram never reach the summary (counters and spans only). A fresh

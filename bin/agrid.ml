@@ -89,14 +89,14 @@ let mode_t =
     match Slrh.mode_of_string s with
     | Some m -> Ok m
     | None ->
-        Error (`Msg (Fmt.str "unknown mode %S (expected rescan, incremental or soa)" s))
+        Error (`Msg (Fmt.str "unknown mode %S (expected rescan or soa)" s))
   in
   let print ppf m = Fmt.string ppf (Slrh.mode_to_string m) in
   Arg.(
     value
     & opt (conv (parse, print)) `Soa
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:"SLRH pool maintenance: 'soa' (default: flat preallocated arena with batch admission and scoring; zero steady-state allocation), 'incremental' (boxed pools with cached score inputs) or 'rescan' (rebuild every pool every timestep — the differential oracle). All modes are output bit-identical.")
+        ~doc:"SLRH pool maintenance: 'soa' (default: flat preallocated arena with batch admission and scoring, walked in place; zero steady-state allocation) or 'rescan' (rebuild and re-score every pool every timestep into boxed lists — the differential oracle). Both modes are output bit-identical, ledger and trace included.")
 
 let spec_of ~seed ~scale =
   if scale >= 1. then Spec.paper_scale ~seed () else Spec.scaled ~seed ~factor:scale ()

@@ -16,8 +16,8 @@
 
    Scaling never reorders candidates, so feeding the normalised weights
    back into Objective's unchanged score decomposition IS dual ascent on
-   the paper's objective — no new scoring path, and none of the
-   weight-independent incremental caches (Feasibility.Memo, parent
+   the paper's objective — no new scoring path, and none of the SoA
+   arena's weight-independent caches (Feasibility.Memo, parent
    bounds, whole-pool reuse) need invalidating on an update: pool
    membership never reads the weights, and scoring re-reads them on every
    call (DESIGN.md section 11).

@@ -5,7 +5,7 @@
     steps them along the decreasing [c / sqrt round] schedule
     ({!Agrid_lagrange.Dual}), and republishes the equivalent normalised
     {!Objective.weights} — the scoring path itself is unchanged, and no
-    incremental cache needs invalidating on an update. *)
+    pool cache needs invalidating on an update. *)
 
 open Agrid_sched
 

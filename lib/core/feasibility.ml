@@ -144,7 +144,7 @@ let candidate_pool ?mode ?(obs = Agrid_obs.Sink.noop) sched ~machine =
       end;
       pool)
 
-(* Memoised admission bounds for the incremental pool path. The energy a
+(* Memoised admission bounds for the SoA pool path. The energy a
    (task, machine) pair must clear — secondary execution plus the
    worst-case child-communication surcharge — is a pure function of the
    workload and the mode: it reads nothing from the schedule. So the bound
@@ -192,27 +192,7 @@ module Memo = struct
     end
     else v
 
-  let feasible t sched ~task ~machine =
-    Schedule.energy_remaining sched machine >= required_secondary t ~task ~machine
 end
-
-(* [candidate_pool] with memoised energy bounds, returning the ready-set
-   size alongside the pool so the caller can replay the admission counters
-   verbatim when it later reuses the pool. Telemetry shape (span +
-   counters) is identical to [candidate_pool]. *)
-let candidate_pool_memo ?(obs = Agrid_obs.Sink.noop) memo sched ~machine =
-  if not (Schedule.workload sched == memo.Memo.workload) then
-    invalid_arg "Feasibility.candidate_pool_memo: memo priced for another workload";
-  Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
-      let ready = Schedule.ready_unmapped sched in
-      let pool =
-        List.filter (fun task -> Memo.feasible memo sched ~task ~machine) ready
-      in
-      if Agrid_obs.Sink.enabled obs then begin
-        Agrid_obs.Sink.add obs "feasibility/checked" (List.length ready);
-        Agrid_obs.Sink.add obs "feasibility/admitted" (List.length pool)
-      end;
-      (pool, List.length ready))
 
 (* Batch admission for the flat (SoA) pool path: filter the ready set
    for [machine] straight into a caller-owned buffer. [ensure] is called
@@ -220,9 +200,11 @@ let candidate_pool_memo ?(obs = Agrid_obs.Sink.noop) memo sched ~machine =
    (the ready-set length), so the caller can regrow its arena row while
    its contents are still dead. Returns
    (pool size, admitted count, checked count), where [admitted] counts
-   energy-admissible tasks BEFORE the [eligible] filter — the same
-   values [candidate_pool_memo] reports and the pool-reuse path replays.
-   Span and counter telemetry shape is identical to [candidate_pool].
+   energy-admissible tasks BEFORE the [eligible] filter — the values
+   [candidate_pool]'s counters report and the pool-reuse path replays.
+   [eligible] is called once per admitted task, in ready-list order (the
+   scheduler's ledger hooks its Ineligible entries there). Span and
+   counter telemetry shape is identical to [candidate_pool].
 
    The admission test compares the same memoised float against the same
    remaining-energy read the boxed path compares (hoisting the read is
@@ -258,7 +240,7 @@ let filter_into ?(obs = Agrid_obs.Sink.noop) memo sched ~machine ~eligible ~ensu
    verdict — the decision ledger's per-candidate rejection record. This
    walks the whole task set and re-prices energies, so callers only run it
    when a ledger is attached; the pool itself is computed by
-   [candidate_pool] exactly as before. *)
+   [candidate_pool] or [filter_into] exactly as before. *)
 let explain_rejections ?mode sched ~machine =
   let wl = Schedule.workload sched in
   let n = Workload.n_tasks wl in

@@ -69,12 +69,12 @@ val candidate_pool :
     [?obs] (default: inert) times the filter under ["feasibility/filter"]
     and counts ["feasibility/checked"] / ["feasibility/admitted"]. *)
 
-(** Memoised admission bounds for the incremental pool path
-    ({!Slrh.params.mode} [= `Incremental]). The energy bound a
-    (task, machine) pair must clear is a pure function of the workload and
-    the mode, so it is priced once and replayed; the admission test
-    compares the same float the plain path compares, keeping decisions
-    bit-identical (pinned by the differential suite). *)
+(** Memoised admission bounds for the SoA pool path
+    ({!Slrh.params.mode} [= `Soa]). The energy bound a (task, machine)
+    pair must clear is a pure function of the workload and the mode, so
+    it is priced once and replayed; the admission test compares the same
+    float the rescan path compares, keeping decisions bit-identical
+    (pinned by the differential suite). *)
 module Memo : sig
   type t
 
@@ -85,20 +85,7 @@ module Memo : sig
   val required_secondary : t -> task:int -> machine:int -> float
   (** [= required_energy ~mode sched ~task ~machine ~version:Secondary],
       priced on first call and cached. *)
-
-  val feasible : t -> Schedule.t -> task:int -> machine:int -> bool
-  (** [= version_feasible ~mode sched ~task ~machine ~version:Secondary]
-      against the memoised bound. Does NOT check parent readiness — the
-      caller filters the ready set, exactly like {!candidate_pool}. *)
 end
-
-val candidate_pool_memo :
-  ?obs:Agrid_obs.Sink.t -> Memo.t -> Schedule.t -> machine:int -> int list * int
-(** {!candidate_pool} through a {!Memo}, also returning the ready-set
-    length so the caller can replay the ["feasibility/checked"] /
-    ["feasibility/admitted"] counters when it reuses the pool. Same span
-    and counters as {!candidate_pool}.
-    @raise Invalid_argument if the memo was priced for another workload. *)
 
 val filter_into :
   ?obs:Agrid_obs.Sink.t ->
@@ -114,8 +101,10 @@ val filter_into :
     ready-set length as an upper bound on the pool size). Returns
     [(pool, admitted, checked)] where [admitted] counts energy-admitted
     tasks before the eligibility filter and [checked] the ready set —
-    the counter values {!candidate_pool_memo} reports. Same telemetry
-    shape, same memoised comparison, bit-identical decisions.
+    the counter values {!candidate_pool} reports. [eligible] is called
+    exactly once per energy-admitted task, in ready-list order, so a
+    caller may record the tasks it turns away. Same telemetry shape,
+    same admission as {!candidate_pool}, bit-identical decisions.
     @raise Invalid_argument if the memo was priced for another workload. *)
 
 val explain_rejections :

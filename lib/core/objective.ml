@@ -89,9 +89,10 @@ let after_plan w sched plan =
 (* The parent-derived inputs of the candidate estimate. Once a task is
    poolable every parent is mapped, and placements never change within one
    scheduler run — so this pair is a fixed point of the task's parents and
-   the destination machine, and the incremental pool caches it per
-   (task, machine). [ready_floor] starts at [min_int], the identity of
-   integer max, so [max now ready_floor] below reassociates the original
+   the destination machine, and the SoA arena stores it per
+   (task, machine) through [parent_bound_into] below. [ready_floor]
+   starts at [min_int], the identity of integer max, so
+   [max now ready_floor] below reassociates the original
    fold (which started at [now]) without changing any value; [comm_energy]
    accumulates in parent-edge array order, so the cached sum is the same
    float the inline fold produced. *)
@@ -130,9 +131,8 @@ let parent_bound sched ~task ~machine =
    plus that parent's transfer time if it sits on another machine, ignoring
    channel contention and machine busy gaps. [estimate_parts] keeps the
    term decomposition for the ledger; [estimate] is its total. The
-   [_with] forms take a precomputed {!parent_bound} — both modes of the
-   scheduler run the same arithmetic; they differ only in whether the
-   bound was just computed or pulled from the cache. *)
+   [_with] forms take a precomputed {!parent_bound}, so one computation
+   serves both versions of a candidate. *)
 let estimate_parts_with w sched ~bound ~task ~version ~machine ~now =
   let wl = Schedule.workload sched in
   let ready = max now bound.ready_floor in
@@ -156,9 +156,6 @@ let estimate_parts w sched ~task ~version ~machine ~now =
     ~bound:(parent_bound sched ~task ~machine)
     ~task ~version ~machine ~now
 
-let estimate_with w sched ~bound ~task ~version ~machine ~now =
-  (estimate_parts_with w sched ~bound ~task ~version ~machine ~now).total
-
 let estimate w sched ~task ~version ~machine ~now =
   (estimate_parts w sched ~task ~version ~machine ~now).total
 
@@ -167,8 +164,11 @@ let estimate w sched ~task ~version ~machine ~now =
    the value of the objective function"). The bound is version-independent,
    so one computation serves both evaluations. *)
 let best_version_with w sched ~bound ~task ~machine ~now =
-  let ep = estimate_with w sched ~bound ~task ~version:Version.Primary ~machine ~now in
-  let es = estimate_with w sched ~bound ~task ~version:Version.Secondary ~machine ~now in
+  let est version =
+    (estimate_parts_with w sched ~bound ~task ~version ~machine ~now).total
+  in
+  let ep = est Version.Primary in
+  let es = est Version.Secondary in
   if ep >= es then (Version.Primary, ep) else (Version.Secondary, es)
 
 let best_version ?(obs = Agrid_obs.Sink.noop) w sched ~task ~machine ~now =
@@ -180,10 +180,10 @@ let best_version ?(obs = Agrid_obs.Sink.noop) w sched ~task ~machine ~now =
 (* ---- flat (SoA) batch scoring ----
 
    The arena path of the scheduler stores parent bounds in two flat
-   arrays (int ready floors, float comm energies) instead of the boxed
-   option-array of records the incremental cache uses, and scores a
-   whole pool in one pass with every schedule-wide input hoisted out of
-   the loop. Bit-identity with the boxed path rests on two facts:
+   arrays (int ready floors, float comm energies) instead of boxed
+   {!parent_bound} records, and scores a whole pool in one pass with
+   every schedule-wide input hoisted out of the loop. Bit-identity with
+   the rescan path's [best_version] rests on two facts:
 
    - hoisting is sound because scoring never mutates the schedule, so
      every per-candidate read ([Timeline.horizon], [Schedule.tec], ...)
@@ -196,7 +196,7 @@ let best_version ?(obs = Agrid_obs.Sink.noop) w sched ~task ~machine ~now =
 (* [parent_bound], accumulated directly into the destination slots: the
    same parent-edge iteration order, the same [max] folds from the same
    identities ([min_int] / [0.]), the same float additions — so the
-   stored pair is bit-identical to the record the boxed cache stores. *)
+   stored pair is bit-identical to the record [parent_bound] returns. *)
 let parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm =
   let wl = Schedule.workload sched in
   let grid = Workload.grid wl in
@@ -231,8 +231,7 @@ let parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm =
 (* Score the pool [tasks.(0 .. n-1)] for [machine] in one pass, writing
    the best version and score per slot into [versions] / [scores].
    Parent bounds are priced lazily into the flat store (valid for the
-   whole run, exactly like the incremental cache's). Equals
-   [best_version_with w sched ~bound ~task ~machine ~now] per candidate,
+   whole run). Equals [best_version w sched ~task ~machine ~now] per candidate,
    bit for bit. On the steady-state path (noop sink, warm bounds) the
    loop performs no heap allocation: all hoisted floats live in unboxed
    locals, and the per-version evaluation is a local function whose

@@ -65,49 +65,15 @@ val of_schedule : weights -> Schedule.t -> float
 val after_plan : weights -> Schedule.t -> Schedule.plan -> float
 (** Exact objective after committing the plan (Max-Max's selection rule). *)
 
-type parent_bound = private { ready_floor : int; comm_energy : float }
-(** The parent-derived inputs of {!estimate_parts}: the earliest-ready
-    floor (latest parent finish, plus the cross-machine transfer latency
-    where applicable; [min_int] when the task has no parents) and the
-    incoming communication energy. Fixed once the task's parents are
-    mapped, so the incremental scheduler caches it per (task, machine);
-    {!estimate_parts_with} consumes it with arithmetic identical to the
-    uncached path (same fold order, same float operations). *)
-
-val parent_bound : Schedule.t -> task:int -> machine:int -> parent_bound
-(** @raise Invalid_argument on unmapped parents. *)
-
 val estimate_parts :
   weights -> Schedule.t -> task:int -> version:Version.t -> machine:int -> now:int -> parts
 (** {!estimate} with the term decomposition kept, for ledger commits. *)
-
-val estimate_parts_with :
-  weights ->
-  Schedule.t ->
-  bound:parent_bound ->
-  task:int ->
-  version:Version.t ->
-  machine:int ->
-  now:int ->
-  parts
-(** {!estimate_parts} against a precomputed (possibly cached)
-    {!parent_bound}; bit-identical to recomputing the bound in place. *)
 
 val estimate :
   weights -> Schedule.t -> task:int -> version:Version.t -> machine:int -> now:int -> float
 (** Cheap candidate score used by SLRH to order the pool before exact
     placement (DESIGN.md section 5). @raise Invalid_argument on unmapped
     parents. *)
-
-val estimate_with :
-  weights ->
-  Schedule.t ->
-  bound:parent_bound ->
-  task:int ->
-  version:Version.t ->
-  machine:int ->
-  now:int ->
-  float
 
 val best_version :
   ?obs:Agrid_obs.Sink.t ->
@@ -119,33 +85,6 @@ val best_version :
   Version.t * float
 (** Evaluate both versions, keep the maximiser (ties favour primary).
     [?obs] (default: inert) counts ["objective/version_evals"]. *)
-
-val best_version_with :
-  weights ->
-  Schedule.t ->
-  bound:parent_bound ->
-  task:int ->
-  machine:int ->
-  now:int ->
-  Version.t * float
-(** {!best_version} against a precomputed bound (the bound is
-    version-independent, so one serves both evaluations). No [?obs]: the
-    incremental scheduler accounts version evals itself, exactly as the
-    plain path does. *)
-
-val parent_bound_into :
-  Schedule.t ->
-  task:int ->
-  machine:int ->
-  slot:int ->
-  int array ->
-  float array ->
-  unit
-(** {!parent_bound}, accumulated directly into flat per-(task, machine)
-    stores at index [slot] — the SoA arena's unboxed replacement for the
-    incremental mode's option-array of records. Same fold order, same
-    float additions, bit-identical values.
-    @raise Invalid_argument on unmapped parents. *)
 
 val score_into :
   weights ->
@@ -162,13 +101,15 @@ val score_into :
   unit
 (** Batch-score the pool [tasks.(0 .. n-1)] for [machine] in one pass,
     writing the best version and score per slot into [versions] /
-    [scores]. Parent bounds are priced lazily into the flat store
-    (stride [n_machines], index [task * n_machines + machine]; a slot is
-    trusted once its [bound_known] byte is set — valid for the whole run
-    because placements are immutable within one). Per candidate this
-    equals {!best_version_with} bit for bit (pinned by the QCheck
-    batch-equals-fold property); schedule-wide inputs are hoisted out of
-    the loop, and with warm bounds the pass performs no heap allocation. *)
+    [scores]. Parent bounds — the latest parent finish (plus transfer
+    latency across machines) and the incoming communication energy, fixed
+    once the task is poolable because placements are immutable within a
+    run — are priced lazily into the flat store (stride [n_machines],
+    index [task * n_machines + machine]; a slot is trusted once its
+    [bound_known] byte is set). Per candidate this equals {!best_version}
+    bit for bit (pinned by the QCheck batch-equals-fold property);
+    schedule-wide inputs are hoisted out of the loop, and with warm
+    bounds the pass performs no heap allocation. *)
 
 val score_bounds : float array
 (** Histogram bucket bounds spanning the objective's analytic range

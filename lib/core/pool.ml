@@ -1,7 +1,7 @@
 (* Flat structure-of-arrays candidate-pool arena for the SoA scheduler
    mode ([Slrh.params.mode = `Soa]).
 
-   The boxed pool paths materialise one heap structure per free machine
+   The rescan oracle materialises one heap structure per free machine
    per timestep: an int list for the pool, a (task, version, score)
    tuple per candidate, a sorted copy of that list, and a closure or two
    around every span. The arena replaces all of it with preallocated
@@ -11,21 +11,18 @@
      in ready-list order (the exact order the boxed path scores in, so
      histogram observation sequences match bit for bit);
    - one flat parent-bound store per (task, machine) — the ready floor
-     and incoming communication energy of {!Objective.parent_bound},
-     unpacked into an int array and a float array so neither lookups nor
-     writes allocate (the option-array cache of the incremental mode
-     boxes both the option and the record);
+     and incoming communication energy of a candidate, unpacked into an
+     int array and a float array so neither lookups nor writes allocate;
    - one shared [order] permutation used to sort each pool by
      (score desc, task asc) without moving the rows — the rows keep
      their fill order, which is what pool reuse re-scores next timestep.
 
-   Epoch discipline is the incremental mode's: a row stamped with the
+   Epoch discipline (DESIGN.md section 13): a row stamped with the
    commit epoch ([Schedule.n_mapped]) at build time is reused while the
    epoch is unchanged, because commits are the only intra-run mutation
    of the ready set, the mapped set and the batteries. Reuse is disabled
-   while a decision ledger is attached, for the same reason it is in
-   incremental mode: each rebuild emits rejection entries that reuse
-   cannot replay.
+   while a decision ledger is attached: each rebuild emits rejection
+   entries that reuse cannot replay.
 
    Rows start small and regrow geometrically, and regrowth allocates
    FRESH arrays — never [Array.blit] — because it only ever happens at
@@ -124,19 +121,6 @@ module Flat = struct
 
   (* Record a freshly built pool's occupancy (for the high-water gauge). *)
   let note_occupancy t n = if n > t.hwm then t.hwm <- n
-
-  (* Copy a boxed pool (the ledger-attached rebuild path) into the row. *)
-  let fill_from_list t row pool =
-    let n = List.length pool in
-    ignore (ensure t row n);
-    let i = ref 0 in
-    List.iter
-      (fun task ->
-        row.tasks.(!i) <- task;
-        incr i)
-      pool;
-    row.count <- n;
-    note_occupancy t n
 
   (* Order the first [n] pool slots by decreasing score, ties broken on
      ascending task id — the boxed [List.sort] comparator. Task ids in a

@@ -3,11 +3,10 @@
 
     One arena lives for one {!Slrh.continue_run}: per-machine rows of
     (task, best version, best score) in ready-list order, a flat
-    (task, machine) parent-bound store replacing the incremental mode's
-    boxed {!Objective.parent_bound} option cache, and a shared sort
-    permutation. Rows are stamped with the commit epoch
-    ([Schedule.n_mapped]) and reused while it is unchanged — PR 4's
-    invalidation rule, in arrays. Steady-state reuse touches no
+    (task, machine) parent-bound store (ready floor and incoming comm
+    energy, unboxed), and a shared sort permutation. Rows are stamped
+    with the commit epoch ([Schedule.n_mapped]) and reused while it is
+    unchanged (DESIGN.md section 13). Steady-state reuse touches no
     allocating operation at all, which is what the allocation-budget
     suite pins. *)
 
@@ -27,7 +26,7 @@ module Flat : sig
   }
 
   type t = {
-    memo : Feasibility.Memo.t;  (** energy admission bounds (PR 4) *)
+    memo : Feasibility.Memo.t;  (** energy admission bounds *)
     n_machines : int;
     n_tasks : int;
     rows : row array;  (** one per machine *)
@@ -76,10 +75,6 @@ module Flat : sig
 
   val note_occupancy : t -> int -> unit
   (** Fold a freshly built pool's size into the high-water mark. *)
-
-  val fill_from_list : t -> row -> int list -> unit
-  (** Copy a boxed pool (the ledger-attached rebuild path) into the
-      row, setting [count] and the high-water mark. *)
 
   val sort : t -> row -> int -> unit
   (** Write into the shared [order] scratch the permutation of the first

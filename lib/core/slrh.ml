@@ -42,27 +42,22 @@ let machine_order_to_string = function
   | Most_energy_first -> "most-energy-first"
 
 (* [`Rescan] is the paper-literal loop: rebuild and re-price the candidate
-   pool from scratch for every free machine on every timestep.
-   [`Incremental] reuses work whose inputs provably did not change —
-   memoised energy bounds, cached parent-derived score inputs, and whole
-   pools when no commit happened since they were built.
-   [`Soa] (the default) keeps the incremental mode's reuse rules but
-   moves the pools themselves onto the preallocated flat arrays of
-   {!Pool.Flat}, batch-filtering and batch-scoring each pool in single
-   passes so a steady-state timestep allocates nothing at all.
-   Both alternative modes are pinned bit-identical to [`Rescan] by the
-   differential test suite, which keeps the rescan path alive as the
-   oracle. *)
-type mode = [ `Rescan | `Incremental | `Soa ]
+   pool from scratch for every free machine on every timestep, score it
+   into a boxed list and walk that list. It is kept, unshared, as the
+   differential oracle.
+   [`Soa] (the default) reuses work whose inputs provably did not change
+   — memoised energy bounds, parent-derived score inputs, and whole pools
+   when no commit happened since they were built — on the preallocated
+   flat arrays of {!Pool.Flat}, batch-filtering and batch-scoring each
+   pool in single passes and walking it in place, so a steady-state
+   timestep allocates nothing at all. The differential test suite pins
+   it bit-identical to [`Rescan]. *)
+type mode = [ `Rescan | `Soa ]
 
-let mode_to_string = function
-  | `Rescan -> "rescan"
-  | `Incremental -> "incremental"
-  | `Soa -> "soa"
+let mode_to_string = function `Rescan -> "rescan" | `Soa -> "soa"
 
 let mode_of_string = function
   | "rescan" -> Some `Rescan
-  | "incremental" -> Some `Incremental
   | "soa" -> Some `Soa
   | _ -> None
 
@@ -74,15 +69,9 @@ type params = {
   feas_mode : Feasibility.mode;
   mode : mode;
       (** [`Soa] (the default) runs pools on the flat preallocated arena;
-          [`Incremental] caches boxed pool state whose inputs did not
-          change; [`Rescan] is the naive rebuild kept as the differential
-          oracle. Output is bit-identical in all three. *)
+          [`Rescan] is the naive rebuild kept as the differential oracle.
+          Output is bit-identical in both. *)
   machine_order : machine_order;
-  parallel_scoring : int option;
-      (** score pool candidates on this many domains — the paper notes the
-          SLRH "is amenable to a parallel hardware implementation"
-          (Section IV); scoring is pure, so results are bit-identical to
-          the sequential path (tested). None = sequential. *)
   tracer : Trace.t option;
       (** record the paper's "historical record of all critical
           parameters" (one event per decision point) *)
@@ -113,7 +102,6 @@ let default_params ?(variant = V1) weights =
     feas_mode = Feasibility.Conservative;
     mode = `Soa;
     machine_order = Numerical;
-    parallel_scoring = None;
     tracer = None;
     obs = Agrid_obs.Sink.noop;
     cancel = (fun () -> false);
@@ -185,185 +173,124 @@ let reject_of_infeasibility = function
       Agrid_obs.Ledger.Comm_energy
         { version = Version.to_string version; exec; comm; available }
 
-(* ---- incremental-mode cache (one per [continue_run]) ----
+(* ---- decision-ledger records, shared by both walks ----
 
-   Three layers, each keyed on exactly the inputs the recomputation would
-   read, so every cached answer is the same value — bit for bit — the
-   rescan path would produce:
+   Only the record layout is shared: each walk decides on its own which
+   fate every candidate gets, so the rescan oracle still checks the SoA
+   walk's accounting independently. *)
 
-   - [memo]: the secondary-version energy bound per (task, machine). Pure
-     function of the workload; never invalidated.
-   - [bounds]: {!Objective.parent_bound} per (task, machine) — the
-     parent-finish ready floor and incoming comm energy. Valid from the
-     moment the task is poolable (all parents mapped) because placements
-     are immutable within a run; never invalidated. Under parallel scoring,
-     workers write disjoint slots (one task appears once per pool), so the
-     plain array is race-free.
-   - [pools]: the last pool built per machine, stamped with the commit
-     epoch ([Schedule.n_mapped]) at build time. Every intra-run input of
-     the pool — the ready set, the mapped set, and every battery level —
-     changes only through [Schedule.commit], so an unchanged epoch means
-     an identical pool. Reuse replays the build's admission counters and
-     spans verbatim; only durations (and the reuse counters) tell the
-     modes apart. Disabled when a ledger is attached: each rebuild emits
-     per-step rejection entries that reuse cannot replay, and the ledger
-     must stay bit-identical to the oracle's.
+let record_candidate led ~clock ~machine ~task fate =
+  Agrid_obs.Ledger.record led
+    (Agrid_obs.Ledger.Candidate { clock; machine; task; fate })
 
-   Pool reuse additionally assumes [eligible] is stable for the duration
-   of the run — true for both the plain loop and the churn engine, which
-   only changes holds/failures between phases (each phase is its own
-   [continue_run], hence its own cache). *)
+let record_idle ledger ~clock ~machine cause =
+  match ledger with
+  | None -> ()
+  | Some led ->
+      Agrid_obs.Ledger.record led (Agrid_obs.Ledger.Idle { clock; machine; cause })
 
-type pool_entry = {
-  pe_pool : int list;  (* post-eligibility pool, as scoring consumes it *)
-  pe_admitted : int;  (* |raw pool| — "feasibility/admitted" replay *)
-  pe_checked : int;  (* |ready set| — "feasibility/checked" replay *)
-  pe_epoch : int;  (* Schedule.n_mapped when built *)
-}
+(* The winner's entry: the score decomposition is recomputed against the
+   pre-commit schedule ([estimate] reads the schedule as it stood when
+   the decision was made, and is_mapped still excludes only earlier
+   commits), so for SLRH-2's stale pools the recorded terms are the fresh
+   truth even when the stale pool score differs. *)
+let record_commit params sched led ~machine ~now ~task ~version ~pool_size
+    ~runner_up (plan : Schedule.plan) =
+  let parts =
+    Objective.estimate_parts (live_weights params) sched ~task ~version ~machine ~now
+  in
+  Agrid_obs.Ledger.record led
+    (Agrid_obs.Ledger.Commit
+       {
+         clock = now;
+         machine;
+         task;
+         version = Version.to_string version;
+         start = plan.Schedule.pl_start;
+         stop = plan.Schedule.pl_stop;
+         score = parts.Objective.total;
+         alpha_term = parts.Objective.t100_term;
+         beta_term = parts.Objective.energy_term;
+         gamma_term = parts.Objective.aet_term;
+         pool_size;
+         runner_up;
+       })
 
-type cache = {
-  memo : Feasibility.Memo.t;
-  bounds : Objective.parent_bound option array;  (* task * n_machines + machine *)
-  pools : pool_entry option array;  (* per machine *)
-  cache_machines : int;
-  reuse_pools : bool;  (* false when a decision ledger is attached *)
-}
+let trace_assigned t sched ~machine ~now ~task ~version ~score ~pool_size
+    (plan : Schedule.plan) =
+  Trace.record t ~clock:now ~machine
+    (Trace.Assigned
+       {
+         task;
+         version;
+         start = plan.Schedule.pl_start;
+         stop = plan.Schedule.pl_stop;
+         score;
+         pool_size;
+         energy_remaining = Schedule.energy_remaining sched machine;
+       })
 
-let make_cache params sched ~n_machines =
-  let workload = Schedule.workload sched in
-  let n_tasks = Workload.n_tasks workload in
-  {
-    memo = Feasibility.Memo.create ~mode:params.feas_mode workload;
-    bounds = Array.make (n_tasks * n_machines) None;
-    pools = Array.make n_machines None;
-    cache_machines = n_machines;
-    reuse_pools = Option.is_none (Agrid_obs.Sink.ledger params.obs);
-  }
+(* The walk's verdict when nothing fit: counted, and traced as an empty
+   pool or a horizon miss. *)
+let walk_exhausted params ~machine ~now ~pool_size =
+  let obs = params.obs in
+  if pool_size = 0 then begin
+    Agrid_obs.Sink.incr obs "slrh/pool_empty";
+    match params.tracer with
+    | None -> ()
+    | Some t -> Trace.record t ~clock:now ~machine Trace.Pool_empty
+  end
+  else begin
+    Agrid_obs.Sink.incr obs "slrh/horizon_miss";
+    match params.tracer with
+    | None -> ()
+    | Some t -> Trace.record t ~clock:now ~machine (Trace.Horizon_miss { pool_size })
+  end
 
-let bound_for cache sched ~task ~machine =
-  let i = (task * cache.cache_machines) + machine in
-  match cache.bounds.(i) with
-  | Some b -> b
-  | None ->
-      let b = Objective.parent_bound sched ~task ~machine in
-      cache.bounds.(i) <- Some b;
-      b
+let idle_cause ~pool_size =
+  if pool_size = 0 then Agrid_obs.Ledger.Pool_empty else Agrid_obs.Ledger.Horizon_miss
 
-(* One scored pool: best version and score per candidate, sorted by
-   decreasing objective. Scoring reads the schedule without mutating it, so
-   it can fan out over domains (the paper's parallel-hardware note); the
-   sort ties break on task id either way, keeping results identical.
+(* ---- the rescan oracle ----
+
+   One scored pool: best version and score per candidate, sorted by
+   decreasing objective, ties broken on task id.
 
    When the sink carries a decision ledger, every unmapped task that
    stayed out of the pool is recorded with its typed rejection —
    including tasks the churn retry policy made ineligible. The pool
    itself is computed exactly as before; all ledger work is additive and
    guarded on [Sink.ledger]. *)
-let scored_pool params ~cache ~eligible sched ~machine ~now stats_candidates =
+let scored_pool params ~eligible sched ~machine ~now stats_candidates =
   let obs = params.obs in
-  let epoch = Schedule.n_mapped sched in
-  let reusable =
-    match cache with
-    | Some c when c.reuse_pools -> (
-        match c.pools.(machine) with
-        | Some pe when pe.pe_epoch = epoch -> Some pe
-        | Some _ | None -> None)
-    | Some _ | None -> None
-  in
   let pool =
-    match reusable with
-    | Some pe ->
-        (* No commit since this pool was built: every input is unchanged,
-           so replay the build's telemetry (same spans, same counter
-           increments) and hand back the same list. *)
-        Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-            Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
-                if Agrid_obs.Sink.enabled obs then begin
-                  Agrid_obs.Sink.add obs "feasibility/checked" pe.pe_checked;
-                  Agrid_obs.Sink.add obs "feasibility/admitted" pe.pe_admitted
-                end);
-            Agrid_obs.Sink.incr obs "slrh/pool_reused";
-            pe.pe_pool)
-    | None ->
-        Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-            let raw, n_checked =
-              match cache with
-              | Some c -> Feasibility.candidate_pool_memo ~obs c.memo sched ~machine
-              | None ->
-                  ( Feasibility.candidate_pool ~mode:params.feas_mode ~obs sched
-                      ~machine,
-                    0 )
-            in
-            (match Agrid_obs.Sink.ledger obs with
-            | None -> ()
-            | Some led ->
-                List.iter
-                  (fun (task, why) ->
-                    Agrid_obs.Ledger.record led
-                      (Agrid_obs.Ledger.Candidate
-                         {
-                           clock = now;
-                           machine;
-                           task;
-                           fate = Agrid_obs.Ledger.Rejected (reject_of_infeasibility why);
-                         }))
-                  (Feasibility.explain_rejections ~mode:params.feas_mode sched ~machine);
-                List.iter
-                  (fun task ->
-                    if not (eligible task) then
-                      Agrid_obs.Ledger.record led
-                        (Agrid_obs.Ledger.Candidate
-                           {
-                             clock = now;
-                             machine;
-                             task;
-                             fate = Agrid_obs.Ledger.Rejected Agrid_obs.Ledger.Ineligible;
-                           }))
-                  raw);
-            let pool = List.filter eligible raw in
-            (match cache with
-            | Some c ->
-                Agrid_obs.Sink.incr obs "slrh/pool_rebuilt";
-                if c.reuse_pools then
-                  c.pools.(machine) <-
-                    Some
-                      {
-                        pe_pool = pool;
-                        pe_admitted = List.length raw;
-                        pe_checked = n_checked;
-                        pe_epoch = epoch;
-                      }
-            | None -> ());
-            pool)
-  in
-  (* Scoring is pure, so the parallel path fans it out over domains. The
-     sink stays out of the workers (it is single-domain): version-eval
-     counts and score observations are recorded here, after the map, which
-     also keeps the metrics identical between the two paths. *)
-  let score =
-    match cache with
-    | None ->
-        fun task ->
-          let version, score =
-            Objective.best_version (live_weights params) sched ~task ~machine ~now
-          in
-          (task, version, score)
-    | Some c ->
-        fun task ->
-          let bound = bound_for c sched ~task ~machine in
-          let version, score =
-            Objective.best_version_with (live_weights params) sched ~bound ~task
-              ~machine ~now
-          in
-          (task, version, score)
+    Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
+        let raw = Feasibility.candidate_pool ~mode:params.feas_mode ~obs sched ~machine in
+        (match Agrid_obs.Sink.ledger obs with
+        | None -> ()
+        | Some led ->
+            List.iter
+              (fun (task, why) ->
+                record_candidate led ~clock:now ~machine ~task
+                  (Agrid_obs.Ledger.Rejected (reject_of_infeasibility why)))
+              (Feasibility.explain_rejections ~mode:params.feas_mode sched ~machine);
+            List.iter
+              (fun task ->
+                if not (eligible task) then
+                  record_candidate led ~clock:now ~machine ~task
+                    (Agrid_obs.Ledger.Rejected Agrid_obs.Ledger.Ineligible))
+              raw);
+        List.filter eligible raw)
   in
   stats_candidates := !stats_candidates + List.length pool;
   let scored =
     Agrid_obs.Sink.span obs "slrh/score" (fun () ->
-        match params.parallel_scoring with
-        | Some domains when domains > 1 && List.length pool > 1 ->
-            Array.to_list (Agrid_par.Parallel.map ~domains score (Array.of_list pool))
-        | Some _ | None -> List.map score pool)
+        List.map
+          (fun task ->
+            let version, score =
+              Objective.best_version (live_weights params) sched ~task ~machine ~now
+            in
+            (task, version, score))
+          pool)
   in
   if Agrid_obs.Sink.enabled obs then begin
     let n = List.length pool in
@@ -387,73 +314,22 @@ let scored_pool params ~cache ~eligible sched ~machine ~now stats_candidates =
    traces the decision.
 
    Ledger fates per pool member: the winner gets a [Commit] entry with
-   the score decomposition (recomputed against the pre-commit schedule,
-   so for SLRH-2's stale pools the recorded terms are the fresh truth
-   even when the stale pool score differs) and the runner-up margin;
-   walked-but-late candidates get [Horizon_missed] with their planned
-   start; unwalked ones get [Outscored]; already-mapped stragglers in a
-   stale pool keep their [Scored] rank. *)
+   the score decomposition and the runner-up margin; walked-but-late
+   candidates get [Horizon_missed] with their planned start; unwalked
+   ones get [Outscored]; already-mapped stragglers in a stale pool keep
+   their [Scored] rank. *)
 let try_assign params sched ~machine ~now ~scored plans_attempted =
   let obs = params.obs in
   let ledger = Agrid_obs.Sink.ledger obs in
   let pool_size = List.length scored in
-  let trace kind =
-    match params.tracer with
-    | Some t -> Trace.record t ~clock:now ~machine kind
-    | None -> ()
-  in
   let candidate task fate =
     match ledger with
     | None -> ()
-    | Some led ->
-        Agrid_obs.Ledger.record led
-          (Agrid_obs.Ledger.Candidate { clock = now; machine; task; fate })
-  in
-  let ledger_commit ~task ~version (plan : Schedule.plan) =
-    match ledger with
-    | None -> ()
-    | Some led ->
-        (* pre-commit: [estimate] reads the schedule as it stood when the
-           decision was made, and is_mapped still excludes only earlier
-           commits *)
-        let parts =
-          Objective.estimate_parts (live_weights params) sched ~task ~version
-            ~machine ~now
-        in
-        let runner_up =
-          List.find_map
-            (fun (t, _, s) ->
-              if t <> task && not (Schedule.is_mapped sched t) then Some (t, s)
-              else None)
-            scored
-        in
-        Agrid_obs.Ledger.record led
-          (Agrid_obs.Ledger.Commit
-             {
-               clock = now;
-               machine;
-               task;
-               version = Version.to_string version;
-               start = plan.Schedule.pl_start;
-               stop = plan.Schedule.pl_stop;
-               score = parts.Objective.total;
-               alpha_term = parts.Objective.t100_term;
-               beta_term = parts.Objective.energy_term;
-               gamma_term = parts.Objective.aet_term;
-               pool_size;
-               runner_up;
-             })
+    | Some led -> record_candidate led ~clock:now ~machine ~task fate
   in
   let rec walk rank = function
     | [] ->
-        if pool_size = 0 then begin
-          Agrid_obs.Sink.incr obs "slrh/pool_empty";
-          trace Trace.Pool_empty
-        end
-        else begin
-          Agrid_obs.Sink.incr obs "slrh/horizon_miss";
-          trace (Trace.Horizon_miss { pool_size })
-        end;
+        walk_exhausted params ~machine ~now ~pool_size;
         None
     | (task, version, score) :: rest ->
         if Schedule.is_mapped sched task then begin
@@ -469,10 +345,18 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
                 Schedule.plan sched ~task ~version ~machine ~not_before:now)
           in
           if plan.Schedule.pl_start <= now + params.horizon then begin
-            ledger_commit ~task ~version plan;
             (match ledger with
             | None -> ()
-            | Some _ ->
+            | Some led ->
+                let runner_up =
+                  List.find_map
+                    (fun (t, _, s) ->
+                      if t <> task && not (Schedule.is_mapped sched t) then Some (t, s)
+                      else None)
+                    scored
+                in
+                record_commit params sched led ~machine ~now ~task ~version
+                  ~pool_size ~runner_up plan;
                 List.iteri
                   (fun i (t, v, s) ->
                     let fate =
@@ -485,17 +369,11 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
                     candidate t fate)
                   rest);
             Schedule.commit sched plan;
-            trace
-              (Trace.Assigned
-                 {
-                   task;
-                   version;
-                   start = plan.Schedule.pl_start;
-                   stop = plan.Schedule.pl_stop;
-                   score;
-                   pool_size;
-                   energy_remaining = Schedule.energy_remaining sched machine;
-                 });
+            (match params.tracer with
+            | None -> ()
+            | Some t ->
+                trace_assigned t sched ~machine ~now ~task ~version ~score ~pool_size
+                  plan);
             Some task
           end
           else begin
@@ -513,82 +391,77 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
   in
   walk 0 scored
 
-(* ---- the flat (SoA) pool path ----
+(* ---- the flat (SoA) walk ----
 
    Same decisions, no boxes: pools live in the {!Pool.Flat} arena, are
    rebuilt with {!Feasibility.filter_into} and re-scored with
-   {!Objective.score_into} in single passes, and are walked through the
-   shared sort permutation. Reuse is epoch-keyed exactly like the
-   incremental cache's. Telemetry, when the sink is enabled, replays the
-   boxed path's span/counter/histogram sequence verbatim (fill order IS
-   the boxed pool order, and observation loops run before sorting), so
-   the differential suite compares sinks across modes directly.
+   {!Objective.score_into} in single passes, and are walked in place
+   through the shared sort permutation. A row stamped with the commit
+   epoch ([Schedule.n_mapped]) is reused while the epoch is unchanged
+   (DESIGN.md section 13). Telemetry, when the sink is enabled, replays
+   the rescan path's span/counter/histogram sequence verbatim (fill order
+   IS the boxed pool order, and observation loops run before sorting),
+   and the decision ledger and tracer are recorded here too, so the
+   differential suite compares every artefact of this walk against the
+   oracle directly.
 
    Closure discipline: every function below that runs on the
    steady-state path is a top-level function, every telemetry closure is
-   built only under [Sink.enabled], and the walk recursions carry their
+   built only under [Sink.enabled], each recorder is a [match] on an
+   option resolved once per run, and the walk recursions carry their
    state in arguments — so a timestep whose pools are reused and empty
-   performs zero heap allocation (pinned by test_alloc). *)
+   performs zero heap allocation when no recorder is attached (pinned by
+   test_alloc). *)
+
+type soa = {
+  arena : Pool.Flat.t;
+  ledger : Agrid_obs.Ledger.t option;  (* [Sink.ledger params.obs], hoisted *)
+}
 
 (* Rebuild machine's pool into its arena row at [epoch]. With a ledger
-   attached, the boxed build runs instead (its raw pool feeds the
-   rejection entries, which must stay byte-identical to the oracle's)
-   and the result is copied into the row; reuse is off in that case, so
-   the copy happens every rebuild and allocation is already conceded. *)
-let soa_rebuild params (arena : Pool.Flat.t) ~eligible sched ~machine ~now ~epoch =
+   attached, the typed rejections are recorded first and [eligible] is
+   wrapped to record admitted-but-ineligible tasks as [filter_into]
+   meets them — the rescan path's entry order; reuse is off in that case,
+   so every timestep rebuilds and re-records. *)
+let soa_rebuild params (s : soa) ~eligible sched ~machine ~now ~epoch =
   let obs = params.obs in
+  let arena = s.arena in
   let row = arena.Pool.Flat.rows.(machine) in
-  (match Agrid_obs.Sink.ledger obs with
-  | None ->
-      let n, admitted, checked =
-        Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine ~eligible
-          ~ensure:(fun cap -> Pool.Flat.ensure arena row cap)
-      in
-      row.Pool.Flat.count <- n;
-      row.Pool.Flat.admitted <- admitted;
-      row.Pool.Flat.checked <- checked;
-      Pool.Flat.note_occupancy arena n
-  | Some led ->
-      let raw, n_checked =
-        Feasibility.candidate_pool_memo ~obs arena.Pool.Flat.memo sched ~machine
-      in
-      List.iter
-        (fun (task, why) ->
-          Agrid_obs.Ledger.record led
-            (Agrid_obs.Ledger.Candidate
-               {
-                 clock = now;
-                 machine;
-                 task;
-                 fate = Agrid_obs.Ledger.Rejected (reject_of_infeasibility why);
-               }))
-        (Feasibility.explain_rejections ~mode:params.feas_mode sched ~machine);
-      List.iter
-        (fun task ->
-          if not (eligible task) then
-            Agrid_obs.Ledger.record led
-              (Agrid_obs.Ledger.Candidate
-                 {
-                   clock = now;
-                   machine;
-                   task;
-                   fate = Agrid_obs.Ledger.Rejected Agrid_obs.Ledger.Ineligible;
-                 }))
-        raw;
-      Pool.Flat.fill_from_list arena row (List.filter eligible raw);
-      row.Pool.Flat.admitted <- List.length raw;
-      row.Pool.Flat.checked <- n_checked);
+  let eligible =
+    match s.ledger with
+    | None -> eligible
+    | Some led ->
+        List.iter
+          (fun (task, why) ->
+            record_candidate led ~clock:now ~machine ~task
+              (Agrid_obs.Ledger.Rejected (reject_of_infeasibility why)))
+          (Feasibility.explain_rejections ~mode:params.feas_mode sched ~machine);
+        fun task ->
+          eligible task
+          || begin
+               record_candidate led ~clock:now ~machine ~task
+                 (Agrid_obs.Ledger.Rejected Agrid_obs.Ledger.Ineligible);
+               false
+             end
+  in
+  let n, admitted, checked =
+    Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine ~eligible
+      ~ensure:(fun cap -> Pool.Flat.ensure arena row cap)
+  in
+  row.Pool.Flat.count <- n;
+  row.Pool.Flat.admitted <- admitted;
+  row.Pool.Flat.checked <- checked;
+  Pool.Flat.note_occupancy arena n;
   row.Pool.Flat.epoch <- epoch;
   Agrid_obs.Sink.incr obs "slrh/pool_rebuilt"
 
 (* [scored_pool] on the arena: obtain (reuse or rebuild), re-score, sort.
    Returns the pool size; the sorted walk order is in [arena.order].
    Re-scoring happens every timestep even on reuse — scores depend on
-   [now] and the timelines — exactly as the boxed reuse path re-scores
-   its cached list. *)
-let soa_scored_pool params (arena : Pool.Flat.t) ~eligible sched ~machine ~now
-    stats_candidates =
+   [now] and the timelines. *)
+let soa_scored_pool params (s : soa) ~eligible sched ~machine ~now stats_candidates =
   let obs = params.obs in
+  let arena = s.arena in
   let enabled = Agrid_obs.Sink.enabled obs in
   let epoch = Schedule.n_mapped sched in
   let row = arena.Pool.Flat.rows.(machine) in
@@ -603,8 +476,8 @@ let soa_scored_pool params (arena : Pool.Flat.t) ~eligible sched ~machine ~now
   end
   else if enabled then
     Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-        soa_rebuild params arena ~eligible sched ~machine ~now ~epoch)
-  else soa_rebuild params arena ~eligible sched ~machine ~now ~epoch;
+        soa_rebuild params s ~eligible sched ~machine ~now ~epoch)
+  else soa_rebuild params s ~eligible sched ~machine ~now ~epoch;
   let n = row.Pool.Flat.count in
   stats_candidates := !stats_candidates + n;
   let w = live_weights params in
@@ -640,46 +513,63 @@ let soa_scored_pool params (arena : Pool.Flat.t) ~eligible sched ~machine ~now
   else if n = 1 then arena.Pool.Flat.order.(0) <- 0;
   n
 
-(* The arena pool as the boxed walk's sorted list — the SoA path when a
-   ledger or tracer is attached, so every fate/event flows through the
-   one [try_assign] whose bytes the oracle pins. Built back-to-front to
-   keep construction order deterministic. *)
-let soa_scored_list params arena ~eligible sched ~machine ~now stats_candidates =
-  let n = soa_scored_pool params arena ~eligible sched ~machine ~now stats_candidates in
-  let row = arena.Pool.Flat.rows.(machine) in
-  let order = arena.Pool.Flat.order in
-  let rec build i acc =
-    if i < 0 then acc
-    else
-      let k = order.(i) in
-      build (i - 1)
-        ((row.Pool.Flat.tasks.(k), row.Pool.Flat.versions.(k), row.Pool.Flat.scores.(k))
-        :: acc)
-  in
-  build (n - 1) []
+(* The ledger fates of a flat commit at sort position [i]: the [Commit]
+   entry (runner-up = best other unmapped candidate, wherever it ranks),
+   then [Outscored] for every unmapped candidate after it. Mapped slots
+   are stragglers an SLRH-2 drain already committed; the rescan path
+   filters them out of its list, so they take no rank here either. *)
+let record_flat_commit params (s : soa) sched led ~machine ~now ~n ~i ~rank
+    ~pool_size ~task ~version plan =
+  let row = s.arena.Pool.Flat.rows.(machine) in
+  let order = s.arena.Pool.Flat.order in
+  let runner_up = ref None in
+  let j = ref 0 in
+  while Option.is_none !runner_up && !j < n do
+    let k = order.(!j) in
+    let t = row.Pool.Flat.tasks.(k) in
+    if t <> task && not (Schedule.is_mapped sched t) then
+      runner_up := Some (t, row.Pool.Flat.scores.(k));
+    incr j
+  done;
+  record_commit params sched led ~machine ~now ~task ~version ~pool_size
+    ~runner_up:!runner_up plan;
+  let r = ref rank in
+  for j = i + 1 to n - 1 do
+    let k = order.(j) in
+    let t = row.Pool.Flat.tasks.(k) in
+    if not (Schedule.is_mapped sched t) then begin
+      incr r;
+      record_candidate led ~clock:now ~machine ~task:t
+        (Agrid_obs.Ledger.Outscored
+           {
+             version = Version.to_string row.Pool.Flat.versions.(k);
+             score = row.Pool.Flat.scores.(k);
+             rank = !r;
+           })
+    end
+  done
 
-(* [try_assign] for the flat fast path (no ledger, no tracer): walk the
-   sort order, plan each unmapped candidate, commit the first whose start
-   fits the horizon; returns the committed task id or -1. [seen_mapped]
-   counts already-mapped stragglers (SLRH-2's drained commits), so the
-   final empty-vs-miss counter decision sees the same pool size the
-   boxed walk sees — its list excludes exactly those. Top-level
-   recursion, state in arguments: an exhausting walk over an empty
-   reused pool allocates nothing. *)
-let rec flat_walk params (arena : Pool.Flat.t) sched ~machine ~now n i seen_mapped
+(* [try_assign] on the arena: walk the sort order from position [i],
+   plan each unmapped candidate, commit the first whose start fits the
+   horizon; returns the committed task id or -1. [skipped] counts the
+   already-mapped stragglers passed so far and [drained] those in the
+   whole pool (SLRH-2's commits from this same pool), so ranks and pool
+   sizes leave them out exactly as the rescan path's filtered list does.
+   Top-level recursion, state in arguments: an exhausting walk over an
+   empty reused pool allocates nothing. *)
+let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
     plans_attempted =
   let obs = params.obs in
   if i >= n then begin
-    if n - seen_mapped = 0 then Agrid_obs.Sink.incr obs "slrh/pool_empty"
-    else Agrid_obs.Sink.incr obs "slrh/horizon_miss";
+    walk_exhausted params ~machine ~now ~pool_size:(n - drained);
     -1
   end
   else begin
-    let row = arena.Pool.Flat.rows.(machine) in
-    let k = arena.Pool.Flat.order.(i) in
+    let row = s.arena.Pool.Flat.rows.(machine) in
+    let k = s.arena.Pool.Flat.order.(i) in
     let task = row.Pool.Flat.tasks.(k) in
     if Schedule.is_mapped sched task then
-      flat_walk params arena sched ~machine ~now n (i + 1) (seen_mapped + 1)
+      flat_walk params s sched ~machine ~now ~drained n (i + 1) (skipped + 1)
         plans_attempted
     else begin
       incr plans_attempted;
@@ -691,34 +581,61 @@ let rec flat_walk params (arena : Pool.Flat.t) sched ~machine ~now n i seen_mapp
         else Schedule.plan sched ~task ~version ~machine ~not_before:now
       in
       if plan.Schedule.pl_start <= now + params.horizon then begin
+        (match s.ledger with
+        | None -> ()
+        | Some led ->
+            record_flat_commit params s sched led ~machine ~now ~n ~i
+              ~rank:(i - skipped) ~pool_size:(n - drained) ~task ~version plan);
         Schedule.commit sched plan;
+        (match params.tracer with
+        | None -> ()
+        | Some t ->
+            trace_assigned t sched ~machine ~now ~task ~version
+              ~score:row.Pool.Flat.scores.(k) ~pool_size:(n - drained) plan);
         task
       end
-      else
-        flat_walk params arena sched ~machine ~now n (i + 1) seen_mapped
+      else begin
+        (match s.ledger with
+        | None -> ()
+        | Some led ->
+            record_candidate led ~clock:now ~machine ~task
+              (Agrid_obs.Ledger.Horizon_missed
+                 {
+                   version = Version.to_string version;
+                   score = row.Pool.Flat.scores.(k);
+                   rank = i - skipped;
+                   planned_start = plan.Schedule.pl_start;
+                 }));
+        flat_walk params s sched ~machine ~now ~drained n (i + 1) skipped
           plans_attempted
+      end
     end
   end
 
 (* SLRH-2's drain on the flat path: keep walking the SAME stale pool
    (no re-score, no re-sort) until a walk commits nothing. *)
-let rec flat_drain params arena sched ~machine ~now n plans_attempted assignments =
-  if flat_walk params arena sched ~machine ~now n 0 0 plans_attempted >= 0 then begin
+let rec flat_drain params s sched ~machine ~now n drained plans_attempted assignments =
+  if flat_walk params s sched ~machine ~now ~drained n 0 0 plans_attempted >= 0 then begin
     incr assignments;
-    flat_drain params arena sched ~machine ~now n plans_attempted assignments
+    flat_drain params s sched ~machine ~now n (drained + 1) plans_attempted assignments
   end
+  else if drained = 0 then
+    record_idle s.ledger ~clock:now ~machine (idle_cause ~pool_size:n)
 
 (* SLRH-3 on the flat path: rebuild (epoch moved) and re-score after
    every commit. *)
-let rec flat_v3 params arena ~eligible sched ~machine ~now pools_built
+let rec flat_v3 params s ~eligible sched ~machine ~now committed pools_built
     stats_candidates plans_attempted assignments =
   incr pools_built;
-  let n = soa_scored_pool params arena ~eligible sched ~machine ~now stats_candidates in
-  if flat_walk params arena sched ~machine ~now n 0 0 plans_attempted >= 0 then begin
+  let n = soa_scored_pool params s ~eligible sched ~machine ~now stats_candidates in
+  if flat_walk params s sched ~machine ~now ~drained:0 n 0 0 plans_attempted >= 0
+  then begin
     incr assignments;
-    flat_v3 params arena ~eligible sched ~machine ~now pools_built stats_candidates
-      plans_attempted assignments
+    flat_v3 params s ~eligible sched ~machine ~now (committed + 1) pools_built
+      stats_candidates plans_attempted assignments
   end
+  else if committed = 0 then
+    record_idle s.ledger ~clock:now ~machine (idle_cause ~pool_size:n)
 
 let validate_params params =
   if params.delta_t <= 0 then invalid_arg "Slrh: delta_t must be positive";
@@ -734,7 +651,7 @@ let validate_params params =
 let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) params sched =
   validate_params params;
   if start_clock < 0 then invalid_arg "Slrh: negative start clock";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Agrid_obs.Clock.monotonic_ns () in
   let workload = Schedule.workload sched in
   let n_machines = Workload.n_machines workload in
   let up =
@@ -746,38 +663,25 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
         fun j -> a.(j)
   in
   let tau = match until with Some u -> u | None -> Workload.tau workload in
-  let cache =
+  let obs = params.obs in
+  let ledger = Agrid_obs.Sink.ledger obs in
+  let soa =
     match params.mode with
-    | `Rescan | `Soa -> None
-    | `Incremental -> Some (make_cache params sched ~n_machines)
-  in
-  let arena =
-    match params.mode with
-    | `Rescan | `Incremental -> None
+    | `Rescan -> None
     | `Soa ->
         Some
-          (Pool.Flat.create ~feas_mode:params.feas_mode
-             ~reuse_pools:(Option.is_none (Agrid_obs.Sink.ledger params.obs))
-             workload)
-  in
-  (* The zero-allocation walk applies only while no decision recorder is
-     attached; a ledger or tracer routes the arena's pools through the
-     boxed [try_assign], whose record bytes the oracle pins. *)
-  let flat =
-    match arena with
-    | Some a
-      when Option.is_none (Agrid_obs.Sink.ledger params.obs)
-           && Option.is_none params.tracer ->
-        Some a
-    | Some _ | None -> None
+          {
+            arena =
+              Pool.Flat.create ~feas_mode:params.feas_mode
+                ~reuse_pools:(Option.is_none ledger) workload;
+            ledger;
+          }
   in
   let clock_steps = ref 0 in
   let pools_built = ref 0 in
   let candidates_scored = ref 0 in
   let plans_attempted = ref 0 in
   let assignments = ref 0 in
-  let obs = params.obs in
-  let ledger = Agrid_obs.Sink.ledger obs in
   (* snapshot deltas: pools/candidates since the previous sample *)
   let snap_pools = ref 0 in
   let snap_cands = ref 0 in
@@ -787,13 +691,6 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
      [Busy]/[Down] are decided before the pool is even built; a machine
      that built pools but committed nothing records the last pool's
      emptiness ([Pool_empty] vs [Horizon_miss]). *)
-  let record_idle ~machine ~cause =
-    match ledger with
-    | None -> ()
-    | Some led ->
-        Agrid_obs.Ledger.record led
-          (Agrid_obs.Ledger.Idle { clock = !now; machine; cause })
-  in
   let idle_cause_of_pool = function
     | [] -> Agrid_obs.Ledger.Pool_empty
     | _ :: _ -> Agrid_obs.Ledger.Horizon_miss
@@ -807,13 +704,8 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     if (not !cancelled) && params.cancel () then cancelled := true;
     not !cancelled
   in
-  (* The boxed walks' pool source: the arena (materialised through the
-     sort order) when SoA mode runs with a ledger or tracer attached,
-     the list paths otherwise. *)
   let get_scored ~machine =
-    match arena with
-    | Some a -> soa_scored_list params a ~eligible sched ~machine ~now:!now candidates_scored
-    | None -> scored_pool params ~cache ~eligible sched ~machine ~now:!now candidates_scored
+    scored_pool params ~eligible sched ~machine ~now:!now candidates_scored
   in
   (* Numerical and fast-first visit orders read nothing that changes
      within a run, so their masked sequence is hoisted out of the clock
@@ -836,7 +728,8 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     | None -> ()
     | Some _ ->
         for j = 0 to n_machines - 1 do
-          if not (up j) then record_idle ~machine:j ~cause:Agrid_obs.Ledger.Down
+          if not (up j) then
+            record_idle ledger ~clock:!now ~machine:j Agrid_obs.Ledger.Down
         done);
     let sequence =
       match static_sequence with
@@ -851,30 +744,32 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     while (not (Schedule.all_mapped sched)) && !machine < n_swept do
       let j = sequence.(!machine) in
       if Schedule.machine_free_at sched ~machine:j ~time:!now then begin
-        match flat with
-        | Some a -> (
-            (* flat fast path: no ledger, no tracer — idle recording and
-               decision tracing are no-ops, so only counters and commits
-               must match the boxed walks (and they do, bit for bit) *)
+        match soa with
+        | Some s -> (
             match params.variant with
             | V1 ->
                 incr pools_built;
                 let n =
-                  soa_scored_pool params a ~eligible sched ~machine:j ~now:!now
+                  soa_scored_pool params s ~eligible sched ~machine:j ~now:!now
                     candidates_scored
                 in
-                if flat_walk params a sched ~machine:j ~now:!now n 0 0 plans_attempted >= 0
+                if
+                  flat_walk params s sched ~machine:j ~now:!now ~drained:0 n 0 0
+                    plans_attempted
+                  >= 0
                 then incr assignments
+                else
+                  record_idle ledger ~clock:!now ~machine:j (idle_cause ~pool_size:n)
             | V2 ->
                 incr pools_built;
                 let n =
-                  soa_scored_pool params a ~eligible sched ~machine:j ~now:!now
+                  soa_scored_pool params s ~eligible sched ~machine:j ~now:!now
                     candidates_scored
                 in
-                flat_drain params a sched ~machine:j ~now:!now n plans_attempted
+                flat_drain params s sched ~machine:j ~now:!now n 0 plans_attempted
                   assignments
             | V3 ->
-                flat_v3 params a ~eligible sched ~machine:j ~now:!now pools_built
+                flat_v3 params s ~eligible sched ~machine:j ~now:!now 0 pools_built
                   candidates_scored plans_attempted assignments)
         | None -> (
             match params.variant with
@@ -883,7 +778,8 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
                 let scored = get_scored ~machine:j in
                 (match try_assign params sched ~machine:j ~now:!now ~scored plans_attempted with
                 | Some _ -> incr assignments
-                | None -> record_idle ~machine:j ~cause:(idle_cause_of_pool scored))
+                | None ->
+                    record_idle ledger ~clock:!now ~machine:j (idle_cause_of_pool scored))
             | V2 ->
                 (* one stale pool, drained as far as the horizon allows *)
                 incr pools_built;
@@ -899,7 +795,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
                   | None -> continue_ := false
                 done;
                 if !committed = 0 then
-                  record_idle ~machine:j ~cause:(idle_cause_of_pool !scored)
+                  record_idle ledger ~clock:!now ~machine:j (idle_cause_of_pool !scored)
             | V3 ->
                 (* rebuild and re-score the pool after every assignment *)
                 let committed = ref 0 in
@@ -916,12 +812,11 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
                   | None -> continue_ := false
                 done;
                 if !committed = 0 then
-                  record_idle ~machine:j
-                    ~cause:
-                      (if !last_pool_empty then Agrid_obs.Ledger.Pool_empty
-                       else Agrid_obs.Ledger.Horizon_miss))
+                  record_idle ledger ~clock:!now ~machine:j
+                    (if !last_pool_empty then Agrid_obs.Ledger.Pool_empty
+                     else Agrid_obs.Ledger.Horizon_miss))
       end
-      else record_idle ~machine:j ~cause:Agrid_obs.Ledger.Busy;
+      else record_idle ledger ~clock:!now ~machine:j Agrid_obs.Ledger.Busy;
       incr machine
     done;
     (* after the sweep: one dual round if this timestep committed anything
@@ -950,7 +845,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     end;
     if not (Schedule.all_mapped sched) then now := !now + params.delta_t
   done;
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0 in
   if Agrid_obs.Sink.enabled obs then begin
     Agrid_obs.Sink.record_span obs "slrh/run" wall_seconds;
     Agrid_obs.Sink.add obs "slrh/clock_steps" !clock_steps;
@@ -959,9 +854,9 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     Agrid_obs.Sink.add obs "slrh/plans_attempted" !plans_attempted;
     Agrid_obs.Sink.add obs "slrh/assignments" !assignments;
     Agrid_obs.Sink.max_gauge obs "slrh/final_clock" (float_of_int !now);
-    (match arena with
+    (match soa with
     | None -> ()
-    | Some a ->
+    | Some { arena = a; _ } ->
         (* arena sizing telemetry: capacity/regrowth are whole-run facts,
            emitted once here rather than inside the sweep *)
         Agrid_obs.Sink.max_gauge obs "slrh/pool_capacity"

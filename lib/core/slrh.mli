@@ -22,33 +22,32 @@ type machine_order =
 
 val machine_order_to_string : machine_order -> string
 
-type mode = [ `Rescan | `Incremental | `Soa ]
-(** How each timestep obtains its candidate pools.
+type mode = [ `Rescan | `Soa ]
+(** How each timestep obtains and walks its candidate pools.
 
     [`Rescan] rebuilds and re-prices every free machine's pool from
-    scratch — the paper-literal loop, kept as the differential oracle.
+    scratch into a boxed scored list and walks that list — the
+    paper-literal loop, kept as the differential oracle and sharing no
+    walk with [`Soa].
 
-    [`Incremental] reuses work whose inputs provably did not change:
-    energy admission bounds are priced once per (task, machine)
-    ({!Feasibility.Memo}), parent-derived score inputs are cached once a
-    task is poolable ({!Objective.parent_bound}), and a machine's whole
-    pool is reused while no commit has intervened since it was built
-    (commits are the only intra-run mutation of the ready set, the
-    mapped set and the batteries).
+    [`Soa] (the default) reuses work whose inputs provably did not
+    change: energy admission bounds are priced once per (task, machine)
+    ({!Feasibility.Memo}), parent-derived score inputs once a task is
+    poolable, and a machine's whole pool is reused while no commit has
+    intervened since it was built (commits are the only intra-run
+    mutation of the ready set, the mapped set and the batteries). Pools
+    live on a flat preallocated structure-of-arrays arena
+    ({!Pool.Flat}): batch admission ({!Feasibility.filter_into}) and
+    batch scoring ({!Objective.score_into}) write into caller-owned
+    buffers and the walk commits straight off the arena, recording the
+    decision ledger and tracer events in place, so steady-state
+    timesteps with no recorder attached perform zero heap allocation
+    (pinned by the allocation-budget suite).
 
-    [`Soa] (the default) keeps the incremental mode's memoisation and
-    epoch-keyed whole-pool reuse but runs them on a flat preallocated
-    structure-of-arrays arena ({!Pool.Flat}): batch admission
-    ({!Feasibility.filter_into}) and batch scoring
-    ({!Objective.score_into}) write into caller-owned buffers, and when
-    neither a ledger nor a tracer is attached the walk commits straight
-    off the arena, so steady-state timesteps perform zero heap
-    allocation (pinned by the allocation-budget suite).
-
-    All modes produce bit-identical schedules, traces, ledger records
+    Both modes produce bit-identical schedules, traces, ledger records
     and obs counters — pinned by the differential suite — except for the
-    maintenance-only counters ["slrh/pool_reused"] / ["slrh/pool_rebuilt"]
-    and the [`Soa]-only arena gauges ["slrh/pool_capacity"] /
+    [`Soa]-only maintenance counters ["slrh/pool_reused"] /
+    ["slrh/pool_rebuilt"] and arena gauges ["slrh/pool_capacity"] /
     ["slrh/pool_regrown"], plus span durations. Whole-pool reuse is
     disabled while a decision ledger is attached (each rebuild emits
     rejection entries reuse cannot replay) and assumes [eligible] is
@@ -58,7 +57,7 @@ type mode = [ `Rescan | `Incremental | `Soa ]
 val mode_to_string : mode -> string
 
 val mode_of_string : string -> mode option
-(** ["rescan"] / ["incremental"] / ["soa"]; [None] otherwise. *)
+(** ["rescan"] / ["soa"]; [None] otherwise. *)
 
 type params = {
   variant : variant;
@@ -68,10 +67,6 @@ type params = {
   feas_mode : Feasibility.mode;
   mode : mode;  (** pool maintenance strategy; see {!mode} *)
   machine_order : machine_order;
-  parallel_scoring : int option;
-      (** score pool candidates on this many domains (paper Section IV:
-          SLRH "is amenable to a parallel hardware implementation");
-          results are identical to the sequential path *)
   tracer : Trace.t option;  (** record one event per decision point *)
   obs : Agrid_obs.Sink.t;
       (** telemetry sink — spans over the hot paths ([slrh/run],

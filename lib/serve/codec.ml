@@ -58,7 +58,7 @@ let parse_job j =
     match Slrh.mode_of_string mode_name with
     | Some m -> Ok m
     | None ->
-        Error (Fmt.str "unknown mode %S (expected rescan|incremental|soa)" mode_name)
+        Error (Fmt.str "unknown mode %S (expected rescan|soa)" mode_name)
   in
   let* trace = opt_field j "events" Json.to_string_value ~default:"" in
   let* events =

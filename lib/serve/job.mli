@@ -5,7 +5,7 @@
     {!run} is deliberately a plain function so the soak harness can replay
     any served job one-shot, single-threaded, and demand a bit-identical
     {!type-result} — the same differential discipline that pins rescan
-    against incremental mode. *)
+    against soa mode. *)
 
 type spec = {
   tag : string option;  (** opaque client correlation token, echoed back *)
@@ -34,7 +34,7 @@ type spec = {
 
 val default : Agrid_workload.Serialize.scenario_ref -> spec
 (** The CLI's defaults: alpha 0.4, beta 0.3, SLRH-1, delta_t 10, horizon
-    100, incremental mode, no churn, no deadline. *)
+    100, soa mode, no churn, no deadline. *)
 
 type status =
   | Ok_done  (** the clock loop ran to its natural end (see [completed]) *)

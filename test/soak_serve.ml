@@ -77,7 +77,7 @@ let make_request rng i =
           alpha = float_of_int (300 + Rng.next_int rng 200) /. 1000.;
           beta = float_of_int (100 + Rng.next_int rng 300) /. 1000.;
           variant = pick rng [| Agrid_core.Slrh.V1; Agrid_core.Slrh.V3 |];
-          mode = pick rng [| `Rescan; `Incremental; `Soa |];
+          mode = pick rng [| `Rescan; `Soa |];
           events =
             (if n = 3 then
                Agrid_churn.Event.parse_trace

@@ -17,14 +17,14 @@
    - `Soa      : 0 bytes/timestep, all three variants. The flat arena is
                  the whole point — reused pools re-score into
                  preallocated rows and the walk commits off the arena.
-   - `Incremental / `Rescan : nonzero (span thunks, pool lists, scored
-                 tuples). Asserted positive — if the boxed paths ever
-                 measure 0 the harness itself has gone blind — and under
-                 a generous ceiling so a quadratic blowup still fails.
+   - `Rescan   : nonzero (span thunks, pool lists, scored tuples).
+                 Asserted positive — if the boxed oracle ever measures 0
+                 the harness itself has gone blind — and under a generous
+                 ceiling so a quadratic blowup still fails.
 
    An active-scenario check rides along: over a full run that actually
    commits (normal batteries), SoA must allocate strictly less in total
-   than either boxed mode. *)
+   than the rescan oracle. *)
 
 open Agrid_workload
 module Slrh = Agrid_core.Slrh
@@ -79,7 +79,7 @@ let active_total_bytes ~mode ~variant =
   snd (run_measured ~mode ~variant ~delta_t:10 active_workload)
 
 let variants = [ (Slrh.V1, "V1"); (Slrh.V2, "V2"); (Slrh.V3, "V3") ]
-let modes = [ (`Rescan, "rescan"); (`Incremental, "incremental"); (`Soa, "soa") ]
+let modes = [ (`Rescan, "rescan"); (`Soa, "soa") ]
 
 let () =
   Fmt.pr "steady-state bytes/timestep (commit-free scenario, %d tasks):@."
@@ -110,9 +110,9 @@ let () =
                 (Fmt.str "soa %s steady state = 0 bytes/timestep (got %g)" vname
                    bytes)
                 (bytes = 0.)
-          | `Rescan | `Incremental ->
-              (* boxed paths allocate; a zero here means the harness is
-                 measuring nothing *)
+          | `Rescan ->
+              (* the boxed oracle allocates; a zero here means the
+                 harness is measuring nothing *)
               check
                 (Fmt.str "%s %s steady state allocates (harness sanity)"
                    mode_name vname)
@@ -192,11 +192,8 @@ let () =
   List.iter
     (fun (variant, vname) ->
       let soa = active_total_bytes ~mode:`Soa ~variant in
-      let incr = active_total_bytes ~mode:`Incremental ~variant in
       let rescan = active_total_bytes ~mode:`Rescan ~variant in
-      Fmt.pr "  %s: soa %.0f, incremental %.0f, rescan %.0f@." vname soa incr
-        rescan;
-      check (Fmt.str "active %s: soa < incremental" vname) (soa < incr);
+      Fmt.pr "  %s: soa %.0f, rescan %.0f@." vname soa rescan;
       check (Fmt.str "active %s: soa < rescan" vname) (soa < rescan))
     variants;
   if !failures = 0 then Fmt.pr "test_alloc: OK@."

@@ -114,24 +114,6 @@ let test_aet_sign_value () =
   in
   Testlib.close "negative aet term" (-0.15) v
 
-let test_parallel_scoring_identical () =
-  (* the paper's parallel-hardware note: fanning candidate scoring over
-     domains must not change the result in any way *)
-  let wl = Testlib.small_workload () in
-  let weights = Objective.make_weights ~alpha:0.3 ~beta:0.3 in
-  let run parallel_scoring =
-    let params = { (Slrh.default_params weights) with Slrh.parallel_scoring } in
-    let o = Slrh.run params wl in
-    ( Schedule.n_primary o.Slrh.schedule,
-      Schedule.aet o.Slrh.schedule,
-      Schedule.tec o.Slrh.schedule )
-  in
-  let t_seq, aet_seq, tec_seq = run None in
-  let t_par, aet_par, tec_par = run (Some 3) in
-  Alcotest.(check int) "same T100" t_seq t_par;
-  Alcotest.(check int) "same AET" aet_seq aet_par;
-  Testlib.close "same TEC" tec_seq tec_par
-
 let test_machine_order_variants_validate () =
   let wl = Testlib.small_workload () in
   let weights = Objective.make_weights ~alpha:0.3 ~beta:0.3 in
@@ -428,23 +410,34 @@ let test_flat_regrowth () =
   ignore (Pool.Flat.ensure a a.Pool.Flat.rows.(1) 3);
   Alcotest.(check int) "capacity gauge is a max" 8 (Pool.Flat.capacity a)
 
-let test_flat_occupancy_and_fill () =
+(* The high-water mark is a max, and [Feasibility.filter_into] fills a
+   row with exactly the boxed [candidate_pool], in its ready-list order,
+   regrowing the row when the ready set outgrows it. *)
+let test_flat_occupancy_and_filter_fill () =
   let wl = Testlib.small_workload () in
   let a =
-    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative
+    Pool.Flat.create ~initial_capacity:1 ~feas_mode:Feasibility.Conservative
       ~reuse_pools:false wl
   in
   Pool.Flat.note_occupancy a 7;
   Pool.Flat.note_occupancy a 3;
   Alcotest.(check int) "hwm is a max" 7 (Pool.Flat.hwm a);
+  let sched = Schedule.create wl in
   let row = a.Pool.Flat.rows.(0) in
-  Pool.Flat.fill_from_list a row [ 4; 1; 9 ];
-  Alcotest.(check int) "fill sets count" 3 row.Pool.Flat.count;
-  Alcotest.(check (list int)) "fill keeps order" [ 4; 1; 9 ]
-    (Array.to_list (Array.sub row.Pool.Flat.tasks 0 3));
-  Pool.Flat.fill_from_list a row (List.init 9 (fun i -> i));
-  Alcotest.(check int) "fill regrows" 9 row.Pool.Flat.count;
-  Alcotest.(check int) "hwm tracks fills" 9 (Pool.Flat.hwm a)
+  let n, admitted, checked =
+    Feasibility.filter_into a.Pool.Flat.memo sched ~machine:0
+      ~eligible:(fun _ -> true)
+      ~ensure:(Pool.Flat.ensure a row)
+  in
+  let boxed = Feasibility.candidate_pool sched ~machine:0 in
+  Alcotest.(check (list int)) "fill = candidate_pool, same order" boxed
+    (Array.to_list (Array.sub row.Pool.Flat.tasks 0 n));
+  Alcotest.(check int) "admitted = pool with everything eligible" n admitted;
+  Alcotest.(check int) "checked = ready set"
+    (List.length (Schedule.ready_unmapped sched))
+    checked;
+  Alcotest.(check bool) "a multi-root ready set regrew the row" true
+    (checked <= 1 || Pool.Flat.regrown a > 0)
 
 (* Pool.Flat.sort writes the boxed comparator's order — (score desc,
    task asc) — as a permutation, leaving the rows in fill order. *)
@@ -498,8 +491,6 @@ let suites =
         Alcotest.test_case "AET sign value" `Quick test_aet_sign_value;
         Alcotest.test_case "machine order variants" `Quick
           test_machine_order_variants_validate;
-        Alcotest.test_case "parallel scoring identical" `Quick
-          test_parallel_scoring_identical;
         Alcotest.test_case "pool: root only" `Quick test_feasibility_pool_root_only;
         Alcotest.test_case "pool: energy gate" `Quick test_feasibility_energy_gate;
         Alcotest.test_case "required energy" `Quick test_feasibility_required_energy;
@@ -528,8 +519,8 @@ let suites =
         Alcotest.test_case "flat arena construction" `Quick test_flat_create;
         Alcotest.test_case "flat arena regrowth: fresh arrays, geometric"
           `Quick test_flat_regrowth;
-        Alcotest.test_case "flat arena occupancy + boxed fill" `Quick
-          test_flat_occupancy_and_fill;
+        Alcotest.test_case "flat arena occupancy + filter fill" `Quick
+          test_flat_occupancy_and_filter_fill;
         Alcotest.test_case "flat sort permutation = List.sort order" `Quick
           test_flat_sort_matches_list_sort;
         Alcotest.test_case "upper bound monotone in tau" `Quick

@@ -1,21 +1,19 @@
 (* Differential oracle suite: [`Rescan] (the naive rebuild-everything
-   loop, kept as the reference semantics) versus each optimised mode —
-   [`Incremental] (memoized boxed pools) and [`Soa] (the flat
-   preallocated arena that is now the default) — must be bit-identical:
-   schedules, traces, decision-ledger JSONL, telemetry counters,
-   histograms and snapshots. The only permitted divergence is the
-   maintenance-only metric family ["slrh/pool_reused"] /
+   loop with its boxed scored lists, kept as the reference semantics)
+   versus [`Soa] (the flat preallocated arena, the default) must be
+   bit-identical: schedules, traces, decision-ledger JSONL, telemetry
+   counters, histograms and snapshots. The only permitted divergence is
+   the [`Soa]-only maintenance family ["slrh/pool_reused"] /
    ["slrh/pool_rebuilt"] / ["slrh/pool_capacity"] / ["slrh/pool_regrown"]
    (and span durations, which are wall time).
 
-   [`Soa] runs here through both of its execution shapes: the static
-   pairs attach a tracer, which forces the arena to materialise sorted
-   candidate lists for the boxed walk; the churn pairs and the dedicated
-   fast-path pairs attach neither tracer nor ledger, so the
-   zero-allocation walk that commits straight off the arena is what gets
-   compared. A QCheck property additionally pins the batch scorer
-   against the per-candidate fold, bit for bit, on partially built
-   schedules.
+   [`Soa] has one walk. The static pairs attach a tracer and the ledger
+   pairs a decision ledger, so they compare the events and fates that
+   walk records in place; the churn pairs and the dedicated no-recorder
+   pairs attach neither, which is the shape whose steady-state
+   allocation test_alloc pins at zero. A QCheck property additionally
+   pins the batch scorer against the public per-candidate
+   [Objective.best_version], bit for bit, on partially built schedules.
 
    The same discipline pins campaign sharding: the level aggregates and
    counter totals of [Campaign.run] must not depend on [~shards]. *)
@@ -28,8 +26,8 @@ module Trace = Agrid_core.Trace  (* the decision trace, not Agrid_obs.Trace *)
 module Rng = Agrid_prng.Splitmix64
 
 (* Pool-maintenance metrics: everything else must match. The first two
-   are counters shared by the optimised modes; the last two are
-   [`Soa]-only arena-sizing metrics. *)
+   count pool reuse, the last two size the arena; all four are
+   [`Soa]-only. *)
 let excluded_counters =
   [
     "slrh/pool_reused"; "slrh/pool_rebuilt"; "slrh/pool_capacity";
@@ -37,7 +35,7 @@ let excluded_counters =
   ]
 
 let mode_name mode = Slrh.mode_to_string mode
-let fast_modes = [ `Incremental; `Soa ]
+let fast_modes = [ `Soa ]
 
 let bits = Int64.bits_of_float
 
@@ -133,13 +131,11 @@ let test_static mode () =
     Alcotest.failf "%s mode never reused a pool across 150 scenarios"
       (mode_name mode)
 
-(* The [`Soa] fast path proper: no tracer and no ledger attached, so the
-   walk plans and commits straight off the arena (the shape whose
-   steady-state allocation test_alloc pins at zero) instead of
-   materialising sorted lists for the boxed walk. Outcome and telemetry
-   must still match rescan exactly — including the score-value histogram,
-   whose float accumulation order is fill order, so this also pins that
-   the arena scores in ready-list order. *)
+(* The [`Soa] walk with no tracer and no ledger attached — the shape
+   whose steady-state allocation test_alloc pins at zero. Outcome and
+   telemetry must still match rescan exactly — including the score-value
+   histogram, whose float accumulation order is fill order, so this also
+   pins that the arena scores in ready-list order. *)
 let test_static_fast_path () =
   let reused = ref 0 and regrown = ref 0 in
   for i = 0 to 59 do
@@ -165,8 +161,8 @@ let test_static_fast_path () =
 
 (* Churn timelines: the same scripted leave/rejoin trace through the
    engine in both modes. Pool reuse spans engine phases only through the
-   per-phase caches (each [continue_run] builds its own), so equality
-   here pins the eligible-set-stability assumption the cache makes. *)
+   per-phase arenas (each [continue_run] builds its own), so equality
+   here pins the eligible-set-stability assumption pool reuse makes. *)
 let sample_events i wl =
   let rng = Rng.of_int (0xC0DE + (i * 131)) in
   let tau = Workload.tau wl in
@@ -227,11 +223,11 @@ let test_churn mode () =
 
 (* A battery shock landing mid-run, between two commits that in a static
    run would reuse the machine's cached candidate pool. The engine splits
-   scheduler phases at the event, so incremental mode must re-price
-   admission against the shocked battery instead of replaying a pre-shock
-   pool — rescan/incremental equality across the boundary pins exactly
-   that invalidation. Non-vacuity is asserted both ways: the shocks must
-   actually charge energy, and the incremental runs must actually reuse
+   scheduler phases at the event, so soa mode must re-price admission
+   against the shocked battery instead of replaying a pre-shock pool —
+   rescan/soa equality across the boundary pins exactly that
+   invalidation. Non-vacuity is asserted both ways: the shocks must
+   actually charge energy, and the soa runs must actually reuse
    pools (so the fast path, not a degenerate always-rebuild, is what gets
    compared). *)
 let test_battery_shock_mid_epoch mode () =
@@ -267,36 +263,66 @@ let test_battery_shock_mid_epoch mode () =
       (mode_name mode)
 
 (* Decision ledgers: the full JSONL artefact must match byte for byte
-   (incremental mode turns whole-pool reuse off while a ledger is
-   attached precisely so every rejection entry is re-derived). *)
+   (soa mode turns whole-pool reuse off while a ledger is attached
+   precisely so every rejection entry is re-derived). Every variant is
+   covered, the SLRH-2 drain hardest: its ranks and pool sizes must
+   leave out the stragglers the drain already committed. *)
 let ledger_jsonl sink =
   match Sink.ledger sink with
   | Some l -> Ledger.to_jsonl l
   | None -> Alcotest.fail "sink created with ~ledger:true has no ledger"
 
+(* Ledger pairs cycle the variant so every one is compared. *)
+let ledger_scenario i =
+  {
+    (Test_props.scenario i) with
+    Test_props.sc_variant = [| Slrh.V1; Slrh.V2; Slrh.V3 |].(i mod 3);
+  }
+
+(* Did some SLRH-2 drain commit twice from one pool? Only then are the
+   drain's straggler-free ranks and pool sizes actually compared. *)
+let drained_twice sink =
+  match Sink.ledger sink with
+  | None -> false
+  | Some l ->
+      let seen = Hashtbl.create 64 in
+      Array.exists
+        (function
+          | Ledger.Commit { clock; machine; _ } ->
+              Hashtbl.mem seen (clock, machine)
+              || (Hashtbl.add seen (clock, machine) ();
+                  false)
+          | _ -> false)
+        (Ledger.entries l)
+
 let test_ledger mode () =
+  let drains = ref 0 in
+  let check_pair msg sc s1 s2 =
+    if ledger_jsonl s1 <> ledger_jsonl s2 then
+      Alcotest.failf "%s: %s ledger JSONL diverges vs %s" (Test_props.describe sc)
+        msg (mode_name mode);
+    if sc.Test_props.sc_variant = Slrh.V2 && drained_twice s2 then incr drains
+  in
   for i = 0 to 9 do
-    let sc = Test_props.scenario i in
+    let sc = ledger_scenario i in
     let wl = Test_props.workload sc in
     let _, s1, _ = run_static ~mode:`Rescan ~ledger:true sc wl in
     let _, s2, _ = run_static ~mode ~ledger:true sc wl in
-    if ledger_jsonl s1 <> ledger_jsonl s2 then
-      Alcotest.failf "%s: static ledger JSONL diverges vs %s"
-        (Test_props.describe sc) (mode_name mode)
+    check_pair "static" sc s1 s2
   done;
   for i = 0 to 9 do
-    let sc = Test_props.scenario (60 + i) in
+    let sc = ledger_scenario (60 + i) in
     let wl = Test_props.workload sc in
     let events = sample_events (60 + i) wl in
     let _, s1 = run_churn ~mode:`Rescan ~ledger:true sc wl events in
     let _, s2 = run_churn ~mode ~ledger:true sc wl events in
-    if ledger_jsonl s1 <> ledger_jsonl s2 then
-      Alcotest.failf "%s: churn ledger JSONL diverges vs %s"
-        (Test_props.describe sc) (mode_name mode)
-  done
+    check_pair "churn" sc s1 s2
+  done;
+  if !drains = 0 then
+    Alcotest.fail "no SLRH-2 ledger pair drained two commits from one pool"
 
 (* Online dual ascent under both modes: weight updates mid-run must not
-   break rescan/incremental equality — pool membership and the cached
+   break rescan/soa equality — pool membership and the cached
    parent bounds never read the weights, and scoring re-reads them per
    call, so identical commit sequences produce identical subgradients and
    hence identical multiplier trajectories. A fresh controller per run:
@@ -357,7 +383,7 @@ let test_adaptive_churn mode () =
    byte equality of the JSONL pins the whole multiplier trajectory. *)
 let test_adaptive_ledger mode () =
   for i = 0 to 9 do
-    let sc = Test_props.scenario (30 + i) in
+    let sc = ledger_scenario (30 + i) in
     let wl = Test_props.workload sc in
     let _, s1 = run_adaptive_static ~mode:`Rescan ~ledger:true sc wl in
     let _, s2 = run_adaptive_static ~mode ~ledger:true sc wl in
@@ -436,14 +462,14 @@ let partial_schedule sc wl steps =
 
 (* The SoA core's unit-level contract, as a property: one
    [Objective.score_into] batch pass over a freshly filtered pool equals
-   the per-candidate [parent_bound] + [best_version_with] fold bit for
-   bit — every slot, every machine, on arbitrary run prefixes and
+   the per-candidate [Objective.best_version] fold bit for bit — every
+   slot, every machine, on arbitrary run prefixes and
    arbitrary [now]. [initial_capacity:2] forces the arena through
    several regrowths mid-fill, so the fresh-arrays-no-copy regrowth is
    exercised under scoring, not just in the unit tests. *)
 let qcheck_batch_equals_fold =
   Testlib.qcheck_case ~count:60
-    "score_into batch = best_version_with fold (bitwise)"
+    "score_into batch = best_version fold (bitwise)"
     QCheck2.Gen.(triple (int_bound 29) (int_bound 40) (int_bound 199))
     (fun (i, steps, now) ->
       let sc = Test_props.scenario i in
@@ -467,10 +493,7 @@ let qcheck_batch_equals_fold =
           ~versions:row.Pool.Flat.versions ~scores:row.Pool.Flat.scores;
         for slot = 0 to n - 1 do
           let task = row.Pool.Flat.tasks.(slot) in
-          let bound = Objective.parent_bound sched ~task ~machine in
-          let v, s =
-            Objective.best_version_with w sched ~bound ~task ~machine ~now
-          in
+          let v, s = Objective.best_version w sched ~task ~machine ~now in
           if row.Pool.Flat.versions.(slot) <> v then
             QCheck2.Test.fail_reportf
               "%s, %d steps, now=%d: machine %d task %d: batch picked %s, fold %s"
@@ -591,10 +614,10 @@ let suites =
         let m = mode_name mode in
         [
           Alcotest.test_case
-            (Fmt.str "rescan = %s on 150 static scenarios" m)
+            (Fmt.str "rescan = %s on static scenarios (150)" m)
             `Slow (test_static mode);
           Alcotest.test_case
-            (Fmt.str "rescan = %s on 60 churn timelines" m)
+            (Fmt.str "rescan = %s on churn timelines (60)" m)
             `Slow (test_churn mode);
           Alcotest.test_case
             (Fmt.str "battery shock mid-pool-epoch invalidates reuse (%s)" m)

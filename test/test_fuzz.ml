@@ -212,7 +212,7 @@ let random_job_spec rng =
     variant = pick rng [| Agrid_core.Slrh.V1; Agrid_core.Slrh.V2; Agrid_core.Slrh.V3 |];
     delta_t = pick rng [| 5; 10; 20 |];
     horizon = pick rng [| 50; 100; 200 |];
-    mode = pick rng [| `Rescan; `Incremental; `Soa |];
+    mode = pick rng [| `Rescan; `Soa |];
     events;
     deadline_ms = (if Rng.next_int rng 3 = 0 then Some (float_of_int (Rng.next_int rng 500)) else None);
   }
@@ -240,6 +240,31 @@ let test_job_envelope_roundtrip () =
     | Ok (Codec.Health | Codec.Stats) ->
         Alcotest.failf "job envelope parsed as a control request (case %d)" i
     | Error msg -> Alcotest.failf "job envelope rejected (case %d): %s" i msg
+  done;
+  (* a well-formed envelope naming the retired incremental pool mode is
+     refused with the unknown-mode error, which lists the valid modes *)
+  for i = 1 to 20 do
+    let spec = random_job_spec rng in
+    let mode = Json.to_string (Json.Str (Agrid_core.Slrh.mode_to_string spec.Job.mode)) in
+    let line = Json.to_string (Codec.job_to_json spec) in
+    let key = "\"mode\":" ^ mode in
+    let k = String.length key in
+    let rec find p =
+      if p + k > String.length line then
+        Alcotest.failf "no %s in envelope (case %d): %s" key i line
+      else if String.sub line p k = key then p
+      else find (p + 1)
+    in
+    let p = find 0 in
+    let retired =
+      String.sub line 0 p ^ "\"mode\":\"incremental\""
+      ^ String.sub line (p + k) (String.length line - p - k)
+    in
+    match Codec.parse_request retired with
+    | Error msg ->
+        if not (Testlib.contains msg "rescan|soa") then
+          Alcotest.failf "retired mode error does not list rescan|soa: %s" msg
+    | Ok _ -> Alcotest.failf "retired incremental mode accepted (case %d): %s" i retired
   done
 
 (* a pinned scenario embedded in the envelope realizes to the same

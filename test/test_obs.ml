@@ -343,19 +343,6 @@ let test_churn_bit_identical_with_obs () =
        (fun (s : Span.stats) -> s.Span.name = "churn/phase")
        (Sink.span_stats sink))
 
-let test_parallel_scoring_same_metrics () =
-  let workload = Testlib.small_workload () in
-  let seq_sink = Sink.create () in
-  ignore (Slrh.run (params_with seq_sink) workload);
-  let par_sink = Sink.create () in
-  let par_params =
-    { (params_with par_sink) with Slrh.parallel_scoring = Some 2 }
-  in
-  ignore (Slrh.run par_params workload);
-  Alcotest.(check bool) "sequential and parallel scoring record the same metrics"
-    true
-    (registry_repr_of_sink seq_sink = registry_repr_of_sink par_sink)
-
 (* ---- export ---- *)
 
 let test_jsonl_shape () =
@@ -610,7 +597,6 @@ let suites =
         Alcotest.test_case "sink merge" `Quick test_sink_merge;
         Alcotest.test_case "slrh bit-identical with obs" `Quick test_slrh_bit_identical_with_obs;
         Alcotest.test_case "churn bit-identical with obs" `Quick test_churn_bit_identical_with_obs;
-        Alcotest.test_case "parallel scoring same metrics" `Quick test_parallel_scoring_same_metrics;
         Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
         Alcotest.test_case "summary json" `Quick test_summary_json_counters;
         Alcotest.test_case "non-finite floats null" `Quick test_nonfinite_floats_export_null;

@@ -84,6 +84,15 @@ let test_codec_rejections () =
   in
   Alcotest.(check bool) "mistyped delta_t rejected" true
     (contains ~affix:"delta_t" mistyped);
+  (* the retired incremental pool mode is an unknown mode *)
+  let retired =
+    err
+      "{\"schema\":\"agrid-job/1\",\"kind\":\"job\",\"scenario\":{\"kind\":\"generated\",\"seed\":1,\"scale\":0.03,\"etc\":0,\"dag\":0,\"case\":\"A\"},\"mode\":\"incremental\"}"
+  in
+  Alcotest.(check bool) "retired mode names itself" true
+    (contains ~affix:"\"incremental\"" retired);
+  Alcotest.(check bool) "retired mode names the valid modes" true
+    (contains ~affix:"rescan|soa" retired);
   match Codec.parse_request "{\"schema\":\"agrid-job/1\",\"kind\":\"health\"}" with
   | Ok Codec.Health -> ()
   | _ -> Alcotest.fail "health request did not parse"

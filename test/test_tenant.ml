@@ -298,7 +298,7 @@ let test_single_tenant_bit_identity () =
               "mapped" (Schedule.n_mapped direct.Slrh.schedule) s.Traffic.s_mapped
         | _ -> Alcotest.failf "seed %d: expected exactly one served app" seed
       done)
-    [ `Rescan; `Incremental; `Soa ]
+    [ `Rescan; `Soa ]
 
 let two_tenant_spec ~seed =
   Traffic.make_spec ~scale ~seed ~horizon:2000 ~chunk:8
