@@ -16,7 +16,7 @@ type outcome = {
 }
 
 let run ?(version = Version.Primary) workload =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Agrid_obs.Clock.monotonic_ns () in
   let sched = Schedule.create workload in
   let order = Agrid_dag.Dag.topological_order (Workload.dag workload) in
   let m = Workload.n_machines workload in
@@ -36,5 +36,5 @@ let run ?(version = Version.Primary) workload =
   {
     schedule = sched;
     makespan = Schedule.aet sched;
-    wall_seconds = Unix.gettimeofday () -. t0;
+    wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0;
   }

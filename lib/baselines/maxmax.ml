@@ -76,7 +76,7 @@ let best_triplet params sched plans_evaluated =
   !best
 
 let run params workload =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Agrid_obs.Clock.monotonic_ns () in
   let sched = Schedule.create workload in
   let rounds = ref 0 in
   let plans_evaluated = ref 0 in
@@ -91,7 +91,7 @@ let run params workload =
     schedule = sched;
     completed = Schedule.all_mapped sched;
     stats = { rounds = !rounds; plans_evaluated = !plans_evaluated };
-    wall_seconds = Unix.gettimeofday () -. t0;
+    wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0;
   }
 
 let pp_outcome ppf o =

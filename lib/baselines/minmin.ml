@@ -81,7 +81,7 @@ let best_for_task params sched ~task =
     end
 
 let run ?(params = default_params) workload =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Agrid_obs.Clock.monotonic_ns () in
   let sched = Schedule.create workload in
   let rounds = ref 0 in
   let continue_ = ref true in
@@ -105,7 +105,7 @@ let run ?(params = default_params) workload =
     schedule = sched;
     completed = Schedule.all_mapped sched;
     rounds = !rounds;
-    wall_seconds = Unix.gettimeofday () -. t0;
+    wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0;
   }
 
 let pp_outcome ppf o =

@@ -14,7 +14,7 @@ type outcome = {
 let run ?(primary_bias = 0.5) rng workload =
   if primary_bias < 0. || primary_bias > 1. then
     invalid_arg "Random_mapper.run: primary_bias outside [0,1]";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Agrid_obs.Clock.monotonic_ns () in
   let sched = Schedule.create workload in
   let order = Agrid_dag.Dag.topological_order (Workload.dag workload) in
   let m = Workload.n_machines workload in
@@ -28,4 +28,4 @@ let run ?(primary_bias = 0.5) rng workload =
       let plan = Schedule.plan sched ~task ~version ~machine ~not_before:0 in
       Schedule.commit sched plan)
     order;
-  { schedule = sched; wall_seconds = Unix.gettimeofday () -. t0 }
+  { schedule = sched; wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0 }

@@ -204,7 +204,7 @@ let demote_candidate wl sched ~over_energy ~over_time assignment =
 
 let run ?(params = default_params) wl =
   if params.iterations <= 0 then invalid_arg "Lrnn.run: iterations must be positive";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Agrid_obs.Clock.monotonic_ns () in
   let assignment, dual_bound, dual_trace = optimise params wl in
   let assignment = Array.copy assignment in
   let demoted = ref 0 in
@@ -230,7 +230,7 @@ let run ?(params = default_params) wl =
     demoted = !demoted;
     dual_bound;
     dual_trace;
-    wall_seconds = Unix.gettimeofday () -. t0;
+    wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0;
   }
 
 let pp_dual_point ppf p =

@@ -5,10 +5,13 @@
    Lagrangian objective.
 
    Mapping is two-phase: [plan] computes an assignment (execution slot plus
-   all incoming transfers) WITHOUT mutating anything, using copy-on-write
-   overlays of the touched channel timelines; [commit] applies a plan. SLRH
-   plans many candidates per timestep and commits at most one, so plans must
-   be side-effect free. *)
+   all incoming transfers) WITHOUT mutating anything; [commit] applies a
+   plan. SLRH plans many candidates per timestep and commits at most one,
+   so plans must be side-effect free. A plan never copies a timeline: its
+   own provisional transfers live in a per-call overlay sized by the task's
+   in-degree, and each transfer is fitted against the real channels plus
+   that overlay. Planning thus costs nothing that grows with channel
+   length, keeps no scratch state in [t], and is reentrant. *)
 
 open Agrid_workload
 open Agrid_platform
@@ -158,27 +161,6 @@ type plan = {
 
 exception Unmapped_parent of { task : int; parent : int }
 
-(* Copy-on-write view of the channel timelines touched while planning: a
-   plan may route several parent transfers through the same channel, so
-   later transfers must see the slots provisionally taken by earlier ones —
-   without mutating the real schedule. *)
-module View = struct
-  type nonrec t = { sched : t; mutable copies : (Timeline.t * Timeline.t) list }
-
-  let make sched = { sched; copies = [] }
-
-  let get v base =
-    match List.find_opt (fun (b, _) -> b == base) v.copies with
-    | Some (_, c) -> c
-    | None ->
-        let c = Timeline.copy base in
-        v.copies <- (base, c) :: v.copies;
-        c
-
-  let ch_out v machine = get v v.sched.ch_out.(machine)
-  let ch_in v machine = get v v.sched.ch_in.(machine)
-end
-
 (* Compute the assignment of (task, version) to [machine] with no action
    starting before [not_before] (the heuristic's current clock): schedule
    one transfer per cross-machine parent edge (in parent order,
@@ -189,45 +171,54 @@ let plan t ~task ~version ~machine ~not_before =
   if not_before < 0 then invalid_arg "Schedule.plan: negative not_before";
   let wl = t.workload in
   let grid = Workload.grid wl in
-  let view = View.make t in
+  let parents = Agrid_dag.Dag.parent_edges (Workload.dag wl) task in
+  let n_parents = Array.length parents in
+  (* The plan's own transfers, not yet inserted anywhere: flat [start;
+     stop] pairs. All of them occupy the receiver's in-channel, so fitting
+     each new transfer clear of every earlier one also covers those that
+     share its sender's out-channel. *)
+  let pending = Array.make (2 * n_parents) 0 in
+  let n_pending = ref 0 in
   let ready = ref not_before in
   let planned = ref [] in
   let comm_energy = ref 0. in
-  Array.iter
-    (fun (p, edge) ->
-      match t.placements.(p) with
-      | None -> raise (Unmapped_parent { task; parent = p })
-      | Some pp ->
-          if pp.machine = machine then ready := max !ready pp.stop
+  for k = 0 to n_parents - 1 do
+    let p, edge = parents.(k) in
+    match t.placements.(p) with
+    | None -> raise (Unmapped_parent { task; parent = p })
+    | Some pp ->
+        if pp.machine = machine then ready := Int.max !ready pp.stop
+        else begin
+          let bits = Workload.edge_bits wl ~edge ~parent_version:pp.version in
+          let duration = Comm.transfer_cycles grid ~src:pp.machine ~dst:machine ~bits in
+          let nb = Int.max pp.stop not_before in
+          if duration = 0 then ready := Int.max !ready nb
           else begin
-            let bits = Workload.edge_bits wl ~edge ~parent_version:pp.version in
-            let duration = Comm.transfer_cycles grid ~src:pp.machine ~dst:machine ~bits in
-            let nb = max pp.stop not_before in
-            if duration = 0 then ready := max !ready nb
-            else begin
-              let out_tl = View.ch_out view pp.machine in
-              let in_tl = View.ch_in view machine in
-              let start = Timeline.first_fit_joint out_tl in_tl ~not_before:nb ~duration in
-              let stop = start + duration in
-              Timeline.insert out_tl ~start ~stop;
-              Timeline.insert in_tl ~start ~stop;
-              let energy = Comm.transfer_energy grid ~src:pp.machine ~dst:machine ~bits in
-              planned :=
-                {
-                  p_edge = edge;
-                  p_src_task = p;
-                  p_src = pp.machine;
-                  p_start = start;
-                  p_stop = stop;
-                  p_bits = bits;
-                  p_energy = energy;
-                }
-                :: !planned;
-              comm_energy := !comm_energy +. energy;
-              ready := max !ready stop
-            end
-          end)
-    (Agrid_dag.Dag.parent_edges (Workload.dag wl) task);
+            let start =
+              Timeline.first_fit_joint t.ch_out.(pp.machine) t.ch_in.(machine) ~pending
+                ~n_pending:!n_pending ~not_before:nb ~duration
+            in
+            let stop = start + duration in
+            pending.(2 * !n_pending) <- start;
+            pending.((2 * !n_pending) + 1) <- stop;
+            incr n_pending;
+            let energy = Comm.transfer_energy grid ~src:pp.machine ~dst:machine ~bits in
+            planned :=
+              {
+                p_edge = edge;
+                p_src_task = p;
+                p_src = pp.machine;
+                p_start = start;
+                p_stop = stop;
+                p_bits = bits;
+                p_energy = energy;
+              }
+              :: !planned;
+            comm_energy := !comm_energy +. energy;
+            ready := Int.max !ready stop
+          end
+        end
+  done;
   let duration = Workload.exec_cycles wl ~task ~machine ~version in
   let start = Timeline.first_fit t.exec.(machine) ~not_before:!ready ~duration in
   {

@@ -98,7 +98,11 @@ val plan :
   t -> task:int -> version:Version.t -> machine:int -> not_before:int -> plan
 (** Plan (task, version) on [machine] with no action before [not_before]:
     transfers per cross-machine parent edge in parent order, then the
-    execution in the earliest adequate gap.
+    execution in the earliest adequate gap. Pure and reentrant: the plan's
+    own transfers go into a per-call overlay sized by the task's in-degree
+    (later transfers are fitted clear of earlier ones), no timeline is
+    copied or mutated, and no scratch state lives in the schedule, so the
+    cost does not grow with channel length.
     @raise Unmapped_parent if a parent is unmapped.
     @raise Invalid_argument if [task] is already mapped. *)
 

@@ -23,9 +23,6 @@ let interval t i =
   if i < 0 || i >= t.len then invalid_arg "Timeline.interval";
   (t.starts.(i), t.stops.(i))
 
-let copy t =
-  { starts = Array.copy t.starts; stops = Array.copy t.stops; len = t.len }
-
 let to_list t =
   List.init t.len (fun i -> (t.starts.(i), t.stops.(i)))
 
@@ -87,34 +84,51 @@ let remove t ~start ~stop =
 
 (* Earliest start >= not_before such that [start, start + duration) is
    free. Walks the gaps between busy intervals; always succeeds (the
-   timeline is unbounded on the right). A zero duration fits anywhere. *)
+   timeline is unbounded on the right). A zero duration fits anywhere.
+   A plain loop, not a local recursive function: this runs several times
+   per planned transfer and must not allocate a closure. *)
 let first_fit t ~not_before ~duration =
   if duration < 0 then invalid_arg "Timeline.first_fit: negative duration";
   if not_before < 0 then invalid_arg "Timeline.first_fit: negative not_before";
   if duration = 0 then not_before
   else begin
-    let rec scan i candidate =
-      if i >= t.len then candidate
-      else if t.starts.(i) >= candidate + duration then candidate
-      else scan (i + 1) (max candidate t.stops.(i))
-    in
-    scan (first_after t not_before) not_before
+    let candidate = ref not_before in
+    let i = ref (first_after t not_before) in
+    while !i < t.len && t.starts.(!i) < !candidate + duration do
+      if t.stops.(!i) > !candidate then candidate := t.stops.(!i);
+      incr i
+    done;
+    !candidate
   end
 
-(* Earliest start >= not_before with [start, start+duration) free on BOTH
-   timelines — the joint slot a transfer needs on the sender's outgoing and
-   the receiver's incoming channel. Alternates pushing the candidate past
-   whichever timeline is busy; terminates because both walks are monotone. *)
-let first_fit_joint a b ~not_before ~duration =
+(* Earliest start >= not_before with [start, start + duration) free on
+   BOTH timelines and clear of the first [n_pending] intervals of
+   [pending] — flat [start; stop] pairs, in any order. This is the joint
+   slot a transfer needs on the sender's outgoing and the receiver's
+   incoming channel, given transfers a plan has placed but not inserted.
+   Each lane's fit moves the candidate forward but never past a start
+   free on that lane, so cycling until one round leaves it in place
+   yields the least such start. *)
+let first_fit_joint a b ~pending ~n_pending ~not_before ~duration =
   if duration < 0 then invalid_arg "Timeline.first_fit_joint: negative duration";
+  if n_pending < 0 || 2 * n_pending > Array.length pending then
+    invalid_arg "Timeline.first_fit_joint: n_pending out of range";
   if duration = 0 then not_before
   else begin
-    let rec step candidate =
-      let ca = first_fit a ~not_before:candidate ~duration in
-      let cb = first_fit b ~not_before:ca ~duration in
-      if cb = ca then ca else step cb
-    in
-    step not_before
+    let candidate = ref not_before in
+    let settled = ref false in
+    while not !settled do
+      let c = first_fit a ~not_before:!candidate ~duration in
+      let c = ref (first_fit b ~not_before:c ~duration) in
+      for k = 0 to n_pending - 1 do
+        (* pending intervals are few and unsorted: push past any overlap,
+           then let the next round re-check everything *)
+        if pending.(2 * k) < !c + duration && pending.((2 * k) + 1) > !c then
+          c := pending.((2 * k) + 1)
+      done;
+      if !c = !candidate then settled := true else candidate := !c
+    done;
+    !candidate
   end
 
 (* Last busy stop, or 0 when empty: the "makespan so far" of this lane. *)

@@ -7,7 +7,6 @@ exception Overlap of { start : int; stop : int; with_start : int; with_stop : in
 (** Raised by {!insert} when the new interval collides. *)
 
 val create : unit -> t
-val copy : t -> t
 val length : t -> int
 (** Number of busy intervals. *)
 
@@ -28,8 +27,13 @@ val remove : t -> start:int -> stop:int -> unit
 val first_fit : t -> not_before:int -> duration:int -> int
 (** Earliest start [>= not_before] leaving [duration] cycles free. *)
 
-val first_fit_joint : t -> t -> not_before:int -> duration:int -> int
-(** Earliest start free on both timelines simultaneously (transfer slots). *)
+val first_fit_joint :
+  t -> t -> pending:int array -> n_pending:int -> not_before:int -> duration:int -> int
+(** Earliest start free on both timelines simultaneously and clear of the
+    first [n_pending] intervals stored flat in [pending] as
+    [start; stop] pairs, in any order (a plan's not-yet-inserted
+    transfers). Allocates nothing.
+    @raise Invalid_argument if [n_pending] exceeds [pending]'s capacity. *)
 
 val horizon : t -> int
 (** Last busy stop (0 when empty). *)

@@ -13,6 +13,7 @@ module Dynamic = Agrid_core.Dynamic
 module Schedule = Agrid_sched.Schedule
 module Objective = Agrid_core.Objective
 module Sink = Agrid_obs.Sink
+module Clock = Agrid_obs.Clock
 
 type spec = {
   tag : string option;
@@ -95,7 +96,7 @@ let cancel_for ~t0 ~fired = function
   | Some ms ->
       let budget = ms /. 1000. in
       fun () ->
-        if Unix.gettimeofday () -. t0 >= budget then begin
+        if Clock.elapsed_seconds ~since:t0 >= budget then begin
           fired := true;
           true
         end
@@ -119,7 +120,7 @@ let summarize ~status ~completed ~final_clock ~n_discarded ~sunk_energy ~wall
   }
 
 let run ?(obs = Sink.noop) spec =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.monotonic_ns () in
   let fired = ref false in
   match
     let workload = Serialize.realize spec.scenario in
@@ -159,7 +160,7 @@ let run ?(obs = Sink.noop) spec =
   | exception Invalid_argument msg -> errored msg
   | exception Failure msg -> errored msg
   | outcome -> (
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = Clock.elapsed_seconds ~since:t0 in
       let status = if !fired then Deadline_missed else Ok_done in
       match outcome with
       | `Static (out : Slrh.outcome) ->

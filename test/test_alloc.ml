@@ -24,7 +24,14 @@
 
    An active-scenario check rides along: over a full run that actually
    commits (normal batteries), SoA must allocate strictly less in total
-   than the rescan oracle. *)
+   than the rescan oracle.
+
+   Per-plan budget: one [Schedule.plan] of the same three-parent task,
+   once on a schedule with near-empty channels and once after thousands of
+   transfers have been committed on every channel it touches, must
+   allocate exactly the same number of bytes (nothing that grows with
+   channel length — a timeline copy would) and at most
+   [plan_budget_bytes]. *)
 
 open Agrid_workload
 module Slrh = Agrid_core.Slrh
@@ -80,6 +87,74 @@ let active_total_bytes ~mode ~variant =
 
 let variants = [ (Slrh.V1, "V1"); (Slrh.V2, "V2"); (Slrh.V3, "V3") ]
 let modes = [ (`Rescan, "rescan"); (`Soa, "soa") ]
+
+(* Per-plan allocation. Task 3 joins three parents: tasks 0 and 1 on
+   machine 0 (two transfers sharing its out-channel) and task 2 on machine
+   2, all feeding machine 1's in-channel. The long-channel schedule is the
+   same plus [pad] transfers replayed far in the future on each of those
+   channels, so the plan itself is unchanged. *)
+let plan_budget_bytes = 1024.
+
+let plan_bytes ~pad =
+  let module Machine = Agrid_platform.Machine in
+  let n = 4 in
+  let base = Spec.paper_scale ~seed:7 () in
+  let spec =
+    {
+      base with
+      Spec.n_tasks = n;
+      etc_params = Agrid_etc.Etc.default_params ~n_tasks:n;
+      dag_params = Agrid_dag.Generate.default_params ~n;
+    }
+  in
+  let etc =
+    Agrid_etc.Etc.of_matrix
+      ~klasses:Machine.[| Fast; Fast; Slow; Slow |]
+      (Array.make n [| 10.; 12.; 100.; 110. |])
+  in
+  let dag = Agrid_dag.Dag.of_edges ~n [ (0, 3); (1, 3); (2, 3) ] in
+  let wl =
+    Workload.build spec ~etc ~dag ~data_bits:[| 1e6; 1e6; 1e6 |] ~etc_index:0
+      ~dag_index:0 ~case:Grid.A
+  in
+  let sched = Agrid_sched.Schedule.create wl in
+  List.iter
+    (fun (task, machine) ->
+      Agrid_sched.Schedule.commit sched
+        (Agrid_sched.Schedule.plan sched ~task ~version:Version.Primary ~machine
+           ~not_before:0))
+    [ (0, 0); (1, 0); (2, 2) ];
+  for i = 0 to pad - 1 do
+    List.iter
+      (fun (src, dst) ->
+        Agrid_sched.Schedule.replay_transfer sched
+          {
+            Agrid_sched.Schedule.edge = 0;
+            src_task = 0;
+            dst_task = 3;
+            src;
+            dst;
+            start = 1_000_000 + (10 * i);
+            stop = 1_000_005 + (10 * i);
+            bits = 1e6;
+            energy = 0.;
+          })
+      [ (0, 2); (2, 3); (3, 1) ]
+  done;
+  let plan () =
+    Agrid_sched.Schedule.plan sched ~task:3 ~version:Version.Primary ~machine:1
+      ~not_before:0
+  in
+  let p = plan () in
+  let calls = 1000 in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (plan ()))
+  done;
+  Gc.minor ();
+  let after = Gc.allocated_bytes () in
+  (p, (after -. before) /. float_of_int calls)
 
 let () =
   Fmt.pr "steady-state bytes/timestep (commit-free scenario, %d tasks):@."
@@ -186,6 +261,20 @@ let () =
     (Fmt.str "single-tenant soa fast path adds 0 bytes/timestep (got %g)"
        per_step)
     (per_step = 0.);
+  let short_plan, short_bytes = plan_bytes ~pad:0 in
+  let long_plan, long_bytes = plan_bytes ~pad:4000 in
+  Fmt.pr "bytes/plan (3 parents): short channels %g, long channels %g (budget %g)@."
+    short_bytes long_bytes plan_budget_bytes;
+  check "padded channels leave the plan unchanged (harness sanity)"
+    (short_plan = long_plan
+    && List.length short_plan.Agrid_sched.Schedule.pl_transfers = 3);
+  check
+    (Fmt.str "plan allocation independent of channel length (%g vs %g)"
+       short_bytes long_bytes)
+    (short_bytes = long_bytes);
+  check
+    (Fmt.str "plan allocation under %g bytes (got %g)" plan_budget_bytes long_bytes)
+    (long_bytes <= plan_budget_bytes);
   (* Active scenario: total allocation over a committing run. *)
   Fmt.pr "whole-run bytes (active scenario, %d tasks):@."
     (Workload.n_tasks active_workload);

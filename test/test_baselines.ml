@@ -200,6 +200,110 @@ let test_calibrate_validation () =
     (Invalid_argument "Calibrate.tau_cycles: slack must be positive") (fun () ->
       ignore (Calibrate.tau_cycles ~slack:0. (Testlib.small_spec ())))
 
+(* ---- schedule digests ----
+
+   None of these planners has a rescan oracle, so their schedules are
+   pinned by digest: every placement and every transfer, floats by bits.
+   The expected values come from the copy-on-write planner (the oracle in
+   test_schedule), so any drift in the planning primitive shows up here
+   as a digest mismatch. *)
+
+let schedule_digest sched =
+  let b = Buffer.create 4096 in
+  let word s = Buffer.add_string b (s ^ " ") in
+  let int i = word (string_of_int i) in
+  let bits f = word (Int64.to_string (Int64.bits_of_float f)) in
+  Array.iter
+    (fun (p : Schedule.placement) ->
+      int p.Schedule.task;
+      int (if Version.is_primary p.Schedule.version then 1 else 0);
+      int p.Schedule.machine;
+      int p.Schedule.start;
+      int p.Schedule.stop)
+    (Schedule.placements sched);
+  Buffer.add_char b '|';
+  Array.iter
+    (fun (t : Schedule.transfer) ->
+      int t.Schedule.edge;
+      int t.Schedule.src_task;
+      int t.Schedule.dst_task;
+      int t.Schedule.src;
+      int t.Schedule.dst;
+      int t.Schedule.start;
+      int t.Schedule.stop;
+      bits t.Schedule.bits;
+      bits t.Schedule.energy)
+    (Schedule.transfers sched);
+  bits (Schedule.tec sched);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let digest_planners =
+  let slrh variant wl =
+    (Slrh.run (Slrh.default_params ~variant weights) wl).Slrh.schedule
+  in
+  [
+    ("slrh1", slrh Slrh.V1);
+    ("slrh2", slrh Slrh.V2);
+    ("slrh3", slrh Slrh.V3);
+    ("minmin", fun wl -> (Minmin.run wl).Minmin.schedule);
+    ("maxmax", fun wl -> (Maxmax.run (Maxmax.default_params weights) wl).Maxmax.schedule);
+    ("greedy", fun wl -> (Greedy.run wl).Greedy.schedule);
+    ( "random",
+      fun wl -> (Random_mapper.run (Testlib.rng ~seed:5 ()) wl).Random_mapper.schedule );
+    ("lrnn", fun wl -> (Agrid_lrnn.Lrnn.run wl).Agrid_lrnn.Lrnn.schedule);
+  ]
+
+let expected_digests =
+  [
+    (("slrh1", 11), "566db1962f8c5057b642563de5f4a735");
+    (("slrh2", 11), "e819b749529fdf407b84f8f83dfd4b24");
+    (("slrh3", 11), "1a933228f237d83221f5658be4dc533e");
+    (("minmin", 11), "489a34a3a5c1c90be628415fa3fabead");
+    (("maxmax", 11), "99fa0c7763bb0db1981322936dcfb26a");
+    (("greedy", 11), "8de85501f922901c2e74017ad8d4b994");
+    (("random", 11), "587fb7479dc2939af8e582e99faea167");
+    (("lrnn", 11), "cc416570995bc0936f5ea3d2c8b1aeb6");
+    (("slrh1", 23), "e95450cb816f345753265d701c3858c4");
+    (("slrh2", 23), "2655a0fe0e8636fba6254caa6eaf9411");
+    (("slrh3", 23), "ffe483f36ca131a32a914284a1eeeaf3");
+    (("minmin", 23), "690980be61c7ea92a63095bc7f20439e");
+    (("maxmax", 23), "cef457ef7b60eb950b7ad9f628ecfcfb");
+    (("greedy", 23), "2f2b21d17c6e1a49faa9b6e53d7c48f5");
+    (("random", 23), "512fae12f54c71b3c42b67295f857ca6");
+    (("lrnn", 23), "c7f8ccf1d2ac1a024afcb56c097b964f")
+  ]
+
+let test_schedule_digests () =
+  List.iter
+    (fun seed ->
+      let wl = Testlib.small_workload ~seed () in
+      List.iter
+        (fun (name, run) ->
+          let sched = run wl in
+          let label = Fmt.str "%s seed %d" name seed in
+          (* an all-local schedule would leave the transfer path unpinned *)
+          Alcotest.(check bool) (label ^ " has transfers") true
+            (Array.length (Schedule.transfers sched) > 0);
+          Alcotest.(check string) label
+            (List.assoc (name, seed) expected_digests)
+            (schedule_digest sched))
+        digest_planners)
+    [ 11; 23 ]
+
+(* Figure 6 timings come from the monotonic clock: never negative. *)
+let test_wall_seconds_nonnegative () =
+  let wl = Testlib.small_workload () in
+  List.iter
+    (fun (name, wall) ->
+      Alcotest.(check bool) (name ^ " wall_seconds >= 0") true (wall >= 0.))
+    [
+      ("minmin", (Minmin.run wl).Minmin.wall_seconds);
+      ("maxmax", (Maxmax.run (Maxmax.default_params weights) wl).Maxmax.wall_seconds);
+      ("greedy", (Greedy.run wl).Greedy.wall_seconds);
+      ("random", (Random_mapper.run (Testlib.rng ()) wl).Random_mapper.wall_seconds);
+      ("lrnn", (Agrid_lrnn.Lrnn.run wl).Agrid_lrnn.Lrnn.wall_seconds);
+    ]
+
 let suites =
   [
     ( "baselines",
@@ -232,5 +336,7 @@ let suites =
         Alcotest.test_case "calibrate slack" `Quick test_calibrate_slack;
         Alcotest.test_case "calibrated spec" `Quick test_calibrated_spec_roundtrip;
         Alcotest.test_case "calibrate validation" `Quick test_calibrate_validation;
+        Alcotest.test_case "schedule digests pinned" `Quick test_schedule_digests;
+        Alcotest.test_case "wall_seconds nonnegative" `Quick test_wall_seconds_nonnegative;
       ] );
   ]

@@ -355,6 +355,251 @@ let test_qcheck_plan_purity () =
   QCheck2.Test.check_exn
     (QCheck2.Test.make ~count:30 ~name:"plan is pure" gen prop)
 
+(* ---- differential: overlay planner vs copy-on-write oracle ----
+
+   A copy-on-write planner: every channel a plan touches is copied on first
+   use, each transfer is fitted with the two-timeline joint fit on the
+   copies and inserted into them, so later transfers of the same plan see
+   it. Slow (it copies whole channels) but obviously right — the reference
+   Schedule.plan, which fits against the real channels plus a per-plan
+   overlay, must match bit for bit. *)
+module Oracle = struct
+  let plan sched ~task ~version ~machine ~not_before =
+    let wl = Schedule.workload sched in
+    let grid = Workload.grid wl in
+    (* (real channel, private copy) for every channel touched so far *)
+    let copies = ref [] in
+    let get base =
+      match List.find_opt (fun (b, _) -> b == base) !copies with
+      | Some (_, c) -> c
+      | None ->
+          let c = Testlib.copy_timeline base in
+          copies := (base, c) :: !copies;
+          c
+    in
+    let ready = ref not_before in
+    let planned = ref [] in
+    let comm_energy = ref 0. in
+    Array.iter
+      (fun (p, edge) ->
+        match Schedule.placement sched p with
+        | None -> raise (Schedule.Unmapped_parent { task; parent = p })
+        | Some pp ->
+            if pp.Schedule.machine = machine then ready := max !ready pp.Schedule.stop
+            else begin
+              let src = pp.Schedule.machine in
+              let bits =
+                Workload.edge_bits wl ~edge ~parent_version:pp.Schedule.version
+              in
+              let duration =
+                Agrid_platform.Comm.transfer_cycles grid ~src ~dst:machine ~bits
+              in
+              let nb = max pp.Schedule.stop not_before in
+              if duration = 0 then ready := max !ready nb
+              else begin
+                let out_tl = get (Schedule.ch_out_timeline sched src) in
+                let in_tl = get (Schedule.ch_in_timeline sched machine) in
+                let start =
+                  Testlib.first_fit_joint out_tl in_tl ~not_before:nb ~duration
+                in
+                let stop = start + duration in
+                Timeline.insert out_tl ~start ~stop;
+                Timeline.insert in_tl ~start ~stop;
+                let energy =
+                  Agrid_platform.Comm.transfer_energy grid ~src ~dst:machine ~bits
+                in
+                planned :=
+                  {
+                    Schedule.p_edge = edge;
+                    p_src_task = p;
+                    p_src = src;
+                    p_start = start;
+                    p_stop = stop;
+                    p_bits = bits;
+                    p_energy = energy;
+                  }
+                  :: !planned;
+                comm_energy := !comm_energy +. energy;
+                ready := max !ready stop
+              end
+            end)
+      (Agrid_dag.Dag.parent_edges (Workload.dag wl) task);
+    let duration = Workload.exec_cycles wl ~task ~machine ~version in
+    let start =
+      Timeline.first_fit (Schedule.exec_timeline sched machine) ~not_before:!ready
+        ~duration
+    in
+    {
+      Schedule.pl_task = task;
+      pl_version = version;
+      pl_machine = machine;
+      pl_start = start;
+      pl_stop = start + duration;
+      pl_transfers = List.rev !planned;
+      pl_exec_energy = Workload.exec_energy wl ~task ~machine ~version;
+      pl_comm_energy = !comm_energy;
+    }
+end
+
+(* Every field of a plan, transfers in order, floats by bits. *)
+let plan_fingerprint (p : Schedule.plan) =
+  let bits f = Int64.to_string (Int64.bits_of_float f) in
+  String.concat " "
+    ([
+       string_of_int p.Schedule.pl_task;
+       Version.to_string p.Schedule.pl_version;
+       string_of_int p.Schedule.pl_machine;
+       string_of_int p.Schedule.pl_start;
+       string_of_int p.Schedule.pl_stop;
+       bits p.Schedule.pl_exec_energy;
+       bits p.Schedule.pl_comm_energy;
+     ]
+    @ List.map
+        (fun (tr : Schedule.planned_transfer) ->
+          Fmt.str "[%d %d %d %d-%d %s %s]" tr.Schedule.p_edge tr.Schedule.p_src_task
+            tr.Schedule.p_src tr.Schedule.p_start tr.Schedule.p_stop
+            (bits tr.Schedule.p_bits) (bits tr.Schedule.p_energy))
+        p.Schedule.pl_transfers)
+
+let timelines_snapshot sched =
+  let m = Workload.n_machines (Schedule.workload sched) in
+  List.concat_map
+    (fun j ->
+      [
+        Timeline.to_list (Schedule.exec_timeline sched j);
+        Timeline.to_list (Schedule.ch_out_timeline sched j);
+        Timeline.to_list (Schedule.ch_in_timeline sched j);
+      ])
+    (List.init m Fun.id)
+
+(* A random DAG on 5..14 tasks, dense enough that most tasks have several
+   parents, over a random grid case (3 or 4 machines, so parents often
+   share a sender), with edge volumes from nothing (a zero-cycle transfer)
+   up to ~16 cycles on a fast link. *)
+let random_workload rng =
+  let next = Agrid_prng.Splitmix64.next_int rng in
+  let n = 5 + next 10 in
+  let edges =
+    List.concat_map
+      (fun j -> List.filter_map (fun i -> if next 100 < 40 then Some (i, j) else None)
+          (List.init j Fun.id))
+      (List.init n Fun.id)
+  in
+  let dag = Agrid_dag.Dag.of_edges ~n edges in
+  let etc =
+    Agrid_etc.Etc.of_matrix
+      ~klasses:Agrid_platform.Machine.[| Fast; Fast; Slow; Slow |]
+      (Array.init n (fun _ -> Array.init 4 (fun _ -> 0.1 *. float_of_int (1 + next 400))))
+  in
+  let data_bits =
+    Array.init (Agrid_dag.Dag.n_edges dag) (fun _ ->
+        if next 10 = 0 then 0. else 1e5 *. float_of_int (1 + next 80))
+  in
+  let base = Testlib.diamond_spec () in
+  let spec =
+    {
+      base with
+      Spec.n_tasks = n;
+      etc_params = Agrid_etc.Etc.default_params ~n_tasks:n;
+      dag_params = Agrid_dag.Generate.default_params ~n;
+    }
+  in
+  let case = Agrid_platform.Grid.(match next 3 with 0 -> A | 1 -> B | _ -> C) in
+  Workload.build spec ~etc ~dag ~data_bits ~etc_index:0 ~dag_index:0 ~case
+
+(* Coverage across the whole property run: plans whose transfers share one
+   out-channel, plans with two or more transfers (which always share the
+   receiver's in-channel), and transfers the overlay actually displaced
+   from their base-channel slot. *)
+let shared_out = ref 0
+let shared_in = ref 0
+let displaced = ref 0
+
+(* Plan one candidate both ways; fail on any difference, tally coverage,
+   return the plan's fingerprint. *)
+let check_against_oracle sched ~task ~version ~machine ~not_before =
+  let p = Schedule.plan sched ~task ~version ~machine ~not_before in
+  let fp = plan_fingerprint p in
+  let fo = plan_fingerprint (Oracle.plan sched ~task ~version ~machine ~not_before) in
+  if fp <> fo then
+    QCheck2.Test.fail_reportf "plan differs from oracle:@.plan   %s@.oracle %s" fp fo;
+  let trs = p.Schedule.pl_transfers in
+  let srcs = List.map (fun tr -> tr.Schedule.p_src) trs in
+  if List.length trs >= 2 then incr shared_in;
+  if List.length (List.sort_uniq compare srcs) < List.length srcs then incr shared_out;
+  List.iter
+    (fun (tr : Schedule.planned_transfer) ->
+      let parent_stop =
+        match Schedule.placement sched tr.Schedule.p_src_task with
+        | Some pl -> pl.Schedule.stop
+        | None -> assert false
+      in
+      let base_only =
+        Testlib.first_fit_joint
+          (Schedule.ch_out_timeline sched tr.Schedule.p_src)
+          (Schedule.ch_in_timeline sched machine)
+          ~not_before:(max parent_stop not_before)
+          ~duration:(tr.Schedule.p_stop - tr.Schedule.p_start)
+      in
+      if base_only <> tr.Schedule.p_start then incr displaced)
+    trs;
+  fp
+
+let test_qcheck_plan_matches_oracle () =
+  let prop seed =
+    let rng = Testlib.rng ~seed () in
+    let next = Agrid_prng.Splitmix64.next_int rng in
+    let wl = random_workload rng in
+    let sched = Schedule.create wl in
+    let m = Workload.n_machines wl in
+    let version () = if next 2 = 0 then Version.Primary else Version.Secondary in
+    (* a random partial schedule: a topological prefix committed at random
+       machines and staggered clocks, leaving gaps on the channels *)
+    let order = Agrid_dag.Dag.topological_order (Workload.dag wl) in
+    for k = 0 to next (Array.length order) - 1 do
+      let task = order.(k) in
+      Schedule.commit sched
+        (Schedule.plan sched ~task ~version:(version ()) ~machine:(next m)
+           ~not_before:(next 300))
+    done;
+    let before = timelines_snapshot sched in
+    let planned = ref [] in
+    List.iter
+      (fun task ->
+        for machine = 0 to m - 1 do
+          List.iter
+            (fun not_before ->
+              let version = version () in
+              let fp = check_against_oracle sched ~task ~version ~machine ~not_before in
+              planned := (task, version, machine, not_before, fp) :: !planned)
+            [ 0; next 400 ]
+        done)
+      (Schedule.ready_unmapped sched);
+    if timelines_snapshot sched <> before then
+      QCheck2.Test.fail_report "plan mutated a timeline";
+    (* each plan above followed discarded ones; re-planning them all in
+       reverse order must reproduce every one exactly *)
+    List.iter
+      (fun (task, version, machine, not_before, fp) ->
+        let again =
+          plan_fingerprint (Schedule.plan sched ~task ~version ~machine ~not_before)
+        in
+        if again <> fp then
+          QCheck2.Test.fail_reportf "re-plan after discarded plans differs:@.%s@.%s" fp
+            again)
+      !planned;
+    true
+  in
+  shared_out := 0;
+  shared_in := 0;
+  displaced := 0;
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:200 ~name:"plan = copy-on-write oracle"
+       (QCheck2.Gen.int_range 0 1_000_000) prop);
+  Alcotest.(check bool) "some plans share an out-channel" true (!shared_out > 0);
+  Alcotest.(check bool) "some plans share the in-channel" true (!shared_in > 0);
+  Alcotest.(check bool) "the overlay displaced some transfer" true (!displaced > 0)
+
 let test_validator_detects_channel_overlap () =
   (* two transfers overlapping on the same outgoing channel, injected via
      replay (the engine's own planner would never produce this) *)
@@ -503,6 +748,7 @@ let suites =
         Alcotest.test_case "qcheck random commits" `Quick
           test_qcheck_random_commits_consistent;
         Alcotest.test_case "qcheck plan purity" `Quick test_qcheck_plan_purity;
+        Alcotest.test_case "qcheck plan = oracle" `Quick test_qcheck_plan_matches_oracle;
         Alcotest.test_case "channel overlap rejected" `Quick
           test_validator_detects_channel_overlap;
         Alcotest.test_case "duplicate transfer caught" `Quick

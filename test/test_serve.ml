@@ -166,7 +166,13 @@ let test_job_deadline_direct () =
   let r = Job.run { (Job.default (tiny ())) with Job.deadline_ms = Some 0. } in
   Alcotest.(check string) "status" "deadline_missed" (Job.status_to_string r.Job.status);
   Alcotest.(check bool) "not completed" false r.Job.completed;
-  Alcotest.(check int) "final clock untouched" 0 r.Job.final_clock
+  Alcotest.(check int) "final clock untouched" 0 r.Job.final_clock;
+  (* a generous positive deadline goes through the monotonic clock and
+     never fires; the same clock times the job *)
+  let r = Job.run { (Job.default (tiny ())) with Job.deadline_ms = Some 600_000. } in
+  Alcotest.(check string) "generous deadline" "ok" (Job.status_to_string r.Job.status);
+  Alcotest.(check bool) "wall time in range" true
+    (r.Job.wall_seconds >= 0. && r.Job.wall_seconds < 600.)
 
 let test_job_errored () =
   let r = Job.run (Job.default (Serialize.Pinned "not a scenario")) in

@@ -79,17 +79,34 @@ let test_first_fit_inserts_consistent () =
         Alcotest.fail "fit not actually free")
     [ (0, 1); (0, 2); (0, 5); (6, 2); (11, 1); (11, 2); (0, 100); (59, 3) ]
 
+let joint a b ?(pending = [||]) ~not_before ~duration () =
+  Timeline.first_fit_joint a b ~pending ~n_pending:(Array.length pending / 2)
+    ~not_before ~duration
+
 let test_first_fit_joint () =
   let a = tl [ (0, 10); (20, 30) ] in
   let b = tl [ (10, 15) ] in
   (* need 5: a free [10,20) and >=30; b free [0,10) and >=15.
      joint: [15, 20) works *)
-  Alcotest.(check int) "joint" 15 (Timeline.first_fit_joint a b ~not_before:0 ~duration:5);
+  Alcotest.(check int) "joint" 15 (joint a b ~not_before:0 ~duration:5 ());
   (* need 8: a's [10,20) gap minus b's [10,15) leaves [15,20)=5 <8; next a slot is 30 *)
-  Alcotest.(check int) "joint larger" 30
-    (Timeline.first_fit_joint a b ~not_before:0 ~duration:8);
+  Alcotest.(check int) "joint larger" 30 (joint a b ~not_before:0 ~duration:8 ());
   Alcotest.(check int) "joint empty" 7
-    (Timeline.first_fit_joint (Timeline.create ()) (Timeline.create ()) ~not_before:7 ~duration:3)
+    (joint (Timeline.create ()) (Timeline.create ()) ~not_before:7 ~duration:3 ());
+  (* pending [15,17) kills the [15,20) slot; pending [32,34) then pushes
+     past a's reopening at 30; unsorted on purpose *)
+  Alcotest.(check int) "pending intervals respected" 34
+    (joint a b ~pending:[| 32; 34; 15; 17 |] ~not_before:0 ~duration:5 ());
+  Alcotest.(check int) "touching pending is free" 17
+    (joint a b ~pending:[| 15; 17 |] ~not_before:0 ~duration:3 ());
+  Alcotest.(check int) "only the first n_pending count" 15
+    (Timeline.first_fit_joint a b ~pending:[| 15; 17 |] ~n_pending:0 ~not_before:0
+       ~duration:5);
+  Alcotest.check_raises "n_pending beyond capacity"
+    (Invalid_argument "Timeline.first_fit_joint: n_pending out of range") (fun () ->
+      ignore
+        (Timeline.first_fit_joint a b ~pending:[| 15; 17 |] ~n_pending:2 ~not_before:0
+           ~duration:5))
 
 let test_remove () =
   let t = tl [ (0, 5); (10, 20) ] in
@@ -104,7 +121,7 @@ let test_busy_cycles () =
 
 let test_copy_independence () =
   let t = tl [ (0, 5) ] in
-  let c = Timeline.copy t in
+  let c = Testlib.copy_timeline t in
   Timeline.insert c ~start:10 ~stop:20;
   Alcotest.(check int) "original unchanged" 1 (Timeline.length t);
   Alcotest.(check int) "copy grew" 2 (Timeline.length c)
@@ -157,8 +174,15 @@ let test_qcheck_first_fit_minimal () =
        QCheck2.Gen.(pair gen_ops (pair (int_range 0 200) (int_range 1 20)))
        prop)
 
+(* The joint fit returns the least start free on both timelines and clear
+   of every pending interval — exhaustively checked over the bounded range.
+   With nothing pending it must also agree with the two-timeline reference
+   fit the planner oracle uses (Testlib.first_fit_joint). *)
 let test_qcheck_joint_fit_free_on_both () =
-  let prop (ops_a, ops_b, (not_before, duration)) =
+  let gen_pending =
+    QCheck2.Gen.(list_size (int_range 0 6) (pair (int_range 0 300) (int_range 1 30)))
+  in
+  let prop ((ops_a, ops_b), (pending, (not_before, duration))) =
     let mk ops =
       let t = Timeline.create () in
       List.iter
@@ -170,14 +194,33 @@ let test_qcheck_joint_fit_free_on_both () =
       t
     in
     let a = mk ops_a and b = mk ops_b in
-    let s = Timeline.first_fit_joint a b ~not_before ~duration in
-    s >= not_before
-    && Timeline.is_free a ~start:s ~stop:(s + duration)
-    && Timeline.is_free b ~start:s ~stop:(s + duration)
+    let pending =
+      Array.of_list (List.concat_map (fun (start, len) -> [ start; start + len ]) pending)
+    in
+    let s = joint a b ~pending ~not_before ~duration () in
+    let free c =
+      Timeline.is_free a ~start:c ~stop:(c + duration)
+      && Timeline.is_free b ~start:c ~stop:(c + duration)
+      &&
+      let clear = ref true in
+      for k = 0 to (Array.length pending / 2) - 1 do
+        if pending.(2 * k) < c + duration && pending.((2 * k) + 1) > c then clear := false
+      done;
+      !clear
+    in
+    let minimal = ref true in
+    for c = not_before to s - 1 do
+      if free c then minimal := false
+    done;
+    s >= not_before && free s && !minimal
+    && joint a b ~not_before ~duration ()
+       = Testlib.first_fit_joint a b ~not_before ~duration
   in
   QCheck2.Test.check_exn
-    (QCheck2.Test.make ~count:300 ~name:"joint fit free on both"
-       QCheck2.Gen.(triple gen_ops gen_ops (pair (int_range 0 200) (int_range 1 20)))
+    (QCheck2.Test.make ~count:500 ~name:"joint fit free on both + pending, minimal"
+       QCheck2.Gen.(
+         pair (pair gen_ops gen_ops)
+           (pair gen_pending (pair (int_range 0 200) (int_range 1 20))))
        prop)
 
 let suites =

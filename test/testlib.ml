@@ -64,3 +64,31 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   m = 0 || at 0
+
+(* Reference timeline primitives for the planner oracle in test_schedule:
+   the copy-on-write planner Schedule.plan used before its overlay rewrite
+   fitted each transfer with [first_fit_joint] on private copies of the
+   touched channels. Kept here, outside the library, as the differential
+   reference. *)
+
+let copy_timeline src =
+  let t = Agrid_sched.Timeline.create () in
+  List.iter
+    (fun (start, stop) -> Agrid_sched.Timeline.insert t ~start ~stop)
+    (Agrid_sched.Timeline.to_list src);
+  t
+
+(* Earliest start >= not_before with [start, start+duration) free on BOTH
+   timelines. Alternates pushing the candidate past whichever timeline is
+   busy; terminates because both walks are monotone. *)
+let first_fit_joint a b ~not_before ~duration =
+  if duration < 0 then invalid_arg "first_fit_joint: negative duration";
+  if duration = 0 then not_before
+  else begin
+    let rec step candidate =
+      let ca = Agrid_sched.Timeline.first_fit a ~not_before:candidate ~duration in
+      let cb = Agrid_sched.Timeline.first_fit b ~not_before:ca ~duration in
+      if cb = ca then ca else step cb
+    in
+    step not_before
+  end
