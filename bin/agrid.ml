@@ -1195,6 +1195,56 @@ let trace_out_t ~daemon =
               (convert with `agrid trace export`). %s"
              daemon))
 
+(* The daemon loop shared by serve/router, entered once the daemon runs.
+   Requests come from stdin or, with --socket, one connection at a time
+   (each connection's jobs are answered before it is closed). A signal
+   requests a hard stop: in-flight jobs finish, still-queued ones are
+   answered with "dropped" lines. EOF drains everything. *)
+let run_daemon ~cmd ~conn_errors ~listening ~submit ~quiesce ~stop ~drain ~pp_summary
+    ~socket ~sink ~obs_file ~tracer ~trace_out =
+  let module Transport = Agrid_serve.Transport in
+  let stop_requested = Atomic.make false in
+  let handler = Sys.Signal_handle (fun _ -> Atomic.set stop_requested true) in
+  Sys.set_signal Sys.sigint handler;
+  Sys.set_signal Sys.sigterm handler;
+  let stopping () = Atomic.get stop_requested in
+  (match socket with
+  | None ->
+      let respond line =
+        print_string line;
+        print_newline ();
+        flush stdout
+      in
+      ignore (Transport.pump ~stop:stopping stdin ~on_line:(submit ~respond))
+  | Some path -> (
+      match Transport.listen ~path with
+      | Error msg ->
+          Fmt.epr "agrid %s: %s@." cmd msg;
+          exit 2
+      | Ok t ->
+          Fmt.epr "agrid %s: listening on %s (%s)@." cmd path listening;
+          Fun.protect
+            ~finally:(fun () -> Transport.shutdown t)
+            (fun () ->
+              Transport.accept_loop ~obs:sink ~counter:conn_errors ~stop:stopping t
+                ~handle:(fun ~respond ~ic ->
+                  let r = Transport.pump ~stop:stopping ic ~on_line:(submit ~respond) in
+                  quiesce ();
+                  r))));
+  let dropped =
+    if stopping () then stop ()
+    else begin
+      drain ();
+      0
+    end
+  in
+  Fmt.epr "agrid %s: %t@." cmd pp_summary;
+  if dropped > 0 then
+    Fmt.epr "agrid %s: dropped %d queued job(s) on shutdown@." cmd dropped;
+  write_obs obs_file sink;
+  write_trace ~cmd trace_out tracer;
+  0
+
 let serve_cmd =
   let module Server = Agrid_serve.Server in
   let parse_tenant_caps raw =
@@ -1244,69 +1294,14 @@ let serve_cmd =
           ~queue_capacity:queue ()
       in
       Server.start server;
-      (* A signal requests a hard stop: finish in-flight jobs, answer
-         still-queued ones with "dropped" lines. EOF drains everything. *)
-      let stop_requested = Atomic.make false in
-      let handler = Sys.Signal_handle (fun _ -> Atomic.set stop_requested true) in
-      Sys.set_signal Sys.sigint handler;
-      Sys.set_signal Sys.sigterm handler;
-      let pump ~respond ic =
-        let rec loop () =
-          if not (Atomic.get stop_requested) then
-            match input_line ic with
-            | line ->
-                Server.submit server ~respond line;
-                loop ()
-            | exception End_of_file -> ()
-            | exception Sys_error _ -> () (* interrupted read *)
-        in
-        loop ()
-      in
-      let serve_stdin () =
-        let respond line =
-          print_string line;
-          print_newline ();
-          flush stdout
-        in
-        pump ~respond stdin
-      in
-      let serve_socket path =
-        let module Transport = Agrid_serve.Transport in
-        match Transport.listen ~path with
-        | Error msg ->
-            Fmt.epr "agrid serve: %s@." msg;
-            exit 2
-        | Ok t ->
-            Fmt.epr "agrid serve: listening on %s (%d workers, queue %d)@."
-              path workers queue;
-            let stop () = Atomic.get stop_requested in
-            Fun.protect
-              ~finally:(fun () -> Transport.shutdown t)
-              (fun () ->
-                Transport.accept_loop ~obs:sink ~stop t
-                  ~handle:(fun ~respond ~ic ->
-                    let r =
-                      Transport.pump ~stop ic ~on_line:(fun line ->
-                          Server.submit server ~respond line)
-                    in
-                    (* answer this connection's jobs before hanging up *)
-                    Server.quiesce server;
-                    r))
-      in
-      (match socket with None -> serve_stdin () | Some path -> serve_socket path);
-      let dropped =
-        if Atomic.get stop_requested then Server.stop server
-        else begin
-          Server.drain server;
-          0
-        end
-      in
-      Fmt.epr "agrid serve: %a@." Server.pp_stats (Server.stats server);
-      if dropped > 0 then
-        Fmt.epr "agrid serve: dropped %d queued job(s) on shutdown@." dropped;
-      write_obs obs_file sink;
-      write_trace ~cmd:"serve" trace_out tracer;
-      0
+      run_daemon ~cmd:"serve" ~conn_errors:"serve/conn_errors"
+        ~listening:(Fmt.str "%d workers, queue %d" workers queue)
+        ~submit:(Server.submit server)
+        ~quiesce:(fun () -> Server.quiesce server)
+        ~stop:(fun () -> Server.stop server)
+        ~drain:(fun () -> Server.drain server)
+        ~pp_summary:(fun ppf -> Server.pp_stats ppf (Server.stats server))
+        ~socket ~sink ~obs_file ~tracer ~trace_out
     end
   in
   let workers_t =
@@ -1349,7 +1344,6 @@ let serve_cmd =
 
 let router_cmd =
   let module Router = Agrid_fleet.Router in
-  let module Transport = Agrid_serve.Transport in
   let action backend_paths queue inflight retries backoff_ms probe_interval_ms
       probe_timeout_ms seed socket obs_file trace_out =
     let invalid msg =
@@ -1403,58 +1397,14 @@ let router_cmd =
           Fmt.epr "agrid router: %s@." msg;
           2
       | Ok () ->
-          let stop_requested = Atomic.make false in
-          let handler =
-            Sys.Signal_handle (fun _ -> Atomic.set stop_requested true)
-          in
-          Sys.set_signal Sys.sigint handler;
-          Sys.set_signal Sys.sigterm handler;
-          let stop () = Atomic.get stop_requested in
-          (match socket with
-          | None ->
-              let respond line =
-                print_string line;
-                print_newline ();
-                flush stdout
-              in
-              ignore
-                (Transport.pump ~stop stdin ~on_line:(fun line ->
-                     Router.submit router ~respond line))
-          | Some path -> (
-              match Transport.listen ~path with
-              | Error msg ->
-                  Fmt.epr "agrid router: %s@." msg;
-                  exit 2
-              | Ok t ->
-                  Fmt.epr "agrid router: listening on %s (%d backends)@." path
-                    (List.length backend_paths);
-                  Fun.protect
-                    ~finally:(fun () -> Transport.shutdown t)
-                    (fun () ->
-                      Transport.accept_loop ~obs:sink
-                        ~counter:"fleet/conn_errors" ~stop t
-                        ~handle:(fun ~respond ~ic ->
-                          let r =
-                            Transport.pump ~stop ic ~on_line:(fun line ->
-                                Router.submit router ~respond line)
-                          in
-                          (* answer this connection's jobs before hanging up *)
-                          Router.quiesce router;
-                          r))));
-          let dropped =
-            if Atomic.get stop_requested then Router.stop router
-            else begin
-              Router.drain router;
-              0
-            end
-          in
-          Fmt.epr "agrid router: %a@." Router.pp_stats (Router.stats router);
-          if dropped > 0 then
-            Fmt.epr "agrid router: dropped %d queued job(s) on shutdown@."
-              dropped;
-          write_obs obs_file sink;
-          write_trace ~cmd:"router" trace_out tracer;
-          0
+          run_daemon ~cmd:"router" ~conn_errors:"fleet/conn_errors"
+            ~listening:(Fmt.str "%d backends" (List.length backend_paths))
+            ~submit:(Router.submit router)
+            ~quiesce:(fun () -> Router.quiesce router)
+            ~stop:(fun () -> Router.stop router)
+            ~drain:(fun () -> Router.drain router)
+            ~pp_summary:(fun ppf -> Router.pp_stats ppf (Router.stats router))
+            ~socket ~sink ~obs_file ~tracer ~trace_out
     end
   in
   let backends_t =

@@ -1,15 +1,18 @@
 (* The fault-tolerant front end over a fleet of scenario-service
    backends. One router owns a bounded admission queue, N backend
    connections (each with a sender and a reader thread), a dispatcher
-   thread and a maintenance (probe/reconnect) thread.
+   thread and a maintenance (probe/reconnect) thread. Admission itself —
+   ids, parse, health/stats answers, queue_full/draining rejections, the
+   completion window and the clock — is the ladder shared with the serve
+   daemon ([Front]); the router adds the tag-token registration of
+   [admit] and everything after the queue.
 
    The invariant everything here serves: {e exactly one response line per
    request, under monotone upstream ids, with at-most-once execution}.
-   Concretely, every submitted job is tracked as an [entry] that is
+   Concretely, every admitted job is tracked as an [entry] that is
    resolved exactly once, through one of:
    - a relayed backend response (result / dropped), identity rewritten;
-   - a router-level rejection (queue_full, malformed, draining,
-     all_backends_saturated);
+   - an all_backends_saturated rejection once its attempts run out;
    - [maybe_executed], when the backend holding the job in flight died
      and we cannot know whether it ran — the at-most-once rule forbids
      re-running it.
@@ -30,20 +33,21 @@
    [Codec.with_identity].
 
    Locking: [t.lock] guards all router state {e and all sink recording}
-   (sinks are not thread-safe); [t.out_lock] serializes response writes
-   and is only ever taken while holding [t.lock] (lock order:
-   lock -> out_lock). Sockets are written by their sender thread only and
-   read by their reader thread only; connection death is detected by the
-   reader, which runs the (epoch-guarded) death path — other threads
-   provoke it by [Unix.shutdown]ing the socket, which wakes a blocked
-   reader where [Unix.close] would not. *)
+   (sinks are not thread-safe), the front's counters included. Resolved
+   entries are answered through [Front.send] while holding [t.lock]
+   (lock order: lock -> the front's output lock). Sockets are written by
+   their sender thread only and read by their reader thread only;
+   connection death is detected by the reader, which runs the
+   (epoch-guarded) death path — other threads provoke it by
+   [Unix.shutdown]ing the socket, which wakes a blocked reader where
+   [Unix.close] would not. *)
 
 module Sink = Agrid_obs.Sink
 module Json = Agrid_obs.Json
-module Window = Agrid_obs.Window
 module Trace = Agrid_obs.Trace
 module Chan = Agrid_par.Parallel.Chan
 module Codec = Agrid_serve.Codec
+module Front = Agrid_serve.Front
 module Job = Agrid_serve.Job
 module Splitmix64 = Agrid_prng.Splitmix64
 
@@ -126,54 +130,35 @@ type backend = {
 type t = {
   cfg : config;
   obs : Sink.t;
-  trace : Trace.t option;  (* request tracing, opt-in like the sink ledger *)
-  window : Window.t;  (* rolling last-60s stats, guarded by [lock] *)
   backends : backend array;
   admission : entry Chan.t;
+  front : entry Front.t;
   table : (string, entry) Hashtbl.t;  (** token -> unresolved entry *)
   mutable retry_q : (float * entry) list;  (** due-time, unsorted *)
   mutable unresolved : int;
-  mutable next_id : int;
   mutable state : [ `Created | `Running | `Stopped ];
   mutable threads : Thread.t list;
   prng : Splitmix64.t;
-  started_at : float;
   lock : Mutex.t;
   resolved : Condition.t;  (** broadcast whenever [unresolved] drops *)
-  out_lock : Mutex.t;
-  (* stats mirrors of the fleet/* counters *)
-  mutable c_requests : int;
-  mutable c_accepted : int;
-  mutable c_completed : int;
-  mutable c_queue_full : int;
-  mutable c_malformed : int;
-  mutable c_health : int;
-  mutable c_stats : int;
+  (* stats mirrors of the router-only fleet/* counters *)
   mutable c_retries : int;
   mutable c_failovers : int;
   mutable c_maybe_executed : int;
   mutable c_saturated : int;
-  mutable c_dropped : int;
   mutable c_probes : int;
   mutable c_probe_timeouts : int;
   mutable c_protocol_errors : int;
-  mutable c_respond_errors : int;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let now () = Unix.gettimeofday ()
-let latency_bounds = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.; 10. |]
+let with_lock = Front.with_lock
+let now = Agrid_obs.Clock.now_s
 let probe_bounds = [| 0.0005; 0.002; 0.01; 0.05; 0.25; 1. |]
-let obs_incr t name = if Sink.enabled t.obs then Sink.incr t.obs name
 
 (* Record a trace event for an entry (caller holds t.lock). The router
    derives the id from its own nonce — the same id it stamps into the
    forwarded line, so backend events correlate without coordination. *)
-let trace_ev t (e : entry) kind =
-  match t.trace with None -> () | Some tr -> Trace.record tr ~job:e.e_id kind
+let trace_ev t (e : entry) kind = Front.record t.front ~trace_id:None ~job:e.e_id kind
 
 let validate cfg =
   let bad name = invalid_arg (Fmt.str "Router.create: %s must be positive" name) in
@@ -217,61 +202,41 @@ let create ?(obs = Sink.noop) ?trace cfg specs =
            })
          specs)
   in
+  let admission = Chan.create ~capacity:cfg.queue_capacity in
+  let lock = Mutex.create () in
   {
     cfg;
     obs;
-    trace;
-    window = Window.create ();
     backends;
-    admission = Chan.create ~capacity:cfg.queue_capacity;
+    admission;
+    front = Front.create Front.Router ~obs ~trace ~lock admission;
     table = Hashtbl.create 64;
     retry_q = [];
     unresolved = 0;
-    next_id = 0;
     state = `Created;
     threads = [];
     prng = Splitmix64.of_int cfg.seed;
-    started_at = now ();
-    lock = Mutex.create ();
+    lock;
     resolved = Condition.create ();
-    out_lock = Mutex.create ();
-    c_requests = 0;
-    c_accepted = 0;
-    c_completed = 0;
-    c_queue_full = 0;
-    c_malformed = 0;
-    c_health = 0;
-    c_stats = 0;
     c_retries = 0;
     c_failovers = 0;
     c_maybe_executed = 0;
     c_saturated = 0;
-    c_dropped = 0;
     c_probes = 0;
     c_probe_timeouts = 0;
     c_protocol_errors = 0;
-    c_respond_errors = 0;
   }
 
 (* ---- response output (caller holds t.lock) ---- *)
 
-let send t (e : entry) line =
-  let failed =
-    with_lock t.out_lock (fun () ->
-        try
-          e.e_respond line;
-          false
-        with _ -> true)
-  in
-  if failed then t.c_respond_errors <- t.c_respond_errors + 1
-
-(* Resolve exactly once; in-flight bookkeeping is the caller's job. *)
+(* Resolve exactly once; in-flight bookkeeping is the caller's job. The
+   line goes out under t.lock -> out_lock (see [Front]). *)
 let resolve t e line =
   if e.e_state <> Done then begin
     e.e_state <- Done;
     Hashtbl.remove t.table e.e_token;
     t.unresolved <- t.unresolved - 1;
-    send t e line;
+    Front.send t.front e.e_respond line;
     Condition.broadcast t.resolved
   end
 
@@ -285,7 +250,7 @@ let unassign t e =
 
 let resolve_saturated t e =
   t.c_saturated <- t.c_saturated + 1;
-  obs_incr t "fleet/saturated";
+  Sink.incr t.obs "fleet/saturated";
   trace_ev t e (Trace.Respond { outcome = "all_backends_saturated" });
   resolve t e
     (Codec.rejected_line ~tag:e.e_tag ~id:e.e_id ~reason:`All_backends_saturated
@@ -307,9 +272,21 @@ let consume_attempt t e =
     in
     t.retry_q <- (now () +. delay, e) :: t.retry_q;
     t.c_retries <- t.c_retries + 1;
-    obs_incr t "fleet/retries";
+    Sink.incr t.obs "fleet/retries";
     trace_ev t e (Trace.Retry { attempt = e.e_attempts; delay_s = delay })
   end
+
+(* Re-queue a provably unexecuted entry off backend [b] (caller holds
+   t.lock). *)
+let failover t b e =
+  unassign t e;
+  t.retry_q <- (0., e) :: t.retry_q;
+  t.c_failovers <- t.c_failovers + 1;
+  Sink.incr t.obs "fleet/failovers";
+  trace_ev t e (Trace.Failover { backend = b.b_name })
+
+(* Wake a connection's blocked reader, which then runs the death path. *)
+let kill conn = try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
 (* ---- dispatch (caller holds t.lock) ---- *)
 
@@ -328,7 +305,7 @@ let try_dispatch_locked t e =
                 e.e_state <- Assigned (i, conn.cn_epoch);
                 b.b_inflight <- b.b_inflight + 1;
                 b.b_dispatched <- b.b_dispatched + 1;
-                obs_incr t "fleet/dispatches";
+                Sink.incr t.obs "fleet/dispatches";
                 trace_ev t e
                   (Trace.Dispatch
                      { backend = b.b_name; attempt = e.e_attempts + 1 })
@@ -388,14 +365,7 @@ let on_conn_death t b ~epoch =
             List.iter
               (function
                 | Out_probe -> ()
-                | Out_job e ->
-                    if e.e_state <> Done then begin
-                      unassign t e;
-                      t.retry_q <- (0., e) :: t.retry_q;
-                      t.c_failovers <- t.c_failovers + 1;
-                      obs_incr t "fleet/failovers";
-                      trace_ev t e (Trace.Failover { backend = b.b_name })
-                    end)
+                | Out_job e -> if e.e_state <> Done then failover t b e)
               (Chan.close c.cn_outbox)
         | None -> ());
         (* Sent jobs are ambiguous: at-most-once forbids re-running them. *)
@@ -411,7 +381,7 @@ let on_conn_death t b ~epoch =
           (fun e ->
             unassign t e;
             t.c_maybe_executed <- t.c_maybe_executed + 1;
-            obs_incr t "fleet/maybe_executed";
+            Sink.incr t.obs "fleet/maybe_executed";
             trace_ev t e (Trace.Death { backend = b.b_name });
             trace_ev t e (Trace.Respond { outcome = "maybe_executed" });
             resolve t e
@@ -440,8 +410,7 @@ let sender t b (conn : conn) () =
         (match item with
         | Out_probe ->
             if write_failed "{\"schema\":\"agrid-job/1\",\"kind\":\"health\"}" then
-              (try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL
-               with Unix.Unix_error _ -> ())
+              kill conn
         | Out_job e ->
             let proceed =
               with_lock t.lock (fun () ->
@@ -456,17 +425,12 @@ let sender t b (conn : conn) () =
                  reissue; a second write failure stays ambiguous and the
                  death path will report maybe_executed. *)
               with_lock t.lock (fun () ->
-                  if e.e_state = Sent (b.b_index, conn.cn_epoch) then
-                    if not e.e_reissued then begin
-                      e.e_reissued <- true;
-                      unassign t e;
-                      t.retry_q <- (0., e) :: t.retry_q;
-                      t.c_failovers <- t.c_failovers + 1;
-                      obs_incr t "fleet/failovers";
-                      trace_ev t e (Trace.Failover { backend = b.b_name })
-                    end);
-              try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL
-              with Unix.Unix_error _ -> ()
+                  if e.e_state = Sent (b.b_index, conn.cn_epoch) && not e.e_reissued
+                  then begin
+                    e.e_reissued <- true;
+                    failover t b e
+                  end);
+              kill conn
             end);
         loop ()
   in
@@ -479,7 +443,7 @@ let handle_response t b (conn : conn) line =
       match Codec.parse_response line with
       | Error _ ->
           t.c_protocol_errors <- t.c_protocol_errors + 1;
-          obs_incr t "fleet/protocol_errors"
+          Sink.incr t.obs "fleet/protocol_errors"
       | Ok r -> (
           match r.Codec.r_type with
           | `Health ->
@@ -499,7 +463,7 @@ let handle_response t b (conn : conn) line =
                       ~bounds:probe_bounds rtt
               | None ->
                   t.c_protocol_errors <- t.c_protocol_errors + 1;
-                  obs_incr t "fleet/protocol_errors")
+                  Sink.incr t.obs "fleet/protocol_errors")
           | `Result | `Dropped | `Rejected | `Maybe_executed -> (
               match
                 Option.bind r.Codec.r_tag (Hashtbl.find_opt t.table)
@@ -508,7 +472,7 @@ let handle_response t b (conn : conn) line =
                   (* stale token (already resolved) or a line we never
                      asked for — count it, never crash, never duplicate *)
                   t.c_protocol_errors <- t.c_protocol_errors + 1;
-                  obs_incr t "fleet/protocol_errors"
+                  Sink.incr t.obs "fleet/protocol_errors"
               | Some e -> (
                   match (r.Codec.r_type, r.Codec.r_reason) with
                   | `Rejected, Some (`Queue_full | `Draining | `Tenant_quota)
@@ -519,16 +483,9 @@ let handle_response t b (conn : conn) line =
                       consume_attempt t e
                   | `Result, _ ->
                       unassign t e;
-                      t.c_completed <- t.c_completed + 1;
-                      obs_incr t "fleet/completed";
-                      let latency = now () -. e.e_submitted in
-                      Window.incr t.window ~now:(now ()) "completed";
-                      Window.observe t.window ~now:(now ()) "latency_s"
-                        ~bounds:latency_bounds latency;
-                      if Sink.enabled t.obs then
-                        Sink.observe t.obs "fleet/latency_s"
-                          ~bounds:latency_bounds latency;
-                      trace_ev t e (Trace.Respond { outcome = "result" });
+                      Front.complete t.front ~trace_id:None ~job:e.e_id
+                        ~outcome:"result" ~counter:"fleet/completed"
+                        ~latency_s:(now () -. e.e_submitted);
                       resolve t e
                         (Json.to_string
                            (Codec.with_identity ~id:e.e_id ~tag:e.e_tag
@@ -636,7 +593,7 @@ let attempt_connect t b ~is_reconnect =
               b.b_last_probe_done <- now ();
               if is_reconnect then b.b_reconnects <- b.b_reconnects + 1;
               t.c_probes <- t.c_probes + 1;
-              obs_incr t "fleet/probes";
+              Sink.incr t.obs "fleet/probes";
               if Sink.enabled t.obs then
                 Sink.observe t.obs ("fleet/probe_s/" ^ b.b_name) ~bounds:probe_bounds
                   rtt;
@@ -666,14 +623,10 @@ let maintenance t () =
                         if misses > b.b_probe_misses then begin
                           t.c_probe_timeouts <-
                             t.c_probe_timeouts + (misses - b.b_probe_misses);
-                          obs_incr t "fleet/probe_timeouts";
+                          Sink.incr t.obs "fleet/probe_timeouts";
                           b.b_probe_misses <- misses;
-                          if misses >= t.cfg.dead_after_timeouts then begin
-                            (* wedged: wake the blocked reader, which runs
-                               the death path *)
-                            try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL
-                            with Unix.Unix_error _ -> ()
-                          end
+                          (* wedged past the limit: kill it *)
+                          if misses >= t.cfg.dead_after_timeouts then kill conn
                           else b.b_health <- Policy.Degraded
                         end
                     | None ->
@@ -683,7 +636,7 @@ let maintenance t () =
                           | `Accepted _ ->
                               b.b_probe_sent_at <- Some (now ());
                               t.c_probes <- t.c_probes + 1;
-                              obs_incr t "fleet/probes"
+                              Sink.incr t.obs "fleet/probes"
                           | `Rejected _ -> ())
                 | None -> ())
               t.backends;
@@ -739,165 +692,63 @@ let start t =
         Ok ()
       end
 
+let backend_triples t =
+  Array.to_list t.backends
+  |> List.map (fun b -> (b.b_name, Policy.health_to_string b.b_health, b.b_inflight))
+
+(* Register before pushing: the dispatcher may pop, forward and see the
+   response before [submit] returns, and the reader must find the entry
+   in the table by then. *)
+let admit t respond ~id (spec : Job.spec) =
+  let token = "f" ^ string_of_int id in
+  (* stamp the derived trace id into the forwarded line so the backend
+     records under the same id; untraced routers forward lines
+     byte-identical to before *)
+  let fwd = { spec with Job.tag = Some token } in
+  let fwd =
+    match Front.trace t.front with
+    | None -> fwd
+    | Some tr -> { fwd with Job.trace_id = Some (Trace.id_for tr id) }
+  in
+  let e =
+    {
+      e_id = id;
+      e_tag = spec.Job.tag;
+      e_token = token;
+      e_line = Json.to_string (Codec.job_to_json fwd);
+      e_respond = respond;
+      e_submitted = now ();
+      e_state = Queued;
+      e_attempts = 0;
+      e_reissued = false;
+    }
+  in
+  {
+    Front.entry = e;
+    trace_id = None;
+    claim =
+      (fun () ->
+        Hashtbl.replace t.table token e;
+        t.unresolved <- t.unresolved + 1;
+        Ok ());
+    undo =
+      (fun () ->
+        Hashtbl.remove t.table token;
+        t.unresolved <- t.unresolved - 1);
+  }
+
 let submit t ~respond line =
-  let id =
-    with_lock t.lock (fun () ->
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        t.c_requests <- t.c_requests + 1;
-        obs_incr t "fleet/requests";
-        id)
-  in
-  (* one-off entry so router-level answers share the respond plumbing *)
-  let direct line' =
-    let e =
+  Front.submit t.front ~respond line
+    ~health:(fun ~id ~uptime_s ~queue_depth ~accepted ~completed ->
+      Codec.fleet_health_line ~id ~uptime_s ~queue_depth ~backends:(backend_triples t)
+        ~accepted ~completed)
+    ~load:(fun () ->
       {
-        e_id = id;
-        e_tag = None;
-        e_token = "";
-        e_line = "";
-        e_respond = respond;
-        e_submitted = now ();
-        e_state = Queued;
-        e_attempts = 0;
-        e_reissued = false;
-      }
-    in
-    with_lock t.lock (fun () -> send t e line')
-  in
-  match Codec.parse_request line with
-  | Error detail ->
-      with_lock t.lock (fun () ->
-          t.c_malformed <- t.c_malformed + 1;
-          obs_incr t "fleet/malformed");
-      direct (Codec.rejected_line ~id ~reason:`Malformed ~detail ())
-  | Ok Codec.Health ->
-      let line' =
-        with_lock t.lock (fun () ->
-            t.c_health <- t.c_health + 1;
-            obs_incr t "fleet/health";
-            Codec.fleet_health_line ~id
-              ~uptime_s:(now () -. t.started_at)
-              ~queue_depth:(Chan.length t.admission)
-              ~backends:
-                (Array.to_list t.backends
-                |> List.map (fun b ->
-                       (b.b_name, Policy.health_to_string b.b_health, b.b_inflight))
-                )
-              ~accepted:t.c_accepted ~completed:t.c_completed)
-      in
-      direct line'
-  | Ok Codec.Stats ->
-      let line' =
-        with_lock t.lock (fun () ->
-            t.c_stats <- t.c_stats + 1;
-            obs_incr t "fleet/stats";
-            let at = now () in
-            let q p =
-              match Window.merged_hist t.window ~now:at "latency_s" with
-              | None -> Float.nan
-              | Some h -> Agrid_obs.Hist.quantile h p
-            in
-            let trace_events, trace_dropped, trace_exemplars =
-              match t.trace with
-              | None -> (0, 0, 0)
-              | Some tr ->
-                  ( Trace.length tr,
-                    Trace.dropped tr,
-                    List.length (Trace.exemplars tr) )
-            in
-            let inflight =
-              Array.fold_left (fun acc b -> acc + b.b_inflight) 0 t.backends
-            in
-            Codec.stats_line
-              {
-                Codec.ss_role = "router";
-                ss_id = id;
-                ss_uptime_s = at -. t.started_at;
-                ss_queue_depth = Chan.length t.admission;
-                ss_in_flight = inflight;
-                ss_workers = Array.length t.backends;
-                ss_accepted = t.c_accepted;
-                ss_completed = t.c_completed;
-                ss_window_s = Window.window_s t.window;
-                ss_rate = Window.rate t.window ~now:at "completed";
-                ss_p50_s = q 0.5;
-                ss_p95_s = q 0.95;
-                ss_p99_s = q 0.99;
-                ss_backends =
-                  Array.to_list t.backends
-                  |> List.map (fun b ->
-                         ( b.b_name,
-                           Policy.health_to_string b.b_health,
-                           b.b_inflight ));
-                ss_trace_events = trace_events;
-                ss_trace_dropped = trace_dropped;
-                ss_trace_exemplars = trace_exemplars;
-              })
-      in
-      direct line'
-  | Ok (Codec.Submit spec) -> (
-      let token = "f" ^ string_of_int id in
-      (* stamp the derived trace id into the forwarded line so the backend
-         records under the same id; untraced routers forward lines
-         byte-identical to before *)
-      let fwd = { spec with Job.tag = Some token } in
-      let fwd =
-        match t.trace with
-        | None -> fwd
-        | Some tr -> { fwd with Job.trace_id = Some (Trace.id_for tr id) }
-      in
-      let e =
-        {
-          e_id = id;
-          e_tag = spec.Job.tag;
-          e_token = token;
-          e_line = Json.to_string (Codec.job_to_json fwd);
-          e_respond = respond;
-          e_submitted = now ();
-          e_state = Queued;
-          e_attempts = 0;
-          e_reissued = false;
-        }
-      in
-      (* Register before pushing: the dispatcher may pop, forward and see
-         the response before [submit] regains the lock, and the reader
-         must find the entry in the table by then. *)
-      let verdict =
-        with_lock t.lock (fun () ->
-            Hashtbl.replace t.table token e;
-            t.unresolved <- t.unresolved + 1;
-            match Chan.try_push t.admission e with
-            | `Accepted depth ->
-                t.c_accepted <- t.c_accepted + 1;
-                obs_incr t "fleet/accepted";
-                trace_ev t e Trace.Enqueue;
-                if Sink.enabled t.obs then
-                  Sink.max_gauge t.obs "fleet/queue_depth" (float_of_int depth);
-                `Dispatched
-            | `Rejected r ->
-                Hashtbl.remove t.table token;
-                t.unresolved <- t.unresolved - 1;
-                (match r with
-                | `Full ->
-                    t.c_queue_full <- t.c_queue_full + 1;
-                    obs_incr t "fleet/queue_full"
-                | `Closed -> obs_incr t "fleet/draining");
-                `Rejected r)
-      in
-      match verdict with
-      | `Dispatched -> ()
-      | `Rejected `Full ->
-          direct
-            (Codec.rejected_line ~tag:spec.Job.tag ~id ~reason:`Queue_full
-               ~detail:
-                 (Fmt.str "router queue at capacity (%d queued)"
-                    (Chan.length t.admission))
-               ())
-      | `Rejected `Closed ->
-          direct
-            (Codec.rejected_line ~tag:spec.Job.tag ~id ~reason:`Draining
-               ~detail:"router is shutting down" ()))
+        Front.in_flight = Array.fold_left (fun acc b -> acc + b.b_inflight) 0 t.backends;
+        workers = Array.length t.backends;
+        backends = backend_triples t;
+      })
+    ~admit:(admit t respond)
 
 let quiesce t =
   with_lock t.lock (fun () ->
@@ -906,15 +757,7 @@ let quiesce t =
       done)
 
 let shutdown_conns t =
-  with_lock t.lock (fun () ->
-      Array.iter
-        (fun b ->
-          match b.b_conn with
-          | Some conn -> (
-              try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL
-              with Unix.Unix_error _ -> ())
-          | None -> ())
-        t.backends)
+  with_lock t.lock (fun () -> Array.iter (fun b -> Option.iter kill b.b_conn) t.backends)
 
 (* Threads can spawn threads (reconnects), so join until the list is
    stable; [`Stopped] stops new spawns. *)
@@ -949,10 +792,7 @@ let stop t =
         let drop e =
           if e.e_state <> Done then begin
             unassign t e;
-            t.c_dropped <- t.c_dropped + 1;
-            obs_incr t "fleet/dropped";
-            trace_ev t e (Trace.Respond { outcome = "dropped" });
-            resolve t e (Codec.dropped_line ~id:e.e_id ~tag:e.e_tag)
+            resolve t e (Front.drop t.front ~trace_id:None ~job:e.e_id ~tag:e.e_tag)
           end
         in
         List.iter drop leftovers;
@@ -960,7 +800,7 @@ let stop t =
           (Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
           |> List.sort (fun a b -> compare a.e_id b.e_id));
         t.retry_q <- [];
-        t.c_dropped)
+        (Front.counts t.front).Front.dropped)
   in
   shutdown_conns t;
   join_all t;
@@ -981,6 +821,7 @@ type stats = {
   st_accepted : int;
   st_completed : int;
   st_queue_full : int;
+  st_draining : int;
   st_malformed : int;
   st_health : int;
   st_stats : int;
@@ -998,23 +839,25 @@ type stats = {
 
 let stats t =
   with_lock t.lock (fun () ->
+      let c = Front.counts t.front in
       {
-        st_requests = t.c_requests;
-        st_accepted = t.c_accepted;
-        st_completed = t.c_completed;
-        st_queue_full = t.c_queue_full;
-        st_malformed = t.c_malformed;
-        st_health = t.c_health;
-        st_stats = t.c_stats;
+        st_requests = c.Front.requests;
+        st_accepted = c.accepted;
+        st_completed = c.completed;
+        st_queue_full = c.queue_full;
+        st_draining = c.draining;
+        st_malformed = c.malformed;
+        st_health = c.health;
+        st_stats = c.stats;
         st_retries = t.c_retries;
         st_failovers = t.c_failovers;
         st_maybe_executed = t.c_maybe_executed;
         st_saturated = t.c_saturated;
-        st_dropped = t.c_dropped;
+        st_dropped = c.dropped;
         st_probes = t.c_probes;
         st_probe_timeouts = t.c_probe_timeouts;
         st_protocol_errors = t.c_protocol_errors;
-        st_respond_errors = t.c_respond_errors;
+        st_respond_errors = c.respond_errors;
         st_backends =
           Array.to_list t.backends
           |> List.map (fun b ->
@@ -1027,23 +870,19 @@ let stats t =
                  });
       })
 
-let health_snapshot t =
-  with_lock t.lock (fun () ->
-      Array.to_list t.backends
-      |> List.map (fun b ->
-             (b.b_name, Policy.health_to_string b.b_health, b.b_inflight)))
+let health_snapshot t = with_lock t.lock (fun () -> backend_triples t)
 
 let queue_depth t = Chan.length t.admission
-let uptime_s t = now () -. t.started_at
-let trace t = t.trace
+let uptime_s t = Front.uptime_s t.front
+let trace t = Front.trace t.front
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "%d requests (%d accepted, %d completed, %d queue_full, %d malformed, %d \
-     health, %d stats), %d retries, %d failovers, %d maybe_executed, %d \
-     saturated, %d dropped, %d probes (%d timeouts), %d protocol errors, %d \
-     respond errors"
-    s.st_requests s.st_accepted s.st_completed s.st_queue_full s.st_malformed
+    "%d requests (%d accepted, %d completed, %d queue_full, %d draining, %d \
+     malformed, %d health, %d stats), %d retries, %d failovers, %d \
+     maybe_executed, %d saturated, %d dropped, %d probes (%d timeouts), %d \
+     protocol errors, %d respond errors"
+    s.st_requests s.st_accepted s.st_completed s.st_queue_full s.st_draining s.st_malformed
     s.st_health s.st_stats s.st_retries s.st_failovers s.st_maybe_executed
     s.st_saturated s.st_dropped s.st_probes s.st_probe_timeouts
     s.st_protocol_errors s.st_respond_errors;

@@ -20,30 +20,25 @@
       typed [maybe_executed] line: the job may have run, so it is never
       re-run.
 
-    Health requests are answered by the router itself
-    ({!Codec.fleet_health_line}); relayed responses get their upstream
-    id/tag restored and the serving backend's name appended.
+    Admission (ids, health and [kind:"stats"] answers, typed
+    [queue_full]/[draining] rejections, the rolling window and the
+    monotonic clock) is the ladder shared with [agrid serve]
+    ({!Agrid_serve.Front}); health answers carry per-backend
+    [(name, health, in_flight)] triples ({!Codec.fleet_health_line}).
+    Relayed responses get their upstream id/tag restored and the serving
+    backend's name appended.
 
-    Telemetry (under the usual single-writer discipline — all sink
-    recording happens under the router's lock): aggregate [fleet/*]
+    Telemetry (all sink recording under the router's lock): [fleet/*]
     counters (requests, accepted, completed, dispatches, retries,
-    failovers, maybe_executed, saturated, queue_full, malformed, health,
-    probes, probe_timeouts, protocol_errors, dropped), the admission
-    high-water gauge [fleet/queue_depth], latency histogram
-    [fleet/latency_s] and per-backend probe-RTT histograms
-    [fleet/probe_s/<name>]. Per-backend dispatch splits are
-    timing-dependent, so they live only in {!stats}, never in the sink —
-    keeping the benched counter set placement-invariant.
-
-    Introspection: a [kind:"stats"] request is answered by the router
-    itself with an [agrid-stats/1] snapshot ({!Codec.stats_line}) —
-    rolling-window completion rate and latency quantiles plus per-backend
-    health and in-flight counts. Request tracing is opt-in: pass
-    [?trace] to {!create} and every accepted job records its full
-    lifecycle as typed {!Agrid_obs.Trace} events (enqueue, dispatch,
-    retry, failover, backend death, respond); the derived trace id is
-    stamped into the forwarded line so a tracing backend records under
-    the same id. *)
+    failovers, maybe_executed, saturated, queue_full, draining, malformed,
+    health, stats, probes, probe_timeouts, protocol_errors, dropped), the
+    [fleet/queue_depth] high-water gauge, the [fleet/latency_s] histogram
+    and per-backend probe-RTT histograms [fleet/probe_s/<name>].
+    Per-backend dispatch splits are timing-dependent, so they live only
+    in {!stats}, never in the sink. With [?trace], every accepted job
+    records its lifecycle (enqueue, dispatch, retry, failover, backend
+    death, respond) under a derived trace id that is also stamped into
+    the forwarded line, so a tracing backend records under the same id. *)
 
 type config = {
   queue_capacity : int;  (** router admission queue bound *)
@@ -125,6 +120,7 @@ type stats = {
   st_accepted : int;
   st_completed : int;  (** relayed result lines *)
   st_queue_full : int;  (** router-level admission rejections *)
+  st_draining : int;  (** jobs submitted after {!drain}/{!stop} began *)
   st_malformed : int;
   st_health : int;
   st_stats : int;  (** [kind:"stats"] snapshot requests answered *)

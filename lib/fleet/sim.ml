@@ -45,9 +45,7 @@ type t = {
   lock : Mutex.t;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let with_lock = Agrid_serve.Front.with_lock
 
 let create ?(obs = Sink.noop) ?(workers = 2) ?(queue_capacity = 16)
     ?(tenant_caps = []) name =

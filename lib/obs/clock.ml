@@ -9,3 +9,5 @@ external monotonic_ns : unit -> (int64[@unboxed])
 
 let elapsed_seconds ~since =
   Int64.to_float (Int64.sub (monotonic_ns ()) since) *. 1e-9
+
+let now_s () = Int64.to_float (monotonic_ns ()) *. 1e-9

@@ -9,3 +9,8 @@ external monotonic_ns : unit -> (int64[@unboxed])
 
 val elapsed_seconds : since:int64 -> float
 (** Seconds elapsed since a [monotonic_ns] reading. *)
+
+val now_s : unit -> float
+(** [monotonic_ns] in seconds: the clock behind every service timestamp
+    (uptime, queue wait, latency, timeouts, trace event times). Only
+    differences between two readings mean anything. *)

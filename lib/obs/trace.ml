@@ -57,7 +57,7 @@ let create ?(capacity = 4096) ?(exemplars = 4) ?(pending_cap = 1024)
   if per_job_cap < 2 then invalid_arg "Trace.create: per_job_cap must be >= 2";
   {
     nonce;
-    t0 = Unix.gettimeofday ();
+    t0 = Clock.now_s ();
     ring = Snapshot.Ring.create ~capacity;
     exemplar_cap = exemplars;
     pending_cap;
@@ -102,7 +102,7 @@ let consider_exemplar t x =
 
 let record ?id t ~job kind =
   let ev_trace = match id with Some id -> id | None -> id_for t job in
-  let ev = { ev_trace; ev_job = job; ev_t_s = Unix.gettimeofday () -. t.t0; ev_kind = kind } in
+  let ev = { ev_trace; ev_job = job; ev_t_s = Clock.now_s () -. t.t0; ev_kind = kind } in
   Snapshot.Ring.push t.ring ev;
   (match kind with
   | Enqueue ->

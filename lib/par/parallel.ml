@@ -160,7 +160,7 @@ module Chan = struct
      milliseconds) and keeps the channel free of any platform-specific
      timed-wait dependency. *)
   let try_pop t ~timeout_s =
-    let deadline = Unix.gettimeofday () +. timeout_s in
+    let deadline = Agrid_obs.Clock.now_s () +. timeout_s in
     let rec attempt () =
       let status =
         with_lock t (fun () ->
@@ -172,7 +172,7 @@ module Chan = struct
       match status with
       | (`Popped _ | `Closed) as r -> r
       | `Empty ->
-          let remaining = deadline -. Unix.gettimeofday () in
+          let remaining = deadline -. Agrid_obs.Clock.now_s () in
           if remaining <= 0. then `Timeout
           else begin
             Unix.sleepf (Float.min remaining 0.001);

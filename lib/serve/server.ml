@@ -1,19 +1,22 @@
 (* The scenario service. Concurrency layout:
 
-   - producers (stdin/socket reader) call submit, which parses, assigns
-     an id and try_pushes onto the bounded Chan — never blocking; a full
-     buffer becomes a typed queue_full response (backpressure);
+   - producers (stdin/socket reader) call submit, which runs the shared
+     admission ladder in [Front]: id, parse, health/stats, then a
+     never-blocking try_push onto the bounded Chan — a full buffer
+     becomes a typed queue_full response (backpressure). What the server
+     adds to that ladder is the tenant-cap reservation, taken in the
+     front's [claim] and handed back in its [undo];
    - one controller domain runs Parallel.run_workers over `workers`
      persistent worker loops, each popping jobs until seal/close;
-   - `lock` guards all mutable counters and every pool-sink operation
-     (sinks are single-domain; the mutex serializes producer and worker
-     access), `idle` signals outstanding = 0, `out_lock` serializes
-     respond callbacks. Lock order: out_lock before lock, never the
-     reverse. *)
+   - `lock` guards all mutable counters here and in the front, and every
+     pool-sink operation (sinks are single-domain; the mutex serializes
+     producer and worker access); `idle` signals outstanding = 0.
+     Responses go out through [Front.send] under the front's output lock
+     alone, never while holding `lock`. *)
 
 module Sink = Agrid_obs.Sink
-module Window = Agrid_obs.Window
 module Trace = Agrid_obs.Trace
+module Clock = Agrid_obs.Clock
 module Chan = Agrid_par.Parallel.Chan
 
 type entry = {
@@ -38,39 +41,22 @@ type t = {
   workers : int;
   job_stride : int;
   obs : Sink.t;
-  trace : Trace.t option;  (* request tracing, opt-in like the ledger *)
   tenants : (string, tenant_state) Hashtbl.t;
       (* admission caps from [?tenant_caps]; tenants not listed here are
          never capped *)
-  window : Window.t;  (* rolling last-60s stats, guarded by [lock] *)
   chan : entry Chan.t;
+  front : entry Front.t;
   lock : Mutex.t;
   idle : Condition.t;
-  out_lock : Mutex.t;
-  started_at : float;
-  mutable next_id : int;
-  mutable outstanding : int;  (* accepted jobs queued or in flight *)
-  mutable accepted : int;
-  mutable completed : int;
+  mutable outstanding : int;  (* claimed jobs queued or in flight *)
   mutable deadline_missed : int;
   mutable errored : int;
-  mutable queue_full : int;
-  mutable malformed : int;
-  mutable draining : int;
   mutable tenant_quota : int;
-  mutable dropped : int;
-  mutable health : int;
-  mutable stats_reqs : int;
-  mutable respond_errors : int;
   mutable controller : unit Domain.t option;
   mutable state : [ `Created | `Running | `Stopped ];
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let latency_bounds = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.; 10. |]
+let with_lock = Front.with_lock
 
 let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?(job_stride = 8)
     ?workers ?(queue_capacity = 64) () =
@@ -89,46 +75,24 @@ let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?(job_stride = 8)
       Hashtbl.add tenants name
         { tn_cap = cap; tn_outstanding = 0; tn_high_water = 0; tn_rejected = 0 })
     tenant_caps;
+  let chan = Chan.create ~capacity:queue_capacity in
+  let lock = Mutex.create () in
   {
     workers;
     job_stride;
     obs;
-    trace;
     tenants;
-    window = Window.create ();
-    chan = Chan.create ~capacity:queue_capacity;
-    lock = Mutex.create ();
+    chan;
+    front = Front.create Front.Serve ~obs ~trace ~lock chan;
+    lock;
     idle = Condition.create ();
-    out_lock = Mutex.create ();
-    started_at = Unix.gettimeofday ();
-    next_id = 0;
     outstanding = 0;
-    accepted = 0;
-    completed = 0;
     deadline_missed = 0;
     errored = 0;
-    queue_full = 0;
-    malformed = 0;
-    draining = 0;
     tenant_quota = 0;
-    dropped = 0;
-    health = 0;
-    stats_reqs = 0;
-    respond_errors = 0;
     controller = None;
     state = `Created;
   }
-
-(* Serialize every response; a respond that raises (client hung up) is
-   counted, not propagated — it must not kill a worker domain. *)
-let send t respond line =
-  let failed =
-    with_lock t.out_lock (fun () ->
-        match respond line with () -> false | exception _ -> true)
-  in
-  if failed then with_lock t.lock (fun () -> t.respond_errors <- t.respond_errors + 1)
-
-let obs_incr t name = if Sink.enabled t.obs then Sink.incr t.obs name
 
 let tenant_of t (spec : Job.spec) =
   match spec.Job.tenant with
@@ -145,9 +109,7 @@ let tenant_release t (spec : Job.spec) =
    carries the router's trace id; locally submitted jobs derive their
    own from the collector's nonce. *)
 let trace_ev t (e : entry) kind =
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.record ?id:e.e_spec.Job.trace_id tr ~job:e.e_id kind
+  Front.record t.front ~trace_id:e.e_spec.Job.trace_id ~job:e.e_id kind
 
 (* callers hold t.lock *)
 let finish_one t =
@@ -158,16 +120,15 @@ let run_entry t e =
   let job_sink =
     if Sink.enabled t.obs then Sink.create ~stride:t.job_stride () else Sink.noop
   in
-  if t.trace <> None then
+  if Front.trace t.front <> None then
     with_lock t.lock (fun () ->
-        trace_ev t e
-          (Trace.Exec { queue_wait_s = Unix.gettimeofday () -. e.e_submitted }));
+        trace_ev t e (Trace.Exec { queue_wait_s = Clock.now_s () -. e.e_submitted }));
   let res = Job.run ~obs:job_sink e.e_spec in
-  let latency = Unix.gettimeofday () -. e.e_submitted in
-  send t e.e_respond (Codec.result_line ~id:e.e_id ~tag:e.e_tag ~latency_s:latency res);
+  let latency = Clock.now_s () -. e.e_submitted in
+  Front.send t.front e.e_respond
+    (Codec.result_line ~id:e.e_id ~tag:e.e_tag ~latency_s:latency res);
   with_lock t.lock (fun () ->
-      t.completed <- t.completed + 1;
-      let status_counter =
+      let counter =
         match res.Job.status with
         | Job.Ok_done -> "serve/completed"
         | Job.Deadline_missed ->
@@ -177,15 +138,9 @@ let run_entry t e =
             t.errored <- t.errored + 1;
             "serve/errored"
       in
-      let now = Unix.gettimeofday () in
-      Window.incr t.window ~now "completed";
-      Window.observe t.window ~now "latency_s" ~bounds:latency_bounds latency;
-      trace_ev t e (Trace.Respond { outcome = Job.status_to_string res.Job.status });
-      if Sink.enabled t.obs then begin
-        Sink.merge_into ~into:t.obs job_sink;
-        Sink.incr t.obs status_counter;
-        Sink.observe t.obs "serve/latency_s" ~bounds:latency_bounds latency
-      end;
+      Sink.merge_into ~into:t.obs job_sink;
+      Front.complete t.front ~trace_id:e.e_spec.Job.trace_id ~job:e.e_id
+        ~outcome:(Job.status_to_string res.Job.status) ~counter ~latency_s:latency;
       tenant_release t e.e_spec;
       finish_one t)
 
@@ -209,135 +164,53 @@ let start t =
                    Agrid_par.Parallel.run_workers ~domains:t.workers ~n:t.workers
                      (fun _ -> worker_loop t))))
 
-let health_payload t ~id =
-  with_lock t.lock (fun () ->
-      t.health <- t.health + 1;
-      obs_incr t "serve/health";
-      Codec.health_line ~id
-        ~uptime_s:(Unix.gettimeofday () -. t.started_at)
-        ~queue_depth:(Chan.length t.chan) ~workers:t.workers ~accepted:t.accepted
-        ~completed:t.completed)
-
-let stats_payload t ~id =
-  with_lock t.lock (fun () ->
-      t.stats_reqs <- t.stats_reqs + 1;
-      obs_incr t "serve/stats";
-      let now = Unix.gettimeofday () in
-      let q p =
-        match Window.merged_hist t.window ~now "latency_s" with
-        | None -> Float.nan
-        | Some h -> Agrid_obs.Hist.quantile h p
-      in
-      let trace_events, trace_dropped, trace_exemplars =
-        match t.trace with
-        | None -> (0, 0, 0)
-        | Some tr ->
-            (Trace.length tr, Trace.dropped tr, List.length (Trace.exemplars tr))
-      in
-      Codec.stats_line
-        {
-          Codec.ss_role = "serve";
-          ss_id = id;
-          ss_uptime_s = now -. t.started_at;
-          ss_queue_depth = Chan.length t.chan;
-          ss_in_flight = t.outstanding;
-          ss_workers = t.workers;
-          ss_accepted = t.accepted;
-          ss_completed = t.completed;
-          ss_window_s = Window.window_s t.window;
-          ss_rate = Window.rate t.window ~now "completed";
-          ss_p50_s = q 0.5;
-          ss_p95_s = q 0.95;
-          ss_p99_s = q 0.99;
-          ss_backends = [];
-          ss_trace_events = trace_events;
-          ss_trace_dropped = trace_dropped;
-          ss_trace_exemplars = trace_exemplars;
-        })
+(* Reserve the tenant's admission slot before touching the queue so a
+   capped tenant can never overshoot, even with racing producers; a queue
+   rejection hands the slot back through [undo]. *)
+let admit t respond ~id (spec : Job.spec) =
+  let claim () =
+    match tenant_of t spec with
+    | Some ts when ts.tn_outstanding >= ts.tn_cap ->
+        ts.tn_rejected <- ts.tn_rejected + 1;
+        t.tenant_quota <- t.tenant_quota + 1;
+        Sink.incr t.obs "serve/tenant_quota";
+        Error
+          (Codec.rejected_line ~tag:spec.Job.tag ~id ~reason:`Tenant_quota
+             ~detail:
+               (Fmt.str "tenant %S at its admission cap (%d outstanding)"
+                  (Option.value spec.Job.tenant ~default:"") ts.tn_cap)
+             ())
+    | ts ->
+        Option.iter
+          (fun ts ->
+            ts.tn_outstanding <- ts.tn_outstanding + 1;
+            ts.tn_high_water <- max ts.tn_high_water ts.tn_outstanding)
+          ts;
+        t.outstanding <- t.outstanding + 1;
+        Ok ()
+  in
+  {
+    Front.entry =
+      {
+        e_id = id;
+        e_tag = spec.Job.tag;
+        e_spec = spec;
+        e_submitted = Clock.now_s ();
+        e_respond = respond;
+      };
+    trace_id = spec.Job.trace_id;
+    claim;
+    undo =
+      (fun () ->
+        tenant_release t spec;
+        finish_one t);
+  }
 
 let submit t ~respond line =
-  let id =
-    with_lock t.lock (fun () ->
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        id)
-  in
-  match Codec.parse_request line with
-  | Error detail ->
-      with_lock t.lock (fun () ->
-          t.malformed <- t.malformed + 1;
-          obs_incr t "serve/malformed");
-      send t respond (Codec.rejected_line ~id ~reason:`Malformed ~detail ())
-  | Ok Codec.Health -> send t respond (health_payload t ~id)
-  | Ok Codec.Stats -> send t respond (stats_payload t ~id)
-  | Ok (Codec.Submit spec) -> (
-      (* Reserve the tenant's admission slot before touching the queue so
-         a capped tenant can never overshoot, even with racing producers;
-         a queue rejection below hands the slot back. *)
-      let quota_cap =
-        with_lock t.lock (fun () ->
-            match tenant_of t spec with
-            | None -> None
-            | Some ts ->
-                if ts.tn_outstanding >= ts.tn_cap then begin
-                  ts.tn_rejected <- ts.tn_rejected + 1;
-                  t.tenant_quota <- t.tenant_quota + 1;
-                  obs_incr t "serve/tenant_quota";
-                  Some ts.tn_cap
-                end
-                else begin
-                  ts.tn_outstanding <- ts.tn_outstanding + 1;
-                  if ts.tn_outstanding > ts.tn_high_water then
-                    ts.tn_high_water <- ts.tn_outstanding;
-                  None
-                end)
-      in
-      match quota_cap with
-      | Some cap ->
-          send t respond
-            (Codec.rejected_line ~tag:spec.Job.tag ~id ~reason:`Tenant_quota
-               ~detail:
-                 (Fmt.str "tenant %S at its admission cap (%d outstanding)"
-                    (Option.value spec.Job.tenant ~default:"") cap)
-               ())
-      | None -> (
-          let e =
-            {
-              e_id = id;
-              e_tag = spec.Job.tag;
-              e_spec = spec;
-              e_submitted = Unix.gettimeofday ();
-              e_respond = respond;
-            }
-          in
-          match Chan.try_push t.chan e with
-          | `Accepted depth ->
-              with_lock t.lock (fun () ->
-                  t.outstanding <- t.outstanding + 1;
-                  t.accepted <- t.accepted + 1;
-                  trace_ev t e Trace.Enqueue;
-                  if Sink.enabled t.obs then begin
-                    Sink.incr t.obs "serve/accepted";
-                    Sink.max_gauge t.obs "serve/queue_depth" (float_of_int depth)
-                  end)
-          | `Rejected `Full ->
-              with_lock t.lock (fun () ->
-                  tenant_release t spec;
-                  t.queue_full <- t.queue_full + 1;
-                  obs_incr t "serve/queue_full");
-              send t respond
-                (Codec.rejected_line ~tag:spec.Job.tag ~id ~reason:`Queue_full
-                   ~detail:
-                     (Fmt.str "queue at capacity (%d queued)" (Chan.length t.chan))
-                   ())
-          | `Rejected `Closed ->
-              with_lock t.lock (fun () ->
-                  tenant_release t spec;
-                  t.draining <- t.draining + 1;
-                  obs_incr t "serve/draining");
-              send t respond
-                (Codec.rejected_line ~tag:spec.Job.tag ~id ~reason:`Draining
-                   ~detail:"server is shutting down" ())))
+  Front.submit t.front ~respond line
+    ~health:(Codec.health_line ~workers:t.workers)
+    ~load:(fun () -> { Front.in_flight = t.outstanding; workers = t.workers; backends = [] })
+    ~admit:(admit t respond)
 
 let quiesce t =
   with_lock t.lock (fun () ->
@@ -366,13 +239,13 @@ let stop t =
   let abandoned = Chan.close t.chan in
   List.iter
     (fun e ->
-      with_lock t.lock (fun () ->
-          t.dropped <- t.dropped + 1;
-          obs_incr t "serve/dropped";
-          trace_ev t e (Trace.Respond { outcome = "dropped" });
-          tenant_release t e.e_spec;
-          finish_one t);
-      send t e.e_respond (Codec.dropped_line ~id:e.e_id ~tag:e.e_tag))
+      let line =
+        with_lock t.lock (fun () ->
+            tenant_release t e.e_spec;
+            finish_one t;
+            Front.drop t.front ~trace_id:e.e_spec.Job.trace_id ~job:e.e_id ~tag:e.e_tag)
+      in
+      Front.send t.front e.e_respond line)
     abandoned;
   quiesce t;
   join_pool t;
@@ -397,20 +270,21 @@ type stats = {
 
 let stats t =
   with_lock t.lock (fun () ->
+      let c = Front.counts t.front in
       {
-        s_requests = t.next_id;
-        s_accepted = t.accepted;
-        s_completed = t.completed;
+        s_requests = c.Front.requests;
+        s_accepted = c.accepted;
+        s_completed = c.completed;
         s_deadline_missed = t.deadline_missed;
         s_errored = t.errored;
-        s_queue_full = t.queue_full;
-        s_malformed = t.malformed;
-        s_draining = t.draining;
+        s_queue_full = c.queue_full;
+        s_malformed = c.malformed;
+        s_draining = c.draining;
         s_tenant_quota = t.tenant_quota;
-        s_dropped = t.dropped;
-        s_health = t.health;
-        s_stats = t.stats_reqs;
-        s_respond_errors = t.respond_errors;
+        s_dropped = c.dropped;
+        s_health = c.health;
+        s_stats = c.stats;
+        s_respond_errors = c.respond_errors;
         s_queue_high_water = Chan.high_water t.chan;
       })
 
@@ -425,8 +299,8 @@ let tenant_cap t name = tenant_lookup t name (fun ts -> ts.tn_cap)
 
 let queue_depth t = Chan.length t.chan
 let n_workers t = t.workers
-let uptime_s t = Unix.gettimeofday () -. t.started_at
-let trace t = t.trace
+let uptime_s t = Front.uptime_s t.front
+let trace t = Front.trace t.front
 
 let pp_stats ppf s =
   Fmt.pf ppf

@@ -1,32 +1,24 @@
 (** The scenario service: a queued scheduling-job daemon.
 
     One server owns a bounded FIFO job queue ({!Agrid_par.Parallel.Chan})
-    and a persistent pool of worker domains. Producers call {!submit}
-    with raw request lines; the server assigns every request (malformed
-    and health included) a monotone id, answers health synchronously,
-    rejects jobs over capacity with a typed [queue_full] line (producers
-    never block — backpressure, not buffering), and streams one
-    {!Codec.result_line} per accepted job through the caller's [respond]
-    callback as workers finish. Responses are serialized (one writer at a
-    time), so [respond] needs no locking of its own.
+    and a persistent pool of worker domains. {!submit} runs the admission
+    ladder shared with the fleet router ({!Front}): every request
+    (malformed and health included) gets a monotone id; health, stats and
+    malformed lines are answered at once; a job over capacity gets a
+    typed [queue_full] line (producers never block). The server adds only
+    per-tenant admission caps. Each accepted job gets one
+    {!Codec.result_line} through the caller's [respond] as workers
+    finish. Responses are serialized, so [respond] needs no locking of
+    its own.
 
     Telemetry: each job runs against a private sink merged into the pool
-    sink afterwards, alongside pool-level counters ([serve/accepted],
-    [serve/completed], [serve/deadline_missed], [serve/errored],
-    [serve/queue_full], [serve/malformed], [serve/tenant_quota],
-    [serve/dropped],
-    [serve/health], [serve/stats]), the queue-depth high-water gauge
-    ([serve/queue_depth]) and a per-job latency histogram
-    ([serve/latency_s]). With the default no-op sink all of it is
-    inert.
-
-    Introspection: a [kind:"stats"] request is answered synchronously
-    with an [agrid-stats/1] snapshot — rolling-window completion rate and
-    latency quantiles (an always-on {!Agrid_obs.Window}, ~60 s), queue
-    depth, in-flight count and trace-ring occupancy. Request tracing is
-    opt-in: pass [?trace] and every accepted job records typed
-    {!Agrid_obs.Trace} events (enqueue, exec with queue-wait, respond);
-    relayed jobs keep the router-stamped trace id from the wire. *)
+    sink afterwards, alongside [serve/*] counters (accepted, completed,
+    deadline_missed, errored, queue_full, malformed, draining,
+    tenant_quota, dropped, health, stats), the [serve/queue_depth]
+    high-water gauge and the [serve/latency_s] histogram. With the
+    default no-op sink all of it is inert. Request tracing is opt-in
+    ([?trace]): enqueue, exec (with queue wait) and respond events, under
+    the router-stamped trace id for relayed jobs. *)
 
 type t
 

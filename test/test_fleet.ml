@@ -15,6 +15,7 @@ module Registry = Agrid_obs.Registry
 module Serialize = Agrid_workload.Serialize
 module Job = Agrid_serve.Job
 module Codec = Agrid_serve.Codec
+module Server = Agrid_serve.Server
 module Policy = Agrid_fleet.Policy
 module Router = Agrid_fleet.Router
 module Sim = Agrid_fleet.Sim
@@ -380,7 +381,71 @@ let test_router_admission_backpressure_and_drop () =
   let j2 =
     List.find (fun j -> get_int "id" j = 2) (List.map parse_line (collected c))
   in
-  Alcotest.(check string) "draining after stop" "draining" (get_str "reason" j2)
+  Alcotest.(check string) "draining after stop" "draining" (get_str "reason" j2);
+  Alcotest.(check int) "draining counted" 1 (Router.stats r).Router.st_draining
+
+(* The two daemons share one admission front: the same script against a
+   never-started server and a never-started router (whose backend is never
+   connected) must give every id the same answer type and reason, in the
+   same order, and agree on the shared counters. Job 3 sits in the
+   one-deep queue, job 4 overflows it, [stop] drops job 3, and job 5
+   arrives after shutdown. *)
+let test_admission_parity () =
+  let kind k = Fmt.str "{\"schema\":\"agrid-job/1\",\"kind\":\"%s\"}" k in
+  let script =
+    [ `Line "garbage"; `Line (kind "health"); `Line (kind "stats");
+      `Line (job_line ()); `Line (job_line ()); `Stop; `Line (job_line ()) ]
+  in
+  let play submit stop =
+    let c = collector () in
+    List.iter
+      (function `Line l -> submit ~respond:(respond_to c) l | `Stop -> stop ())
+      script;
+    collected c
+  in
+  let serve () =
+    let s = Server.create ~workers:1 ~queue_capacity:1 () in
+    let lines = play (Server.submit s) (fun () -> ignore (Server.stop s)) in
+    let st = Server.stats s in
+    ( lines,
+      Server.
+        [ st.s_requests; st.s_malformed; st.s_health; st.s_stats; st.s_accepted;
+          st.s_queue_full; st.s_draining; st.s_dropped ] )
+  in
+  let router () =
+    let never = { Router.name = "never"; connect = (fun () -> failwith "connected") } in
+    let r = Router.create { quick_config with Router.queue_capacity = 1 } [ never ] in
+    let lines = play (Router.submit r) (fun () -> ignore (Router.stop r)) in
+    let st = Router.stats r in
+    ( lines,
+      Router.
+        [ st.st_requests; st.st_malformed; st.st_health; st.st_stats; st.st_accepted;
+          st.st_queue_full; st.st_draining; st.st_dropped ] )
+  in
+  let expected =
+    [ (0, "rejected", Some "malformed"); (1, "health", None); (2, "stats", None);
+      (4, "rejected", Some "queue_full"); (3, "dropped", None);
+      (5, "rejected", Some "draining") ]
+  in
+  let counters =
+    List.map
+      (fun (name, run) ->
+        let lines, counters = run () in
+        let answers =
+          List.map
+            (fun l ->
+              let j = parse_line l in
+              (get_int "id" j, get_str "type" j, Json.get_string "reason" j))
+            lines
+        in
+        Alcotest.(check (list (triple int string (option string))))
+          (name ^ ": one answer per id, in arrival order") expected answers;
+        counters)
+      [ ("serve", serve); ("router", router) ]
+  in
+  Alcotest.(check (list (list int))) "shared counters agree"
+    [ [ 6; 1; 1; 1; 1; 1; 1; 1 ]; [ 6; 1; 1; 1; 1; 1; 1; 1 ] ]
+    counters
 
 let test_router_obs_counters () =
   let sink = Sink.create () in
@@ -532,6 +597,8 @@ let suites =
           test_router_all_dead_saturates_then_recovers;
         Alcotest.test_case "router: admission backpressure and stop" `Quick
           test_router_admission_backpressure_and_drop;
+        Alcotest.test_case "serve and router: admission parity" `Quick
+          test_admission_parity;
         Alcotest.test_case "router: fleet telemetry" `Quick test_router_obs_counters;
         Alcotest.test_case "router: stats request snapshot" `Quick
           test_router_stats_request;
