@@ -466,13 +466,14 @@ let run_obs_profile config ~total_seconds =
       (100. *. float_of_int reused /. float_of_int (reused + rebuilt));
   (* Steady-state allocation budget of the SoA arena (the default mode
      above): two fresh runs of a commit-free scenario (batteries scaled
-     to ~nothing, so every pool filters empty and the clock spins to tau)
-     that differ only in timestep count. Per-run constants — arena
-     construction, the schedule, the loop closures — cancel in the
-     difference, leaving bytes per steady-state timestep. Committed as
-     the "slrh/minor_alloc_bytes" gauge, which check_regression treats
-     as an upper-bound budget: the committed value is 0, so any new
-     per-timestep allocation fails the gate. *)
+     to ~nothing, so every pool filters empty) that differ only in
+     timestep count. Machine 0 is kept busy at every grid point of both
+     runs, so no sweep is jumped and every timestep is really swept.
+     Per-run constants — arena construction, the schedule, the loop
+     closures — cancel in the difference, leaving bytes per steady-state
+     timestep. Committed as the "slrh/minor_alloc_bytes" gauge, which
+     check_regression treats as an upper-bound budget: the committed
+     value is 0, so any new per-timestep allocation fails the gate. *)
   let steady_workload =
     Workload.build
       {
@@ -481,16 +482,32 @@ let run_obs_profile config ~total_seconds =
       }
       ~etc_index:0 ~dag_index:0 ~case:Agrid_platform.Grid.A
   in
+  let dt_a = config.Config.delta_t and dt_b = max 1 (config.Config.delta_t / 2) in
+  let swept_schedule () =
+    let sched = Agrid_sched.Schedule.create steady_workload in
+    let busy = Agrid_sched.Schedule.exec_timeline sched 0 in
+    List.iter
+      (fun dt ->
+        for k = 0 to (Workload.tau steady_workload / dt) + 1 do
+          if Agrid_sched.Timeline.is_free busy ~start:(k * dt) ~stop:((k * dt) + 1) then
+            Agrid_sched.Timeline.insert busy ~start:(k * dt) ~stop:((k * dt) + 1)
+        done)
+      [ dt_a; dt_b ];
+    sched
+  in
   let steady_run ~delta_t =
     let p = { params with Agrid_core.Slrh.delta_t; obs = Agrid_obs.Sink.noop } in
+    let sched = swept_schedule () in
+    Gc.minor ();
     let before = Gc.allocated_bytes () in
-    let o = Agrid_core.Slrh.run p steady_workload in
+    let o = Agrid_core.Slrh.continue_run p sched in
+    Gc.minor ();
     let after = Gc.allocated_bytes () in
     (o.Agrid_core.Slrh.stats.Agrid_core.Slrh.clock_steps, after -. before)
   in
   ignore (steady_run ~delta_t:config.Config.delta_t) (* warm-up *);
-  let steps_a, bytes_a = steady_run ~delta_t:config.Config.delta_t in
-  let steps_b, bytes_b = steady_run ~delta_t:(max 1 (config.Config.delta_t / 2)) in
+  let steps_a, bytes_a = steady_run ~delta_t:dt_a in
+  let steps_b, bytes_b = steady_run ~delta_t:dt_b in
   let per_step = (bytes_b -. bytes_a) /. float_of_int (max 1 (steps_b - steps_a)) in
   Agrid_obs.Sink.set_gauge sink "slrh/minor_alloc_bytes" per_step;
   Fmt.pr "steady-state allocation: %g bytes/timestep (%d vs %d steps)@." per_step

@@ -111,6 +111,25 @@ val score_into :
     schedule-wide inputs are hoisted out of the loop, and with warm
     bounds the pass performs no heap allocation. *)
 
+val parent_bound_into :
+  Schedule.t ->
+  task:int ->
+  machine:int ->
+  slot:int ->
+  int array ->
+  float array ->
+  unit
+(** [parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm]
+    prices one candidate's parent bounds into the flat store
+    {!score_into} fills: [bound_ready.(slot)] gets the latest stop over
+    same-machine parents and stop-plus-transfer-cycles over cross-machine
+    ones ([min_int] for a root), [bound_comm.(slot)] the incoming
+    communication energy. No {!Schedule.plan} of [task] on [machine]
+    starts before [bound_ready.(slot)], at any [not_before], which is what
+    lets the SLRH walk skip plans the horizon has already ruled out
+    (pinned by a QCheck property).
+    @raise Invalid_argument on an unmapped parent. *)
+
 val score_bounds : float array
 (** Histogram bucket bounds spanning the objective's analytic range
     [[-1, 1]], for score-distribution telemetry

@@ -50,8 +50,12 @@ let machine_order_to_string = function
    when no commit happened since they were built — on the preallocated
    flat arrays of {!Pool.Flat}, batch-filtering and batch-scoring each
    pool in single passes and walking it in place, so a steady-state
-   timestep allocates nothing at all. The differential test suite pins
-   it bit-identical to [`Rescan]. *)
+   timestep allocates nothing at all. It also skips work whose result is
+   already known: candidates whose parent-ready bound lies past the
+   horizon are not planned, and timesteps on which nothing can change are
+   jumped over (DESIGN.md section 13). The differential test suite pins
+   its schedules bit-identical to [`Rescan], and its work counts no
+   larger. *)
 type mode = [ `Rescan | `Soa ]
 
 let mode_to_string = function `Rescan -> "rescan" | `Soa -> "soa"
@@ -80,11 +84,11 @@ type params = {
           the default no-op sink is provably inert — the scheduler's
           output is bit-identical with or without it (tested) *)
   cancel : unit -> bool;
-      (** cooperative cancellation, polled once per timestep before any
-          work for that step: returning [true] ends the run where it
-          stands (the scenario service's per-job wall-clock deadline).
-          The default never cancels, leaving the loop bit-identical to
-          the uncancellable one. *)
+      (** cooperative cancellation, polled once per swept timestep
+          before any work for that step: returning [true] ends the run
+          where it stands (the scenario service's per-job wall-clock
+          deadline). The default never cancels, leaving the loop
+          bit-identical to the uncancellable one. *)
   adapt : Adapt.t option;
       (** online dual-ascent controller: when set, scoring reads ITS
           weights (seeded from [weights]) instead of the static ones, and
@@ -146,7 +150,7 @@ let machine_sequence params sched ~n_machines =
       order
 
 type stats = {
-  clock_steps : int;  (** timesteps executed *)
+  clock_steps : int;  (** timesteps the clock passed, jumped ones included *)
   pools_built : int;
   candidates_scored : int;
   plans_attempted : int;
@@ -405,17 +409,29 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
    differential suite compares every artefact of this walk against the
    oracle directly.
 
+   Without a ledger the walk does not plan a candidate whose parent-ready
+   bound ([Pool.Flat.bound_ready], priced by [score_into]) already lies
+   past [now + horizon]: [Schedule.plan] can only start it later still,
+   so it would miss. Walk order and the committed candidate are
+   unchanged. The smallest [bound - horizon] over such candidates is
+   folded into [wake], which the clock loop uses to jump idle timesteps.
+
    Closure discipline: every function below that runs on the
    steady-state path is a top-level function, every telemetry closure is
    built only under [Sink.enabled], each recorder is a [match] on an
    option resolved once per run, and the walk recursions carry their
-   state in arguments — so a timestep whose pools are reused and empty
-   performs zero heap allocation when no recorder is attached (pinned by
-   test_alloc). *)
+   state in arguments — so a swept timestep whose pools are reused and
+   empty, and a jumped one, perform zero heap allocation when no recorder
+   is attached (pinned by test_alloc). *)
 
 type soa = {
   arena : Pool.Flat.t;
   ledger : Agrid_obs.Ledger.t option;  (* [Sink.ledger params.obs], hoisted *)
+  bound_skip : bool;  (* skip plans the bound rules out: no ledger attached *)
+  mutable bounded : int;  (* candidates the bound ruled out, whole run *)
+  mutable wake : int;
+      (* this sweep: earliest clock at which a bounded-out candidate could
+         fit or a busy machine frees; [max_int] when none *)
 }
 
 (* Rebuild machine's pool into its arena row at [epoch]. With a ledger
@@ -550,10 +566,10 @@ let record_flat_commit params (s : soa) sched led ~machine ~now ~n ~i ~rank
   done
 
 (* [try_assign] on the arena: walk the sort order from position [i],
-   plan each unmapped candidate, commit the first whose start fits the
-   horizon; returns the committed task id or -1. [skipped] counts the
-   already-mapped stragglers passed so far and [drained] those in the
-   whole pool (SLRH-2's commits from this same pool), so ranks and pool
+   plan each unmapped candidate the bound does not rule out, commit the
+   first whose start fits the horizon; returns the committed task id or
+   -1. [skipped] counts the already-mapped stragglers passed so far and
+   [drained] those in the whole pool (SLRH-2's commits from this same pool), so ranks and pool
    sizes leave them out exactly as the rescan path's filtered list does.
    Top-level recursion, state in arguments: an exhausting walk over an
    empty reused pool allocates nothing. *)
@@ -565,12 +581,21 @@ let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
     -1
   end
   else begin
-    let row = s.arena.Pool.Flat.rows.(machine) in
-    let k = s.arena.Pool.Flat.order.(i) in
+    let arena = s.arena in
+    let row = arena.Pool.Flat.rows.(machine) in
+    let k = arena.Pool.Flat.order.(i) in
     let task = row.Pool.Flat.tasks.(k) in
+    let bound = arena.Pool.Flat.bound_ready.((task * arena.Pool.Flat.n_machines) + machine) in
     if Schedule.is_mapped sched task then
       flat_walk params s sched ~machine ~now ~drained n (i + 1) (skipped + 1)
         plans_attempted
+    else if s.bound_skip && bound > now + params.horizon then begin
+      (* ruled out without planning: [plan] cannot start before [bound] *)
+      s.bounded <- s.bounded + 1;
+      if bound - params.horizon < s.wake then s.wake <- bound - params.horizon;
+      flat_walk params s sched ~machine ~now ~drained n (i + 1) skipped
+        plans_attempted
+    end
     else begin
       incr plans_attempted;
       let version = row.Pool.Flat.versions.(k) in
@@ -637,6 +662,16 @@ let rec flat_v3 params s ~eligible sched ~machine ~now committed pools_built
   else if committed = 0 then
     record_idle s.ledger ~clock:now ~machine (idle_cause ~pool_size:n)
 
+(* Where the clock goes after a sweep at [now] that planned nothing: the
+   first grid point [now + k * delta_t] (k >= 1) at or after [wake], but
+   never past [last], the first grid point beyond [tau] — where stepping
+   would have ended the run anyway, so [final_clock] is unchanged. *)
+let jump_target ~now ~delta_t ~tau ~wake =
+  let last = now + ((((tau - now) / delta_t) + 1) * delta_t) in
+  if wake >= last then last
+  else if wake <= now + delta_t then now + delta_t
+  else now + ((wake - now + delta_t - 1) / delta_t * delta_t)
+
 let validate_params params =
   if params.delta_t <= 0 then invalid_arg "Slrh: delta_t must be positive";
   if params.horizon < 0 then invalid_arg "Slrh: horizon must be nonnegative"
@@ -675,9 +710,24 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
               Pool.Flat.create ~feas_mode:params.feas_mode
                 ~reuse_pools:(Option.is_none ledger) workload;
             ledger;
+            bound_skip = Option.is_none ledger;
+            bounded = 0;
+            wake = max_int;
           }
   in
+  (* Idle-step jumps (DESIGN.md section 13): after a sweep that planned
+     nothing, no timestep before the sweep's [wake] can plan or commit
+     either — pools, feasibility and bounds only change at a commit, the
+     mask and [eligible] are fixed for the run, and [Adapt] idles on a
+     commit-free step — so the clock jumps to the first grid point at or
+     after it. Off whenever a recorder wants its per-step idle entries
+     (tracer, ledger). The telemetry sink never changes control flow:
+     sink on and sink off take the same jumps. *)
+  let jumps =
+    match soa with Some s -> s.bound_skip && Option.is_none params.tracer | None -> false
+  in
   let clock_steps = ref 0 in
+  let steps_jumped = ref 0 in
   let pools_built = ref 0 in
   let candidates_scored = ref 0 in
   let plans_attempted = ref 0 in
@@ -695,8 +745,8 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     | [] -> Agrid_obs.Ledger.Pool_empty
     | _ :: _ -> Agrid_obs.Ledger.Horizon_miss
   in
-  (* Cooperative cancellation, polled once per timestep as part of the
-     loop condition: once [params.cancel] fires the run ends where it
+  (* Cooperative cancellation, polled once per swept timestep as part of
+     the loop condition: once [params.cancel] fires the run ends where it
      stands (no partial sweep). The default cancel is [fun () -> false],
      so the uncancelled loop is bit-identical to the historical one. *)
   let cancelled = ref false in
@@ -740,6 +790,8 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
                (Array.to_list (machine_sequence params sched ~n_machines)))
     in
     let n_swept = Array.length sequence in
+    let plans_before = !plans_attempted in
+    (match soa with Some s -> s.wake <- max_int | None -> ());
     machine := 0;
     while (not (Schedule.all_mapped sched)) && !machine < n_swept do
       let j = sequence.(!machine) in
@@ -816,7 +868,14 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
                     (if !last_pool_empty then Agrid_obs.Ledger.Pool_empty
                      else Agrid_obs.Ledger.Horizon_miss))
       end
-      else record_idle ledger ~clock:!now ~machine:j Agrid_obs.Ledger.Busy;
+      else begin
+        record_idle ledger ~clock:!now ~machine:j Agrid_obs.Ledger.Busy;
+        match soa with
+        | Some s when jumps ->
+            let free = Schedule.machine_free_from sched ~machine:j ~time:!now in
+            if free < s.wake then s.wake <- free
+        | _ -> ()
+      end;
       incr machine
     done;
     (* after the sweep: one dual round if this timestep committed anything
@@ -843,7 +902,17 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
       snap_pools := !pools_built;
       snap_cands := !candidates_scored
     end;
-    if not (Schedule.all_mapped sched) then now := !now + params.delta_t
+    if not (Schedule.all_mapped sched) then
+      match soa with
+      | Some s when jumps && !plans_attempted = plans_before ->
+          let target =
+            jump_target ~now:!now ~delta_t:params.delta_t ~tau ~wake:s.wake
+          in
+          let passed = (target - !now - params.delta_t) / params.delta_t in
+          clock_steps := !clock_steps + passed;
+          steps_jumped := !steps_jumped + passed;
+          now := target
+      | _ -> now := !now + params.delta_t
   done;
   let wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0 in
   if Agrid_obs.Sink.enabled obs then begin
@@ -856,12 +925,14 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     Agrid_obs.Sink.max_gauge obs "slrh/final_clock" (float_of_int !now);
     (match soa with
     | None -> ()
-    | Some { arena = a; _ } ->
+    | Some ({ arena = a; _ } as s) ->
         (* arena sizing telemetry: capacity/regrowth are whole-run facts,
            emitted once here rather than inside the sweep *)
         Agrid_obs.Sink.max_gauge obs "slrh/pool_capacity"
           (float_of_int (Pool.Flat.capacity a));
-        Agrid_obs.Sink.add obs "slrh/pool_regrown" (Pool.Flat.regrown a))
+        Agrid_obs.Sink.add obs "slrh/pool_regrown" (Pool.Flat.regrown a);
+        Agrid_obs.Sink.add obs "slrh/plans_bounded" s.bounded;
+        Agrid_obs.Sink.add obs "slrh/steps_jumped" !steps_jumped)
   end;
   {
     schedule = sched;

@@ -44,11 +44,22 @@ type mode = [ `Rescan | `Soa ]
     timesteps with no recorder attached perform zero heap allocation
     (pinned by the allocation-budget suite).
 
-    Both modes produce bit-identical schedules, traces, ledger records
-    and obs counters — pinned by the differential suite — except for the
-    [`Soa]-only maintenance counters ["slrh/pool_reused"] /
-    ["slrh/pool_rebuilt"] and arena gauges ["slrh/pool_capacity"] /
-    ["slrh/pool_regrown"], plus span durations. Whole-pool reuse is
+    [`Soa] also skips work whose result is already known. Without a
+    ledger it does not plan a candidate whose parent-ready bound lies
+    past [now + horizon] (the plan could only start later still), and
+    without a ledger or tracer it jumps the clock over timesteps that
+    provably cannot plan or commit anything (DESIGN.md section 13). The
+    telemetry sink never changes either decision.
+
+    Both modes produce bit-identical schedules, traces, ledger records,
+    [clock_steps], [assignments] and final clocks — pinned by the
+    differential suite. [`Soa]'s work counts (pools built, candidates
+    scored, plans attempted, horizon misses and their spans and
+    histograms) are never larger than [`Rescan]'s, and equal when a ledger
+    is attached. [`Soa] alone emits the maintenance counters
+    ["slrh/pool_reused"] / ["slrh/pool_rebuilt"] /
+    ["slrh/plans_bounded"] / ["slrh/steps_jumped"] and arena gauges
+    ["slrh/pool_capacity"] / ["slrh/pool_regrown"]. Whole-pool reuse is
     disabled while a decision ledger is attached (each rebuild emits
     rejection entries reuse cannot replay) and assumes [eligible] is
     stable for the duration of the run, as both the plain loop and the
@@ -73,17 +84,18 @@ type params = {
           [slrh/pool_build], [slrh/score], [slrh/plan],
           [feasibility/filter]), counters mirroring {!stats}, score and
           pool-size histograms, and one {!Agrid_obs.Snapshot.t} per
-          timestep (stride-gated by the sink). A sink created with
-          [~ledger:true] additionally records the decision ledger: typed
-          per-candidate rejections, commit score decompositions with the
-          runner-up margin, and per-machine idle causes. The default
+          swept timestep, carrying its clock (stride-gated by the sink).
+          A sink created with [~ledger:true] additionally records the
+          decision ledger: typed per-candidate rejections, commit score
+          decompositions with the runner-up margin, and per-machine idle
+          causes. The default
           no-op sink is inert: scheduler output is bit-identical with or
           without it (ledger on or off). *)
   cancel : unit -> bool;
-      (** cooperative cancellation, polled once per timestep before any
-          work for that step: returning [true] ends the run where it
-          stands, leaving [completed = false] and the schedule as built
-          so far. The scenario service ({!Agrid_serve}) uses this to
+      (** cooperative cancellation, polled once per swept timestep
+          before any work for that step: returning [true] ends the run
+          where it stands, leaving [completed = false] and the schedule
+          as built so far. The scenario service ({!Agrid_serve}) uses this to
           enforce per-job wall-clock deadlines without preemption. The
           default never cancels; the loop is then bit-identical to the
           uncancellable one. *)
@@ -100,7 +112,7 @@ type params = {
 val default_params : ?variant:variant -> Objective.weights -> params
 
 type stats = {
-  clock_steps : int;
+  clock_steps : int;  (** timesteps the clock passed, jumped ones included *)
   pools_built : int;
   candidates_scored : int;
   plans_attempted : int;

@@ -119,6 +119,13 @@ let ch_in_timeline t machine = t.ch_in.(machine)
 
 let machine_free_at t ~machine ~time = Timeline.is_free_at t.exec.(machine) time
 
+(* The first cycle at or after [time] that no execution interval covers:
+   [time] itself on a free machine, else the end of the busy run covering
+   it (back-to-back intervals chain). A one-cycle [first_fit] is exactly
+   that search. *)
+let machine_free_from t ~machine ~time =
+  Timeline.first_fit t.exec.(machine) ~not_before:time ~duration:1
+
 let parents_mapped t task =
   Array.for_all
     (fun (p, _) -> t.placements.(p) <> None)

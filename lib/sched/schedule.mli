@@ -63,6 +63,12 @@ val ch_in_timeline : t -> int -> Timeline.t
 
 val machine_free_at : t -> machine:int -> time:int -> bool
 
+val machine_free_from : t -> machine:int -> time:int -> int
+(** The earliest cycle [>= time] at which [machine] is not executing: [time]
+    when {!machine_free_at} holds there, else the end of the current busy
+    run (back-to-back intervals chain). Allocates nothing.
+    @raise Invalid_argument on a negative [time]. *)
+
 val ready_unmapped : t -> int list
 (** Unmapped tasks whose parents are all mapped — the candidate-pool
     universe. Maintained incrementally (O(frontier), not O(|T|)). *)

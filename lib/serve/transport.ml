@@ -34,7 +34,11 @@ let listen ~path =
       (try Unix.close sock with Unix.Unix_error _ -> ());
       Error (Fmt.str "cannot listen on %s: %s" path (Unix.error_message err))
 
+(* Closing a listening socket does not wake a thread blocked in
+   [accept] on it (Linux); shutting it down first does, with EINVAL,
+   which [accept_loop] takes as "the socket is gone". *)
 let shutdown t =
+  (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   (try Unix.close t.sock with Unix.Unix_error _ -> ());
   try Unix.unlink t.path with Unix.Unix_error _ -> ()
 

@@ -2,22 +2,38 @@
 
    Measures heap allocation per steady-state timestep with an A/B
    differential: two fresh, identical runs of a commit-free scenario
-   (batteries scaled to ~nothing, so every candidate is energy-infeasible
-   and the clock spins to tau without ever committing) that differ only
-   in delta_t, hence only in timestep count. Per-run constants — the
-   schedule, the arena, the memo, closures built before the loop — cancel
-   in the difference, leaving exactly bytes-per-extra-timestep.
-   Gc.allocated_bytes is an exact allocation count (not a heap size), so
-   the measurement is deterministic and the SoA budget can be asserted as
-   EXACTLY zero: one stray closure, boxed float or tuple on the
-   steady-state path shows up as a hard failure here, not as GC noise in
-   a benchmark.
+   that differ only in delta_t, hence only in timestep count. Per-run
+   constants — the schedule, the arena, the memo, closures built before
+   the loop — cancel in the difference, leaving exactly
+   bytes-per-extra-timestep. Gc.allocated_bytes is an exact allocation
+   count (not a heap size), so the measurement is deterministic and the
+   SoA budget can be asserted as EXACTLY zero: one stray closure, boxed
+   float or tuple on the steady-state path shows up as a hard failure
+   here, not as GC noise in a benchmark.
+
+   The soa walk jumps the clock over timesteps that cannot plan, so the
+   commit-free scenario (batteries scaled to ~nothing, every pool empty)
+   now jumps from its first sweep to the end; measured as is, it pins
+   that jumped steps cost nothing. The swept fixtures keep every step
+   swept by making machine 0 busy at every grid point of both runs (a
+   one-cycle interval at every multiple of 5): with empty pools they pin
+   the old steady state (reused pools, every walk exhausted, plus the
+   busy machine's free-time lookup); with every root replayed far past
+   tau they hold non-empty pools whose every candidate the parent-ready
+   bound rules out, so each swept step re-scores, sorts and walks them
+   without planning.
 
    Budgets per mode:
-   - `Soa      : 0 bytes/timestep, all three variants. The flat arena is
-                 the whole point — reused pools re-score into
+   - `Soa      : 0 bytes per swept timestep with empty pools and 0 bytes
+                 per jumped timestep, all three variants. The flat arena
+                 is the whole point — reused pools re-score into
                  preallocated rows and the walk commits off the arena.
-   - `Rescan   : nonzero (span thunks, pool lists, scored tuples).
+                 With bound-ruled-out pools the batch scorer still boxes
+                 floats (no cross-module inlining in the dev profile), so
+                 that row is reported and must stay below rescan's on the
+                 same fixture.
+   - `Rescan   : nonzero (span thunks, pool lists, scored tuples) on the
+                 commit-free scenario, where it sweeps every step.
                  Asserted positive — if the boxed oracle ever measures 0
                  the harness itself has gone blind — and under a generous
                  ceiling so a quadratic blowup still fails.
@@ -59,35 +75,82 @@ let steady_workload =
     { spec with Spec.battery_scale = 1e-9 *. spec.Spec.battery_scale }
     ~etc_index:0 ~dag_index:0 ~case:Grid.A
 
-let run_measured ~mode ~variant ~delta_t wl =
+(* A fresh schedule for [wl] with machine 0 busy at every multiple of 5
+   up to past tau — every grid point of the delta_t 10 and 5 runs — so no
+   sweep may jump. [~far_roots] also replays every root on machines
+   1.. far past tau, leaving only candidates the bound rules out. *)
+let swept_schedule ~far_roots wl =
+  let module Schedule = Agrid_sched.Schedule in
+  let sched = Schedule.create wl in
+  let m = Workload.n_machines wl in
+  let far = 10 * Workload.tau wl in
+  if far_roots then
+    List.iteri
+      (fun i task ->
+        Schedule.replay_placement sched
+          {
+            Schedule.task;
+            version = Version.Primary;
+            machine = 1 + (i mod (m - 1));
+            start = far + (10 * i);
+            stop = far + (10 * i) + 5;
+          })
+      (Agrid_dag.Dag.roots (Workload.dag wl));
+  let busy = Schedule.exec_timeline sched 0 in
+  for k = 0 to (Workload.tau wl / 5) + 1 do
+    Agrid_sched.Timeline.insert busy ~start:(5 * k) ~stop:((5 * k) + 1)
+  done;
+  sched
+
+let run_measured ?(fixture = Agrid_sched.Schedule.create) ~mode ~variant ~delta_t wl =
   let p =
     { (Slrh.default_params ~variant weights) with Slrh.mode; delta_t }
   in
+  let sched = fixture wl in
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
-  let o = Slrh.run p wl in
+  let o = Slrh.continue_run p sched in
+  Gc.minor ();
   let after = Gc.allocated_bytes () in
-  (o.Slrh.stats.Slrh.clock_steps, after -. before)
+  (o.Slrh.stats, after -. before)
 
-(* Bytes per steady-state timestep: run the commit-free scenario at
-   delta_t 10 and 5 (double the steps), divide the allocation difference
-   by the step difference. A warm-up run per (mode, variant) keeps
-   one-time pricing out of run A. *)
-let steady_bytes_per_step ~mode ~variant =
-  ignore (run_measured ~mode ~variant ~delta_t:10 steady_workload);
-  let steps_a, bytes_a = run_measured ~mode ~variant ~delta_t:10 steady_workload in
-  let steps_b, bytes_b = run_measured ~mode ~variant ~delta_t:5 steady_workload in
+(* Bytes per steady-state timestep: run a commit-free fixture at delta_t
+   10 and 5 (double the steps), divide the allocation difference by the
+   step difference. A warm-up run per (mode, variant) keeps one-time
+   pricing out of run A. [shape] checks the two runs' stats: that the
+   fixture was swept, or jumped, as intended. *)
+let steady_bytes_per_step ?fixture ~shape ~mode ~variant wl =
+  ignore (run_measured ?fixture ~mode ~variant ~delta_t:10 wl);
+  let a, bytes_a = run_measured ?fixture ~mode ~variant ~delta_t:10 wl in
+  let b, bytes_b = run_measured ?fixture ~mode ~variant ~delta_t:5 wl in
+  let steps (st : Slrh.stats) = st.Slrh.clock_steps in
   check
     (Fmt.str "steady scenario commits nothing (%s)" (Slrh.mode_to_string mode))
-    (steps_b > steps_a);
-  (bytes_b -. bytes_a) /. float_of_int (max 1 (steps_b - steps_a))
+    (steps b > steps a && a.Slrh.assignments = 0 && b.Slrh.assignments = 0);
+  shape a;
+  shape b;
+  (bytes_b -. bytes_a) /. float_of_int (steps b - steps a)
+
+(* Every step swept: every machine but the busy machine 0 builds a pool
+   at every step, and (soa) the bound leaves nothing to plan. *)
+let swept ~mode ~scored wl (st : Slrh.stats) =
+  check
+    (Fmt.str "%s: every step swept" (Slrh.mode_to_string mode))
+    (st.Slrh.pools_built >= (Workload.n_machines wl - 1) * st.Slrh.clock_steps);
+  check
+    (Fmt.str "%s: pools as intended (scored %d)" (Slrh.mode_to_string mode)
+       st.Slrh.candidates_scored)
+    (scored = (st.Slrh.candidates_scored > 0));
+  if mode = `Soa then check "soa: nothing planned" (st.Slrh.plans_attempted = 0)
+
+let jumped (st : Slrh.stats) =
+  check "soa: the commit-free run jumped" (st.Slrh.pools_built < st.Slrh.clock_steps)
 
 let active_total_bytes ~mode ~variant =
   ignore (run_measured ~mode ~variant ~delta_t:10 active_workload);
   snd (run_measured ~mode ~variant ~delta_t:10 active_workload)
 
 let variants = [ (Slrh.V1, "V1"); (Slrh.V2, "V2"); (Slrh.V3, "V3") ]
-let modes = [ (`Rescan, "rescan"); (`Soa, "soa") ]
-
 (* Per-plan allocation. Task 3 joins three parents: tasks 0 and 1 on
    machine 0 (two transfers sharing its out-channel) and task 2 on machine
    2, all feeding machine 1's in-channel. The long-channel schedule is the
@@ -157,47 +220,61 @@ let plan_bytes ~pad =
   (p, (after -. before) /. float_of_int calls)
 
 let () =
-  Fmt.pr "steady-state bytes/timestep (commit-free scenario, %d tasks):@."
-    (Workload.n_tasks steady_workload);
-  Fmt.pr "  %-12s %10s %10s %10s@." "mode" "V1" "V2" "V3";
-  let steady =
-    List.map
-      (fun (mode, mode_name) ->
-        let per_variant =
-          List.map
-            (fun (variant, _) -> steady_bytes_per_step ~mode ~variant)
-            variants
-        in
-        Fmt.pr "  %-12s %10.1f %10.1f %10.1f@." mode_name (List.nth per_variant 0)
-          (List.nth per_variant 1) (List.nth per_variant 2);
-        (mode, mode_name, per_variant))
-      modes
+  Fmt.pr "steady-state bytes/timestep (%d tasks):@." (Workload.n_tasks steady_workload);
+  Fmt.pr "  %-30s %10s %10s %10s@." "mode, fixture" "V1" "V2" "V3";
+  let row label f =
+    let per_variant = List.map (fun (variant, _) -> f ~variant) variants in
+    Fmt.pr "  %-30s %10.1f %10.1f %10.1f@." label (List.nth per_variant 0)
+      (List.nth per_variant 1) (List.nth per_variant 2);
+    List.combine (List.map snd variants) per_variant
+  in
+  let empty_swept =
+    row "soa, swept, empty pools"
+      (steady_bytes_per_step ~fixture:(swept_schedule ~far_roots:false)
+         ~shape:(swept ~mode:`Soa ~scored:false steady_workload)
+         ~mode:`Soa steady_workload)
+  in
+  let soa_jumped =
+    row "soa, jumped" (steady_bytes_per_step ~shape:jumped ~mode:`Soa steady_workload)
+  in
+  let bounded fixture_mode =
+    steady_bytes_per_step ~fixture:(swept_schedule ~far_roots:true)
+      ~shape:(swept ~mode:fixture_mode ~scored:true active_workload)
+      ~mode:fixture_mode active_workload
+  in
+  let soa_bounded = row "soa, swept, bounded-out pools" (bounded `Soa) in
+  let rescan_bounded = row "rescan, swept, bounded-out" (bounded `Rescan) in
+  let rescan =
+    row "rescan, commit-free"
+      (steady_bytes_per_step ~shape:ignore ~mode:`Rescan steady_workload)
   in
   List.iter
-    (fun (mode, mode_name, per_variant) ->
-      List.iteri
-        (fun i bytes ->
-          let _, vname = List.nth variants i in
-          match mode with
-          | `Soa ->
-              (* the tentpole budget: EXACTLY zero, not "small" *)
-              check
-                (Fmt.str "soa %s steady state = 0 bytes/timestep (got %g)" vname
-                   bytes)
-                (bytes = 0.)
-          | `Rescan ->
-              (* the boxed oracle allocates; a zero here means the
-                 harness is measuring nothing *)
-              check
-                (Fmt.str "%s %s steady state allocates (harness sanity)"
-                   mode_name vname)
-                (bytes > 0.);
-              check
-                (Fmt.str "%s %s steady state under ceiling (got %g)" mode_name
-                   vname bytes)
-                (bytes <= 65536.))
+    (fun (fixture, per_variant) ->
+      List.iter
+        (fun (vname, bytes) ->
+          (* the tentpole budget: EXACTLY zero, not "small" *)
+          check
+            (Fmt.str "soa %s %s = 0 bytes/timestep (got %g)" fixture vname bytes)
+            (bytes = 0.))
         per_variant)
-    steady;
+    [ ("swept", empty_swept); ("jumped", soa_jumped) ];
+  List.iter2
+    (fun (vname, soa) (_, rescan) ->
+      check
+        (Fmt.str "soa %s bounded-out step allocates less than rescan (%g vs %g)"
+           vname soa rescan)
+        (soa < rescan))
+    soa_bounded rescan_bounded;
+  List.iter
+    (fun (vname, bytes) ->
+      (* the boxed oracle allocates; a zero here means the harness is
+         measuring nothing *)
+      check (Fmt.str "rescan %s steady state allocates (harness sanity)" vname)
+        (bytes > 0.);
+      check
+        (Fmt.str "rescan %s steady state under ceiling (got %g)" vname bytes)
+        (bytes <= 65536.))
+    rescan;
   (* Single tenant under the tenant engine: the traffic fast path (one
      live application, no pending arrivals or events) must delegate to a
      single unchunked [Slrh.continue_run], so the tenant layer's

@@ -1,17 +1,26 @@
 (* Differential oracle suite: [`Rescan] (the naive rebuild-everything
    loop with its boxed scored lists, kept as the reference semantics)
    versus [`Soa] (the flat preallocated arena, the default) must be
-   bit-identical: schedules, traces, decision-ledger JSONL, telemetry
-   counters, histograms and snapshots. The only permitted divergence is
-   the [`Soa]-only maintenance family ["slrh/pool_reused"] /
-   ["slrh/pool_rebuilt"] / ["slrh/pool_capacity"] / ["slrh/pool_regrown"]
-   (and span durations, which are wall time).
+   bit-identical on every decision: schedules, traces, decision-ledger
+   JSONL, clock steps, assignments, final clocks and every telemetry
+   metric outside the work family. [`Soa] skips work whose result is
+   already known — plans the parent-ready bound rules out, and (with no
+   tracer or ledger) whole timesteps that cannot plan — so the work
+   family (pools built, candidates scored, plans, horizon misses, their
+   spans and histograms) may only be smaller; with a ledger attached
+   both skips are off and telemetry must match exactly. Snapshots of a
+   jumping run are a subset of the swept steps, so each one is checked
+   against the stride-1 rescan snapshot at the same clock. The only
+   other permitted divergence is the [`Soa]-only maintenance family
+   ["slrh/pool_reused"] / ["slrh/pool_rebuilt"] / ["slrh/pool_capacity"]
+   / ["slrh/pool_regrown"] / ["slrh/plans_bounded"] /
+   ["slrh/steps_jumped"] (and span durations, which are wall time).
 
    [`Soa] has one walk. The static pairs attach a tracer and the ledger
    pairs a decision ledger, so they compare the events and fates that
    walk records in place; the churn pairs and the dedicated no-recorder
    pairs attach neither, which is the shape whose steady-state
-   allocation test_alloc pins at zero. A QCheck property additionally
+   allocation test_alloc pins at zero and the only shape that jumps. A QCheck property additionally
    pins the batch scorer against the public per-candidate
    [Objective.best_version], bit for bit, on partially built schedules.
 
@@ -25,14 +34,26 @@ open Agrid_obs
 module Trace = Agrid_core.Trace  (* the decision trace, not Agrid_obs.Trace *)
 module Rng = Agrid_prng.Splitmix64
 
-(* Pool-maintenance metrics: everything else must match. The first two
-   count pool reuse, the last two size the arena; all four are
-   [`Soa]-only. *)
+(* Pool-maintenance metrics, all [`Soa]-only: the first two count pool
+   reuse, the next two size the arena, the last two count skipped work. *)
 let excluded_counters =
   [
     "slrh/pool_reused"; "slrh/pool_rebuilt"; "slrh/pool_capacity";
-    "slrh/pool_regrown";
+    "slrh/pool_regrown"; "slrh/plans_bounded"; "slrh/steps_jumped";
   ]
+
+(* The work family: metrics and spans that count work done rather than
+   decisions made. [`Soa] may do less of it than [`Rescan], never more;
+   histograms compare by sample count. *)
+let work_metrics =
+  [
+    "slrh/pools_built"; "slrh/candidates_scored"; "slrh/plans_attempted";
+    "slrh/horizon_miss"; "slrh/pool_empty"; "feasibility/checked";
+    "feasibility/admitted"; "objective/version_evals"; "slrh/pool_size";
+    "slrh/score_value";
+  ]
+
+let work_spans = [ "slrh/plan"; "slrh/pool_build"; "slrh/score"; "feasibility/filter" ]
 
 let mode_name mode = Slrh.mode_to_string mode
 let fast_modes = [ `Soa ]
@@ -48,29 +69,96 @@ let metric_repr (name, m) =
         (String.concat ","
            (List.map string_of_int (Array.to_list (Hist.counts h))))
 
-let comparable_metrics sink =
+let comparable_metrics ?(drop = []) sink =
   Sink.metrics sink
-  |> List.filter (fun (n, _) -> not (List.mem n excluded_counters))
+  |> List.filter (fun (n, _) ->
+         not (List.mem n excluded_counters || List.mem n drop))
   |> List.map metric_repr |> List.sort compare
 
-let span_counts sink =
+let span_counts ?(drop = []) sink =
   Sink.span_stats sink
   |> List.map (fun (s : Span.stats) -> (s.Span.name, s.Span.count))
+  |> List.filter (fun (n, _) -> not (List.mem n drop))
   |> List.sort compare
+
+(* A work metric's size: a counter's value, a histogram's sample count. *)
+let work_amount sink name =
+  match List.assoc_opt name (Sink.metrics sink) with
+  | Some (Registry.Counter c) -> c
+  | Some (Registry.Histogram h) -> Hist.count h
+  | Some (Registry.Gauge _) | None -> 0
+
+let span_count sink name =
+  match
+    List.find_opt (fun (s : Span.stats) -> s.Span.name = name) (Sink.span_stats sink)
+  with
+  | Some s -> s.Span.count
+  | None -> 0
+
+(* What a snapshot says about the schedule, as opposed to the work done
+   since the previous one. *)
+let snapshot_state (s : Snapshot.t) =
+  ( s.Snapshot.clock,
+    s.Snapshot.mapped,
+    s.Snapshot.t100,
+    Array.map bits s.Snapshot.energy )
+
+(* Every [`Soa] snapshot must match a stride-1 rescan snapshot on clock,
+   mapped, T100 and energy, in stream order (churn runs can revisit a
+   clock across phases, so this is a subsequence match). *)
+let check_snapshot_subsequence msg rescan soa =
+  let rec go r = function
+    | [] -> ()
+    | s :: rest ->
+        let want = snapshot_state s in
+        let rec seek = function
+          | [] ->
+              Alcotest.failf "%s: soa snapshot at clock %d has no rescan match" msg
+                s.Snapshot.clock
+          | x :: xs -> if snapshot_state x = want then xs else seek xs
+        in
+        go (seek r) rest
+  in
+  if Sink.snapshots_dropped rescan > 0 then
+    Alcotest.failf "%s: rescan snapshot ring overflowed" msg;
+  go (Sink.snapshots rescan) (Sink.snapshots soa)
 
 let counter_of sink name =
   match List.assoc_opt name (Sink.metrics sink) with
   | Some (Registry.Counter c) -> c
   | _ -> 0
 
-(* Telemetry equality, modulo the reuse-counter family and durations. *)
-let check_sinks msg rescan incr =
+(* Telemetry equality, modulo the maintenance family and durations.
+   [~exact:true] (a ledger is attached, so neither skip is on) demands
+   equality on the work family and identical snapshot streams too;
+   otherwise work may only shrink, and the rescan sink must have sampled
+   every step (stride 1) for the snapshot check. *)
+let check_sinks ?(exact = false) msg rescan incr =
+  let drop = if exact then [] else work_metrics in
   Alcotest.(check (list string))
-    (msg ^ ": metrics") (comparable_metrics rescan) (comparable_metrics incr);
+    (msg ^ ": metrics")
+    (comparable_metrics ~drop rescan)
+    (comparable_metrics ~drop incr);
+  let drop = if exact then [] else work_spans in
   Alcotest.(check (list (pair string int)))
-    (msg ^ ": span counts") (span_counts rescan) (span_counts incr);
-  if Sink.snapshots rescan <> Sink.snapshots incr then
-    Alcotest.failf "%s: snapshot streams diverge" msg;
+    (msg ^ ": span counts") (span_counts ~drop rescan) (span_counts ~drop incr);
+  if exact then begin
+    if Sink.snapshots rescan <> Sink.snapshots incr then
+      Alcotest.failf "%s: snapshot streams diverge" msg
+  end
+  else begin
+    List.iter
+      (fun name ->
+        let r = work_amount rescan name and o = work_amount incr name in
+        if o > r then Alcotest.failf "%s: soa did more %s work (%d > %d)" msg name o r)
+      work_metrics;
+    List.iter
+      (fun name ->
+        let r = span_count rescan name and o = span_count incr name in
+        if o > r then Alcotest.failf "%s: soa ran more %s spans (%d > %d)" msg name o r)
+      work_spans;
+    check_snapshot_subsequence msg rescan incr
+  end;
   (* the optimised mode's sink may only add the pool-maintenance family *)
   let names s = List.map fst (Sink.metrics s) in
   let base = names rescan in
@@ -80,9 +168,28 @@ let check_sinks msg rescan incr =
         Alcotest.failf "%s: unexpected mode-only metric %s" msg n)
     (names incr)
 
+(* Stats: clock steps and assignments are decisions, so they match
+   exactly; the work counters may only shrink unless [~exact]. *)
+let check_stats ?(exact = false) msg (a : Slrh.stats) (b : Slrh.stats) =
+  if exact then begin
+    if a <> b then Alcotest.failf "%s: stats counters diverge" msg
+  end
+  else begin
+    Alcotest.(check int) (msg ^ ": clock steps") a.Slrh.clock_steps b.Slrh.clock_steps;
+    Alcotest.(check int) (msg ^ ": assignments") a.Slrh.assignments b.Slrh.assignments;
+    List.iter
+      (fun (name, r, o) ->
+        if o > r then Alcotest.failf "%s: soa did more %s (%d > %d)" msg name o r)
+      [
+        ("pools built", a.Slrh.pools_built, b.Slrh.pools_built);
+        ("candidates scored", a.Slrh.candidates_scored, b.Slrh.candidates_scored);
+        ("plans attempted", a.Slrh.plans_attempted, b.Slrh.plans_attempted);
+      ]
+  end
+
 (* Scheduler-outcome equality, field by field (wall_seconds excluded:
    it is measured, not computed). *)
-let check_outcomes msg (a : Slrh.outcome) (b : Slrh.outcome) =
+let check_outcomes ?exact msg (a : Slrh.outcome) (b : Slrh.outcome) =
   if Schedule.placements a.Slrh.schedule <> Schedule.placements b.Slrh.schedule
   then Alcotest.failf "%s: placements diverge" msg;
   if Schedule.transfers a.Slrh.schedule <> Schedule.transfers b.Slrh.schedule
@@ -97,11 +204,17 @@ let check_outcomes msg (a : Slrh.outcome) (b : Slrh.outcome) =
   Alcotest.(check bool) (msg ^ ": completed") a.Slrh.completed b.Slrh.completed;
   Alcotest.(check int) (msg ^ ": final clock") a.Slrh.final_clock
     b.Slrh.final_clock;
-  if a.Slrh.stats <> b.Slrh.stats then
-    Alcotest.failf "%s: stats counters diverge" msg
+  check_stats ?exact msg a.Slrh.stats b.Slrh.stats
+
+(* The sink a run reports into. A ledger-free rescan run is the snapshot
+   reference for a run that may jump, so it samples every step. *)
+let sink_for ~mode ~ledger =
+  match mode with
+  | `Rescan when not ledger -> Sink.create ~stride:1 ~capacity:65536 ()
+  | `Rescan | `Soa -> Sink.create ~stride:4 ~ledger ()
 
 let run_static ~mode ~ledger sc wl =
-  let sink = Sink.create ~stride:4 ~ledger () in
+  let sink = sink_for ~mode ~ledger in
   let tracer = Trace.create () in
   let p =
     { (Test_props.params sc) with Slrh.mode; tracer = Some tracer; obs = sink }
@@ -109,9 +222,10 @@ let run_static ~mode ~ledger sc wl =
   let o = Slrh.run p wl in
   (o, sink, tracer)
 
-(* 150 static scenarios: full outcome + trace + telemetry equality. *)
+(* 150 static scenarios: full outcome + trace + telemetry equality. The
+   tracer keeps every step swept, so only the bound skip is on here. *)
 let test_static mode () =
-  let reused = ref 0 in
+  let reused = ref 0 and bounded = ref 0 in
   for i = 0 to 149 do
     let sc = Test_props.scenario i in
     let wl = Test_props.workload sc in
@@ -124,11 +238,17 @@ let test_static mode () =
     check_sinks msg s1 s2;
     if counter_of s1 "slrh/pool_reused" <> 0 then
       Alcotest.failf "%s: rescan mode counted a pool reuse" msg;
-    reused := !reused + counter_of s2 "slrh/pool_reused"
+    reused := !reused + counter_of s2 "slrh/pool_reused";
+    bounded := !bounded + counter_of s2 "slrh/plans_bounded";
+    if counter_of s2 "slrh/steps_jumped" <> 0 then
+      Alcotest.failf "%s: jumped a step with a tracer attached" msg
   done;
   (* the oracle must exercise the fast path, not vacuously pass *)
   if !reused = 0 then
     Alcotest.failf "%s mode never reused a pool across 150 scenarios"
+      (mode_name mode);
+  if !bounded = 0 then
+    Alcotest.failf "%s mode never bound-skipped a plan across 150 scenarios"
       (mode_name mode)
 
 (* The [`Soa] walk with no tracer and no ledger attached — the shape
@@ -137,12 +257,12 @@ let test_static mode () =
    histogram, whose float accumulation order is fill order, so this also
    pins that the arena scores in ready-list order. *)
 let test_static_fast_path () =
-  let reused = ref 0 and regrown = ref 0 in
+  let reused = ref 0 and regrown = ref 0 and bounded = ref 0 and jumped = ref 0 in
   for i = 0 to 59 do
     let sc = Test_props.scenario i in
     let wl = Test_props.workload sc in
     let run mode =
-      let sink = Sink.create ~stride:4 ~ledger:false () in
+      let sink = sink_for ~mode ~ledger:false in
       let o = Slrh.run { (Test_props.params sc) with Slrh.mode; obs = sink } wl in
       (o, sink)
     in
@@ -152,12 +272,18 @@ let test_static_fast_path () =
     check_outcomes msg o1 o2;
     check_sinks msg s1 s2;
     reused := !reused + counter_of s2 "slrh/pool_reused";
-    regrown := !regrown + counter_of s2 "slrh/pool_regrown"
+    regrown := !regrown + counter_of s2 "slrh/pool_regrown";
+    bounded := !bounded + counter_of s2 "slrh/plans_bounded";
+    jumped := !jumped + counter_of s2 "slrh/steps_jumped"
   done;
   if !reused = 0 then
     Alcotest.fail "soa fast path never reused a pool across 60 scenarios";
   if !regrown = 0 then
-    Alcotest.fail "soa fast path never regrew a row across 60 scenarios"
+    Alcotest.fail "soa fast path never regrew a row across 60 scenarios";
+  if !bounded = 0 then
+    Alcotest.fail "soa fast path never bound-skipped a plan across 60 scenarios";
+  if !jumped = 0 then
+    Alcotest.fail "soa fast path never jumped a step across 60 scenarios"
 
 (* Churn timelines: the same scripted leave/rejoin trace through the
    engine in both modes. Pool reuse spans engine phases only through the
@@ -173,11 +299,11 @@ let sample_events i wl =
     ~down_mean:(fun _ -> 0.12 *. float_of_int tau)
 
 let run_churn ~mode ~ledger sc wl events =
-  let sink = Sink.create ~stride:4 ~ledger () in
+  let sink = sink_for ~mode ~ledger in
   let p = { (Test_props.params sc) with Slrh.mode; obs = sink } in
   (Dynamic.run_churn p wl events, sink)
 
-let check_engine msg (a : _ Agrid_churn.Engine.outcome)
+let check_engine ?exact msg (a : _ Agrid_churn.Engine.outcome)
     (b : _ Agrid_churn.Engine.outcome) =
   if Schedule.placements a.Agrid_churn.Engine.schedule
      <> Schedule.placements b.Agrid_churn.Engine.schedule
@@ -198,15 +324,16 @@ let check_engine msg (a : _ Agrid_churn.Engine.outcome)
   in
   if List.map phase_shape a.phases <> List.map phase_shape b.phases then
     Alcotest.failf "%s: phase boundaries diverge" msg;
-  List.iter2
-    (fun (pa : Slrh.outcome Agrid_churn.Engine.phase) pb ->
-      if
+  List.iteri
+    (fun k ((pa : Slrh.outcome Agrid_churn.Engine.phase), pb) ->
+      check_stats ?exact
+        (Fmt.str "%s: phase %d" msg k)
         pa.Agrid_churn.Engine.ph_outcome.Slrh.stats
-        <> pb.Agrid_churn.Engine.ph_outcome.Slrh.stats
-      then Alcotest.failf "%s: per-phase scheduler stats diverge" msg)
-    a.phases b.phases
+        pb.Agrid_churn.Engine.ph_outcome.Slrh.stats)
+    (List.combine a.phases b.phases)
 
 let test_churn mode () =
+  let jumped = ref 0 in
   for i = 0 to 59 do
     let sc = Test_props.scenario i in
     let wl = Test_props.workload sc in
@@ -218,8 +345,12 @@ let test_churn mode () =
         (List.length events) (mode_name mode)
     in
     check_engine msg o1 o2;
-    check_sinks msg s1 s2
-  done
+    check_sinks msg s1 s2;
+    jumped := !jumped + counter_of s2 "slrh/steps_jumped"
+  done;
+  if !jumped = 0 then
+    Alcotest.failf "%s mode never jumped a step across 60 churn timelines"
+      (mode_name mode)
 
 (* A battery shock landing mid-run, between two commits that in a static
    run would reuse the machine's cached candidate pool. The engine splits
@@ -295,27 +426,34 @@ let drained_twice sink =
           | _ -> false)
         (Ledger.entries l)
 
+(* A ledger turns both skips off, so these pairs also demand exact
+   stats and telemetry, work family included. *)
 let test_ledger mode () =
   let drains = ref 0 in
   let check_pair msg sc s1 s2 =
     if ledger_jsonl s1 <> ledger_jsonl s2 then
       Alcotest.failf "%s: %s ledger JSONL diverges vs %s" (Test_props.describe sc)
         msg (mode_name mode);
+    check_sinks ~exact:true
+      (Fmt.str "%s: %s ledger pair" (Test_props.describe sc) msg)
+      s1 s2;
     if sc.Test_props.sc_variant = Slrh.V2 && drained_twice s2 then incr drains
   in
   for i = 0 to 9 do
     let sc = ledger_scenario i in
     let wl = Test_props.workload sc in
-    let _, s1, _ = run_static ~mode:`Rescan ~ledger:true sc wl in
-    let _, s2, _ = run_static ~mode ~ledger:true sc wl in
+    let o1, s1, _ = run_static ~mode:`Rescan ~ledger:true sc wl in
+    let o2, s2, _ = run_static ~mode ~ledger:true sc wl in
+    check_outcomes ~exact:true (Test_props.describe sc) o1 o2;
     check_pair "static" sc s1 s2
   done;
   for i = 0 to 9 do
     let sc = ledger_scenario (60 + i) in
     let wl = Test_props.workload sc in
     let events = sample_events (60 + i) wl in
-    let _, s1 = run_churn ~mode:`Rescan ~ledger:true sc wl events in
-    let _, s2 = run_churn ~mode ~ledger:true sc wl events in
+    let o1, s1 = run_churn ~mode:`Rescan ~ledger:true sc wl events in
+    let o2, s2 = run_churn ~mode ~ledger:true sc wl events in
+    check_engine ~exact:true (Test_props.describe sc) o1 o2;
     check_pair "churn" sc s1 s2
   done;
   if !drains = 0 then
@@ -338,7 +476,7 @@ let with_adapt (p : Slrh.params) =
   }
 
 let run_adaptive_static ~mode ~ledger sc wl =
-  let sink = Sink.create ~stride:4 ~ledger () in
+  let sink = sink_for ~mode ~ledger in
   let p = with_adapt { (Test_props.params sc) with Slrh.mode; obs = sink } in
   (Slrh.run p wl, sink)
 
@@ -365,7 +503,7 @@ let test_adaptive_churn mode () =
     let wl = Test_props.workload sc in
     let events = sample_events i wl in
     let run mode =
-      let sink = Sink.create ~stride:4 ~ledger:false () in
+      let sink = sink_for ~mode ~ledger:false in
       let p = with_adapt { (Test_props.params sc) with Slrh.mode; obs = sink } in
       (Dynamic.run_churn p wl events, sink)
     in
@@ -385,11 +523,14 @@ let test_adaptive_ledger mode () =
   for i = 0 to 9 do
     let sc = ledger_scenario (30 + i) in
     let wl = Test_props.workload sc in
-    let _, s1 = run_adaptive_static ~mode:`Rescan ~ledger:true sc wl in
-    let _, s2 = run_adaptive_static ~mode ~ledger:true sc wl in
+    let o1, s1 = run_adaptive_static ~mode:`Rescan ~ledger:true sc wl in
+    let o2, s2 = run_adaptive_static ~mode ~ledger:true sc wl in
     if ledger_jsonl s1 <> ledger_jsonl s2 then
       Alcotest.failf "%s: adaptive ledger JSONL diverges vs %s"
-        (Test_props.describe sc) (mode_name mode)
+        (Test_props.describe sc) (mode_name mode);
+    let msg = Fmt.str "%s + dual ascent, ledger" (Test_props.describe sc) in
+    check_outcomes ~exact:true msg o1 o2;
+    check_sinks ~exact:true msg s1 s2
   done
 
 (* Campaign sharding: aggregates and counter totals are shard-count

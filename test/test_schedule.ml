@@ -545,23 +545,30 @@ let check_against_oracle sched ~task ~version ~machine ~not_before =
     trs;
   fp
 
+(* A random partial schedule: a topological prefix of a random workload
+   committed at random machines and staggered clocks, leaving gaps on the
+   channels. Returns the schedule, the seed's draw function and a random
+   version picker. *)
+let random_partial_schedule seed =
+  let rng = Testlib.rng ~seed () in
+  let next = Agrid_prng.Splitmix64.next_int rng in
+  let wl = random_workload rng in
+  let sched = Schedule.create wl in
+  let m = Workload.n_machines wl in
+  let version () = if next 2 = 0 then Version.Primary else Version.Secondary in
+  let order = Agrid_dag.Dag.topological_order (Workload.dag wl) in
+  for k = 0 to next (Array.length order) - 1 do
+    let task = order.(k) in
+    Schedule.commit sched
+      (Schedule.plan sched ~task ~version:(version ()) ~machine:(next m)
+         ~not_before:(next 300))
+  done;
+  (sched, next, version)
+
 let test_qcheck_plan_matches_oracle () =
   let prop seed =
-    let rng = Testlib.rng ~seed () in
-    let next = Agrid_prng.Splitmix64.next_int rng in
-    let wl = random_workload rng in
-    let sched = Schedule.create wl in
-    let m = Workload.n_machines wl in
-    let version () = if next 2 = 0 then Version.Primary else Version.Secondary in
-    (* a random partial schedule: a topological prefix committed at random
-       machines and staggered clocks, leaving gaps on the channels *)
-    let order = Agrid_dag.Dag.topological_order (Workload.dag wl) in
-    for k = 0 to next (Array.length order) - 1 do
-      let task = order.(k) in
-      Schedule.commit sched
-        (Schedule.plan sched ~task ~version:(version ()) ~machine:(next m)
-           ~not_before:(next 300))
-    done;
+    let sched, next, version = random_partial_schedule seed in
+    let m = Workload.n_machines (Schedule.workload sched) in
     let before = timelines_snapshot sched in
     let planned = ref [] in
     List.iter
@@ -599,6 +606,100 @@ let test_qcheck_plan_matches_oracle () =
   Alcotest.(check bool) "some plans share an out-channel" true (!shared_out > 0);
   Alcotest.(check bool) "some plans share the in-channel" true (!shared_in > 0);
   Alcotest.(check bool) "the overlay displaced some transfer" true (!displaced > 0)
+
+(* ---- the SLRH walk's skip bound ----
+
+   The SoA walk does not plan a candidate whose parent-ready bound (what
+   [Objective.parent_bound_into] stores) lies past [now + horizon]. That
+   is sound only if no plan of the task on that machine starts before the
+   bound, whatever [not_before] is. Coverage: some bounds must be met
+   exactly (the bound is tight, not vacuously low) and some must lie past
+   [not_before] (so the bound, not the clock, decides). *)
+let test_qcheck_bound_below_plan () =
+  let tight = ref 0 and ahead = ref 0 in
+  let prop seed =
+    let sched, next, version = random_partial_schedule seed in
+    let m = Workload.n_machines (Schedule.workload sched) in
+    let bound_ready = [| 0 |] and bound_comm = [| 0. |] in
+    List.iter
+      (fun task ->
+        for machine = 0 to m - 1 do
+          Agrid_core.Objective.parent_bound_into sched ~task ~machine ~slot:0
+            bound_ready bound_comm;
+          let bound = bound_ready.(0) in
+          List.iter
+            (fun not_before ->
+              let p = Schedule.plan sched ~task ~version:(version ()) ~machine ~not_before in
+              if bound > p.Schedule.pl_start then
+                QCheck2.Test.fail_reportf
+                  "task %d on machine %d, not_before %d: bound %d > planned start %d"
+                  task machine not_before bound p.Schedule.pl_start;
+              if bound = p.Schedule.pl_start then incr tight;
+              if bound > not_before then incr ahead)
+            [ 0; next 400; max 0 bound; max 0 (bound - 1 - next 50) ]
+        done)
+      (Schedule.ready_unmapped sched);
+    true
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:200 ~name:"parent bound <= planned start"
+       (QCheck2.Gen.int_range 0 1_000_000) prop);
+  Alcotest.(check bool) "some bounds are met exactly" true (!tight > 0);
+  Alcotest.(check bool) "some bounds lie past not_before" true (!ahead > 0)
+
+(* [Schedule.machine_free_from] against a linear scan of the execution
+   timeline: step past whichever interval covers the candidate cycle
+   until none does. Extra intervals are inserted straight into the
+   timelines, some back to back, so busy runs chain across intervals. *)
+let test_qcheck_machine_free_from () =
+  let chained = ref 0 in
+  let scan tl time =
+    let ivs = Timeline.to_list tl in
+    let rec go t =
+      match List.find_opt (fun (a, b) -> a <= t && t < b) ivs with
+      | Some (_, b) -> go b
+      | None -> t
+    in
+    go time
+  in
+  let prop seed =
+    let sched, next, _ = random_partial_schedule seed in
+    let m = Workload.n_machines (Schedule.workload sched) in
+    for machine = 0 to m - 1 do
+      let tl = Schedule.exec_timeline sched machine in
+      let at = ref (next 200) in
+      for _ = 1 to next 6 do
+        let len = 1 + next 40 in
+        if Timeline.is_free tl ~start:!at ~stop:(!at + len) then
+          Timeline.insert tl ~start:!at ~stop:(!at + len);
+        (* half the time the next interval starts where this one stops *)
+        at := !at + len + if next 2 = 0 then 0 else next 60
+      done;
+      let probes =
+        List.init 12 (fun _ -> next (Timeline.horizon tl + 20))
+        @ List.concat_map (fun (a, b) -> [ a; b - 1; b ]) (Timeline.to_list tl)
+      in
+      List.iter
+        (fun time ->
+          let got = Schedule.machine_free_from sched ~machine ~time in
+          let want = scan tl time in
+          if got <> want then
+            QCheck2.Test.fail_reportf "machine %d, time %d: free from %d, scan says %d"
+              machine time got want;
+          if got <> time && Schedule.machine_free_at sched ~machine ~time then
+            QCheck2.Test.fail_reportf "machine %d free at %d but free_from says %d"
+              machine time got;
+          match List.find_opt (fun (a, b) -> a <= time && time < b) (Timeline.to_list tl) with
+          | Some (_, b) when got > b -> incr chained
+          | _ -> ())
+        probes
+    done;
+    true
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:200 ~name:"machine_free_from = linear scan"
+       (QCheck2.Gen.int_range 0 1_000_000) prop);
+  Alcotest.(check bool) "some busy runs chain intervals" true (!chained > 0)
 
 let test_validator_detects_channel_overlap () =
   (* two transfers overlapping on the same outgoing channel, injected via
@@ -749,6 +850,10 @@ let suites =
           test_qcheck_random_commits_consistent;
         Alcotest.test_case "qcheck plan purity" `Quick test_qcheck_plan_purity;
         Alcotest.test_case "qcheck plan = oracle" `Quick test_qcheck_plan_matches_oracle;
+        Alcotest.test_case "qcheck parent bound <= plan start" `Quick
+          test_qcheck_bound_below_plan;
+        Alcotest.test_case "qcheck machine_free_from = scan" `Quick
+          test_qcheck_machine_free_from;
         Alcotest.test_case "channel overlap rejected" `Quick
           test_validator_detects_channel_overlap;
         Alcotest.test_case "duplicate transfer caught" `Quick

@@ -425,6 +425,30 @@ let test_transport_survives_abrupt_disconnects () =
   Alcotest.(check int) "both requests reached the server" 2
     (Server.stats server).Server.s_requests
 
+(* [Transport.shutdown] while the accept loop is already blocked in
+   [accept] (stop never fires): the loop must exit. Closing alone leaves
+   the thread blocked on Linux, and [Thread.join] below never returns. *)
+let test_transport_shutdown_wakes_accept () =
+  let path = Filename.temp_file "agrid_transport" ".sock" in
+  let tr =
+    match Agrid_serve.Transport.listen ~path with
+    | Ok tr -> tr
+    | Error msg -> Alcotest.failf "listen: %s" msg
+  in
+  let loop =
+    Thread.create
+      (fun () ->
+        Agrid_serve.Transport.accept_loop
+          ~stop:(fun () -> false)
+          ~handle:(fun ~respond:_ ~ic:_ -> `Eof)
+          tr)
+      ()
+  in
+  Thread.delay 0.05;
+  Agrid_serve.Transport.shutdown tr;
+  Thread.join loop;
+  Alcotest.(check bool) "socket path unlinked" false (Sys.file_exists path)
+
 let suites =
   [
     ( "serve",
@@ -450,5 +474,7 @@ let suites =
           test_obs_merge;
         Alcotest.test_case "transport survives abrupt disconnects" `Quick
           test_transport_survives_abrupt_disconnects;
+        Alcotest.test_case "transport shutdown wakes a blocked accept" `Quick
+          test_transport_shutdown_wakes_accept;
       ] );
   ]
