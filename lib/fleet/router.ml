@@ -132,6 +132,7 @@ type t = {
   obs : Sink.t;
   backends : backend array;
   admission : entry Chan.t;
+  bell : unit Chan.t;  (** rung on every retry; the drained dispatcher waits on it *)
   front : entry Front.t;
   table : (string, entry) Hashtbl.t;  (** token -> unresolved entry *)
   mutable retry_q : (float * entry) list;  (** due-time, unsorted *)
@@ -209,6 +210,7 @@ let create ?(obs = Sink.noop) ?trace cfg specs =
     obs;
     backends;
     admission;
+    bell = Chan.create ~capacity:1;
     front = Front.create Front.Router ~obs ~trace ~lock admission;
     table = Hashtbl.create 64;
     retry_q = [];
@@ -258,6 +260,11 @@ let resolve_saturated t e =
          (Fmt.str "no backend accepted the job after %d attempt(s)" e.e_attempts)
        ())
 
+(* Queue [e] for re-dispatch at [due] (caller holds t.lock). *)
+let requeue t due e =
+  t.retry_q <- (due, e) :: t.retry_q;
+  ignore (Chan.try_push t.bell ())
+
 (* One dispatch attempt failed (no backend alive, or a backend said
    queue_full/draining/dropped): burn an attempt, then either give up as
    all_backends_saturated or schedule a jittered-backoff retry. *)
@@ -270,7 +277,7 @@ let consume_attempt t e =
       Policy.backoff_s ~base_s:t.cfg.backoff_base_s ~cap_s:t.cfg.backoff_cap_s
         ~attempt:e.e_attempts ~u
     in
-    t.retry_q <- (now () +. delay, e) :: t.retry_q;
+    requeue t (now () +. delay) e;
     t.c_retries <- t.c_retries + 1;
     Sink.incr t.obs "fleet/retries";
     trace_ev t e (Trace.Retry { attempt = e.e_attempts; delay_s = delay })
@@ -280,7 +287,7 @@ let consume_attempt t e =
    t.lock). *)
 let failover t b e =
   unassign t e;
-  t.retry_q <- (0., e) :: t.retry_q;
+  requeue t 0. e;
   t.c_failovers <- t.c_failovers + 1;
   Sink.incr t.obs "fleet/failovers";
   trace_ev t e (Trace.Failover { backend = b.b_name })
@@ -315,33 +322,37 @@ let try_dispatch_locked t e =
             consume_attempt t e)
     | `Wait ->
         (* alive but at the in-flight cap: backpressure, no attempt burned *)
-        t.retry_q <- (now () +. 0.002, e) :: t.retry_q
+        requeue t (now () +. 0.002) e
     | `Unavailable -> consume_attempt t e
   end
+
+(* The dispatcher waits for the next admitted job, but never past the
+   earliest retry's due time, so backoff retries and [`Wait] re-dispatches
+   fire when they are due. A retry queued by another thread (a reader, the
+   death path) does not wake a wait on the admission queue, so that wait
+   is capped at [max_wait_s]. Once admission is drained the dispatcher
+   waits on [t.bell] instead, which every [requeue] rings and
+   [drain]/[stop] close. *)
+let max_wait_s = 0.005
 
 let dispatcher t () =
   let rec loop () =
     if t.state <> `Stopped then begin
-      let due =
+      let timeout_s =
         with_lock t.lock (fun () ->
-            let due, later =
-              List.partition (fun (d, _) -> d <= now ()) t.retry_q
-            in
+            let due, later = List.partition (fun (d, _) -> d <= now ()) t.retry_q in
             t.retry_q <- later;
-            due)
+            List.iter (fun (_, e) -> try_dispatch_locked t e) due;
+            let now = now () in
+            List.fold_left (fun w (d, _) -> Float.min w (d -. now)) max_wait_s t.retry_q)
       in
-      List.iter
-        (fun (_, e) -> with_lock t.lock (fun () -> try_dispatch_locked t e))
-        due;
-      match Chan.try_pop t.admission ~timeout_s:0.005 with
-      | `Popped e ->
-          with_lock t.lock (fun () -> try_dispatch_locked t e);
-          loop ()
-      | `Timeout -> loop ()
+      (match Chan.try_pop t.admission ~timeout_s with
+      | `Popped e -> with_lock t.lock (fun () -> try_dispatch_locked t e)
+      | `Timeout -> ()
       | `Closed ->
           (* draining: keep serving retries until stop flips the state *)
-          Thread.delay 0.002;
-          loop ()
+          ignore (Chan.try_pop t.bell ~timeout_s));
+      loop ()
     end
   in
   loop ()
@@ -781,6 +792,7 @@ let drain t =
      terminates even with every backend dead *)
   quiesce t;
   with_lock t.lock (fun () -> t.state <- `Stopped);
+  ignore (Chan.close t.bell);
   shutdown_conns t;
   join_all t
 
@@ -802,6 +814,7 @@ let stop t =
         t.retry_q <- [];
         (Front.counts t.front).Front.dropped)
   in
+  ignore (Chan.close t.bell);
   shutdown_conns t;
   join_all t;
   dropped

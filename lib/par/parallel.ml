@@ -95,9 +95,23 @@ let map_reduce ?obs ?domains ~map:f ~fold ~init:acc0 arr =
    Lifecycle: open -> sealed (no more pushes; consumers drain what is
    buffered, then see [None]) or closed (buffered items are returned to
    the closer — the service reports them as dropped — and consumers see
-   [None] immediately). *)
+   [None] immediately).
+
+   Timed waits. Stdlib [Condition] has no timed wait, so [try_pop] parks
+   in [Unix.select] on a self-pipe instead: it registers as a waiter under
+   the lock, unlocks, selects with its remaining time, then relocks,
+   drains the pipe and rechecks. Push, seal and close write one byte
+   whenever a waiter is registered, so a push that lands between the
+   unlock and the select leaves the pipe readable and is never missed.
+   The pipe is created by the first [try_pop] that has to wait (channels
+   that are only [pop]ped never get one) and released once the channel
+   stops being open and no waiter is parked — after that no [try_pop]
+   waits again. A waiter that leaves with work still visible passes the
+   wake on, so concurrent waiters cannot strand an item. *)
 
 module Chan = struct
+  type wake = { rd : Unix.file_descr; wr : Unix.file_descr }
+
   type 'a t = {
     buf : 'a Queue.t;
     capacity : int;
@@ -105,6 +119,8 @@ module Chan = struct
     mutable high_water : int;
     lock : Mutex.t;
     nonempty : Condition.t;
+    mutable wake : wake option;  (** self-pipe, created lazily by [try_pop] *)
+    mutable waiters : int;  (** [try_pop] callers parked on the pipe *)
   }
 
   let create ~capacity =
@@ -119,11 +135,71 @@ module Chan = struct
       high_water = 0;
       lock = Mutex.create ();
       nonempty = Condition.create ();
+      wake = None;
+      waiters = 0;
     }
 
   let with_lock t f =
     Mutex.lock t.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+  (* The helpers below run under the lock. *)
+
+  (* Wake the parked waiters. A full pipe is already readable, so EAGAIN
+     loses nothing. *)
+  let ring t =
+    match t.wake with
+    | Some w when t.waiters > 0 -> (
+        try ignore (Unix.single_write_substring w.wr "x" 0 1)
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ())
+    | _ -> ()
+
+  (* Close the pipe once no waiter can use it again. *)
+  let release t =
+    match t.wake with
+    | Some w when t.state <> `Open && t.waiters = 0 ->
+        t.wake <- None;
+        Unix.close w.rd;
+        Unix.close w.wr
+    | _ -> ()
+
+  let drain w =
+    let scratch = Bytes.create 64 in
+    let rec go () =
+      match Unix.read w.rd scratch 0 64 with
+      | 64 -> go ()
+      | _ -> ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+    in
+    go ()
+
+  let wake_pipe t =
+    match t.wake with
+    | Some w -> w
+    | None ->
+        let rd, wr = Unix.pipe ~cloexec:true () in
+        Unix.set_nonblock rd;
+        Unix.set_nonblock wr;
+        let w = { rd; wr } in
+        t.wake <- Some w;
+        w
+
+  (* Wait up to [timeout_s] for a [ring], with the lock released; returns
+     with it held again. *)
+  let park t ~timeout_s =
+    let w = wake_pipe t in
+    t.waiters <- t.waiters + 1;
+    Mutex.unlock t.lock;
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock t.lock;
+        drain w;
+        t.waiters <- t.waiters - 1;
+        release t)
+      (fun () ->
+        match Unix.select [ w.rd ] [] [] timeout_s with
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
 
   let try_push t x =
     with_lock t (fun () ->
@@ -136,6 +212,7 @@ module Chan = struct
               let depth = Queue.length t.buf in
               if depth > t.high_water then t.high_water <- depth;
               Condition.signal t.nonempty;
+              ring t;
               `Accepted depth
             end)
 
@@ -153,38 +230,35 @@ module Chan = struct
         in
         wait ())
 
-  (* Bounded wait. Stdlib [Condition] has no timed wait, so this polls:
-     check under the lock, sleep up to 1 ms, repeat until the deadline.
-     The millisecond resolution is fine for its callers (the fleet
-     router's dispatcher and probe loops, which tick at tens of
-     milliseconds) and keeps the channel free of any platform-specific
-     timed-wait dependency. *)
   let try_pop t ~timeout_s =
     let deadline = Agrid_obs.Clock.now_s () +. timeout_s in
-    let rec attempt () =
-      let status =
-        with_lock t (fun () ->
-            match Queue.take_opt t.buf with
-            | Some x -> `Popped x
-            | None -> (
-                match t.state with `Sealed | `Closed -> `Closed | `Open -> `Empty))
-      in
-      match status with
-      | (`Popped _ | `Closed) as r -> r
-      | `Empty ->
-          let remaining = deadline -. Agrid_obs.Clock.now_s () in
-          if remaining <= 0. then `Timeout
-          else begin
-            Unix.sleepf (Float.min remaining 0.001);
-            attempt ()
-          end
-    in
-    attempt ()
+    with_lock t (fun () ->
+        let rec attempt () =
+          match Queue.take_opt t.buf with
+          | Some x ->
+              if not (Queue.is_empty t.buf && t.state = `Open) then ring t;
+              `Popped x
+          | None -> (
+              match t.state with
+              | `Sealed | `Closed ->
+                  ring t;
+                  `Closed
+              | `Open ->
+                  let remaining = deadline -. Agrid_obs.Clock.now_s () in
+                  if remaining <= 0. then `Timeout
+                  else begin
+                    park t ~timeout_s:remaining;
+                    attempt ()
+                  end)
+        in
+        attempt ())
 
   let seal t =
     with_lock t (fun () ->
         if t.state = `Open then t.state <- `Sealed;
-        Condition.broadcast t.nonempty)
+        Condition.broadcast t.nonempty;
+        ring t;
+        release t)
 
   let close t =
     with_lock t (fun () ->
@@ -192,6 +266,8 @@ module Chan = struct
         let dropped = List.of_seq (Queue.to_seq t.buf) in
         Queue.clear t.buf;
         Condition.broadcast t.nonempty;
+        ring t;
+        release t;
         dropped)
 
   let length t = with_lock t (fun () -> Queue.length t.buf)

@@ -65,13 +65,18 @@ module Chan : sig
       produce one again ([None]: sealed and drained, or closed). *)
 
   val try_pop : 'a t -> timeout_s:float -> [ `Popped of 'a | `Timeout | `Closed ]
-  (** Like {!pop}, but wait at most [timeout_s] seconds (~1 ms
-      resolution; [timeout_s <= 0.] checks once without waiting).
-      [`Timeout] means the channel is still open but produced nothing in
-      time; [`Closed] is {!pop}'s [None] (sealed and drained, or
-      closed). The fleet router's dispatcher and probe loops use this so
-      they can interleave timed work without ever blocking
-      indefinitely. *)
+  (** Like {!pop}, but wait at most [timeout_s] seconds
+      ([timeout_s <= 0.] checks once without waiting). The wait is event
+      driven: it returns as soon as an item is pushed or the channel is
+      sealed or closed, not at the next polling tick, so it can sit on a
+      per-job path (the fleet router's dispatcher). [`Timeout] means the
+      channel is still open but produced nothing in time; [`Closed] is
+      {!pop}'s [None] (sealed and drained, or closed).
+
+      The first call that has to wait gives the channel a self-pipe (two
+      close-on-exec descriptors); channels that are only {!pop}ped never
+      get one. {!seal} or {!close} releases it, or the last waiter still
+      parked when that happens does. A channel left open keeps it. *)
 
   val seal : 'a t -> unit
   (** Graceful end-of-input: no further pushes; buffered items remain

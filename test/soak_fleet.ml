@@ -19,7 +19,11 @@
      re-run (enforced structurally: one response per id, and the router
      never re-dispatches a Sent entry);
    - the injected faults actually bit: at least one failover or
-     maybe_executed across the run.
+     maybe_executed across the run;
+   - no descriptor leaks: the process has no more open descriptors once
+     the router is drained and the backends are shut down than it had
+     before the router was created (kills, reconnects and the
+     dispatcher's wake pipe included; skipped where /proc is absent).
 
    Every job request carries a tenant (gold or bronze, alternating) and
    every backend caps bronze admissions: a backend at its bronze cap
@@ -67,6 +71,11 @@ let specs_args =
       "FILE  write the Chrome trace-event JSON (the CI artifact)" );
     ("--timeout", Arg.Set_float timeout, "S  watchdog seconds (default 180)");
   ]
+
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
 
 let pick rng arr = arr.(Rng.next_int rng (Array.length arr))
 
@@ -175,6 +184,7 @@ let () =
       ~capacity:(max 4096 (n * 64))
       ~pending_cap:(max 1024 n) ~exemplars:4 ()
   in
+  let fds_before = open_fds () in
   let router = Router.create ~trace:tracer config (List.map Sim.spec sims) in
   (match Router.start router with
   | Ok () -> ()
@@ -249,6 +259,7 @@ let () =
   let stats = Router.stats router in
   List.iter Sim.unwedge sims;
   List.iter Sim.shutdown sims;
+  let fds_after = open_fds () in
 
   let responses = List.rev !responses in
   let failures = ref [] in
@@ -365,6 +376,10 @@ let () =
                     reason)))
     parsed;
 
+  (match (fds_before, fds_after) with
+  | Some before, Some after when after > before ->
+      fail "open descriptors grew from %d to %d across the run" before after
+  | _ -> ());
   if stats.Router.st_respond_errors <> 0 then
     fail "%d responses failed to deliver" stats.Router.st_respond_errors;
   if stats.Router.st_dropped <> 0 then
@@ -515,6 +530,11 @@ let () =
                (fun b -> Json.Int b.Router.bs_reconnects)
                stats.Router.st_backends) );
         ("wall_s", Json.Flt wall);
+        ( "open_fds",
+          Json.Arr
+            (List.map
+               (function Some n -> Json.Int n | None -> Json.Null)
+               [ fds_before; fds_after ]) );
         ("trace_events", Json.Int (Trace.length tracer));
         ("trace_dropped", Json.Int (Trace.dropped tracer));
         ("failures", Json.Int (List.length !failures));

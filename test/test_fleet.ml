@@ -476,6 +476,49 @@ let test_router_obs_counters () =
   | Some (Registry.Histogram _) -> ()
   | _ -> Alcotest.fail "fleet/probe_s/b0 histogram missing"
 
+(* Per-layer gate on the router hop: for sequential jobs over one
+   backend, the client round trip minus the backend's own relayed
+   [latency_s] is what the router adds (admission, dispatch, two socket
+   hops, relay). A dispatcher that polls its admission queue makes this
+   bimodal: a job that lands while the dispatcher is awake goes straight
+   through, one that lands while it sleeps waits out the polling tick
+   (>= 1 ms). Depending on the phase, the median alone can fall on either
+   side of the bound, so the upper quartile is gated too. *)
+let test_router_round_trip_overhead () =
+  let sim = Sim.create "b0" in
+  let r = start_router [ sim ] in
+  let replies = Agrid_par.Parallel.Chan.create ~capacity:1 in
+  let respond line =
+    ignore (Agrid_par.Parallel.Chan.try_push replies (Agrid_obs.Clock.now_s (), line))
+  in
+  let line = job_line () in
+  let overheads =
+    Array.init 200 (fun _ ->
+        let t0 = Agrid_obs.Clock.now_s () in
+        Router.submit r ~respond line;
+        match Agrid_par.Parallel.Chan.try_pop replies ~timeout_s:10. with
+        | `Popped (t1, reply) ->
+            let j = parse_line reply in
+            Alcotest.(check string) "type" "result" (get_str "type" j);
+            let backend_s =
+              match Json.get_float "latency_s" j with
+              | Some s -> s
+              | None -> Alcotest.failf "result without latency_s: %s" reply
+            in
+            t1 -. t0 -. backend_s
+        | `Timeout | `Closed -> Alcotest.fail "no reply within 10 s")
+  in
+  Router.drain r;
+  Sim.shutdown sim;
+  Array.sort Float.compare overheads;
+  let quantile_ms q = 1e3 *. overheads.(int_of_float (q *. 199.)) in
+  List.iter
+    (fun (name, q) ->
+      if quantile_ms q >= 0.5 then
+        Alcotest.failf "router round-trip overhead %s %.3f ms (limit 0.5 ms)" name
+          (quantile_ms q))
+    [ ("median", 0.5); ("p75", 0.75) ]
+
 (* ---- stats request: live snapshot with per-backend health ---- *)
 
 let test_router_stats_request () =
@@ -600,6 +643,8 @@ let suites =
         Alcotest.test_case "serve and router: admission parity" `Quick
           test_admission_parity;
         Alcotest.test_case "router: fleet telemetry" `Quick test_router_obs_counters;
+        Alcotest.test_case "router: round-trip overhead" `Quick
+          test_router_round_trip_overhead;
         Alcotest.test_case "router: stats request snapshot" `Quick
           test_router_stats_request;
         Alcotest.test_case "router: trace timelines" `Quick

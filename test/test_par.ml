@@ -163,6 +163,89 @@ let test_try_pop_wakes_on_push () =
   | `Closed -> Alcotest.fail "closed on an open channel");
   Thread.join pusher
 
+(* ---- Chan.try_pop: event-driven wake and descriptor hygiene ---- *)
+
+let test_try_pop_wake_latency () =
+  (* 500 round trips = 1000 waits that a push ends. A polling wait pays at
+     least one sleep quantum (>= 1 ms) per hop, i.e. >= 0.5 s in total. *)
+  let n = 500 in
+  let ping = Parallel.Chan.create ~capacity:1 in
+  let pong = Parallel.Chan.create ~capacity:1 in
+  let pop_or_fail c =
+    match Parallel.Chan.try_pop c ~timeout_s:1.0 with
+    | `Popped v -> v
+    | `Timeout -> Alcotest.fail "try_pop timed out with a push pending"
+    | `Closed -> Alcotest.fail "closed on an open channel"
+  in
+  let echo =
+    Thread.create
+      (fun () ->
+        for _ = 1 to n do
+          ignore (Parallel.Chan.try_push pong (pop_or_fail ping))
+        done)
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to n do
+    ignore (Parallel.Chan.try_push ping i);
+    Alcotest.(check int) "echoed" i (pop_or_fail pong)
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Thread.join echo;
+  if elapsed >= 0.25 then
+    Alcotest.failf "%d ping-pong round trips took %.3f s (limit 0.25 s)" n elapsed
+
+(* Open descriptors of this process, or None where /proc is absent. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+let test_try_pop_releases_pipe () =
+  match open_fds () with
+  | None -> Alcotest.skip ()
+  | Some before ->
+      (* every cycle makes the channel create its pipe; even cycles end in
+         close, odd ones in seal, the router's drain path *)
+      for i = 1 to 2000 do
+        let c : int Parallel.Chan.t = Parallel.Chan.create ~capacity:1 in
+        (match Parallel.Chan.try_pop c ~timeout_s:0.001 with
+        | `Timeout -> ()
+        | _ -> Alcotest.fail "empty open channel should time out");
+        if i mod 2 = 0 then ignore (Parallel.Chan.close c) else Parallel.Chan.seal c
+      done;
+      Alcotest.(check (option int)) "open descriptors" (Some before) (open_fds ())
+
+let test_try_pop_close_while_parked () =
+  let before = open_fds () in
+  for round = 1 to 20 do
+    let c : int Parallel.Chan.t = Parallel.Chan.create ~capacity:1 in
+    let outcome = ref "none" in
+    let waiter =
+      Thread.create
+        (fun () ->
+          outcome :=
+            match Parallel.Chan.try_pop c ~timeout_s:5.0 with
+            | `Closed -> "closed"
+            | `Timeout -> "timeout"
+            | `Popped _ -> "popped"
+            | exception Unix.Unix_error (err, fn, _) ->
+                Fmt.str "%s: %s" fn (Unix.error_message err))
+        ()
+    in
+    (* vary how far the waiter got before the close lands *)
+    Thread.delay (float_of_int (round mod 4) *. 0.005);
+    let t0 = Unix.gettimeofday () in
+    ignore (Parallel.Chan.close c);
+    Thread.join waiter;
+    Alcotest.(check string) (Fmt.str "round %d outcome" round) "closed" !outcome;
+    Alcotest.(check bool)
+      (Fmt.str "round %d woke promptly" round)
+      true
+      (Unix.gettimeofday () -. t0 < 1.0)
+  done;
+  Alcotest.(check (option int)) "open descriptors" before (open_fds ())
+
 let suites =
   [
     ( "par",
@@ -187,5 +270,9 @@ let suites =
           test_try_pop_sealed_drains_then_closes;
         Alcotest.test_case "try_pop on closed channel" `Quick test_try_pop_closed;
         Alcotest.test_case "try_pop wakes on push" `Quick test_try_pop_wakes_on_push;
+        Alcotest.test_case "try_pop wake latency" `Quick test_try_pop_wake_latency;
+        Alcotest.test_case "try_pop releases its pipe" `Quick test_try_pop_releases_pipe;
+        Alcotest.test_case "try_pop survives a close while parked" `Quick
+          test_try_pop_close_while_parked;
       ] );
   ]
