@@ -483,35 +483,69 @@ let run_obs_profile config ~total_seconds =
       ~etc_index:0 ~dag_index:0 ~case:Agrid_platform.Grid.A
   in
   let dt_a = config.Config.delta_t and dt_b = max 1 (config.Config.delta_t / 2) in
-  let swept_schedule () =
-    let sched = Agrid_sched.Schedule.create steady_workload in
+  (* [~far_roots] also replays every root on machines 1.. far past tau,
+     so the normal-battery workload's pools stay non-empty yet the
+     parent-ready bound rules every candidate out: each swept step
+     re-scores, sorts and walks them without planning or committing. *)
+  let swept_schedule ~far_roots wl =
+    let sched = Agrid_sched.Schedule.create wl in
+    let m = Workload.n_machines wl in
+    let far = 10 * Workload.tau wl in
+    if far_roots then
+      List.iteri
+        (fun i task ->
+          Agrid_sched.Schedule.replay_placement sched
+            {
+              Agrid_sched.Schedule.task;
+              version = Version.Primary;
+              machine = 1 + (i mod (m - 1));
+              start = far + (10 * i);
+              stop = far + (10 * i) + 5;
+            })
+        (Agrid_dag.Dag.roots (Workload.dag wl));
     let busy = Agrid_sched.Schedule.exec_timeline sched 0 in
     List.iter
       (fun dt ->
-        for k = 0 to (Workload.tau steady_workload / dt) + 1 do
+        for k = 0 to (Workload.tau wl / dt) + 1 do
           if Agrid_sched.Timeline.is_free busy ~start:(k * dt) ~stop:((k * dt) + 1) then
             Agrid_sched.Timeline.insert busy ~start:(k * dt) ~stop:((k * dt) + 1)
         done)
       [ dt_a; dt_b ];
     sched
   in
-  let steady_run ~delta_t =
+  let steady_run ~far_roots wl ~delta_t =
     let p = { params with Agrid_core.Slrh.delta_t; obs = Agrid_obs.Sink.noop } in
-    let sched = swept_schedule () in
+    let sched = swept_schedule ~far_roots wl in
     Gc.minor ();
     let before = Gc.allocated_bytes () in
     let o = Agrid_core.Slrh.continue_run p sched in
     Gc.minor ();
     let after = Gc.allocated_bytes () in
-    (o.Agrid_core.Slrh.stats.Agrid_core.Slrh.clock_steps, after -. before)
+    (o.Agrid_core.Slrh.stats, after -. before)
   in
-  ignore (steady_run ~delta_t:config.Config.delta_t) (* warm-up *);
-  let steps_a, bytes_a = steady_run ~delta_t:dt_a in
-  let steps_b, bytes_b = steady_run ~delta_t:dt_b in
-  let per_step = (bytes_b -. bytes_a) /. float_of_int (max 1 (steps_b - steps_a)) in
+  let per_step_bytes ~far_roots wl =
+    ignore (steady_run ~far_roots wl ~delta_t:config.Config.delta_t) (* warm-up *);
+    let a, bytes_a = steady_run ~far_roots wl ~delta_t:dt_a in
+    let b, bytes_b = steady_run ~far_roots wl ~delta_t:dt_b in
+    let steps (st : Agrid_core.Slrh.stats) = st.Agrid_core.Slrh.clock_steps in
+    ( (bytes_b -. bytes_a) /. float_of_int (max 1 (steps b - steps a)),
+      steps a,
+      steps b,
+      b.Agrid_core.Slrh.candidates_scored )
+  in
+  let per_step, steps_a, steps_b, _ = per_step_bytes ~far_roots:false steady_workload in
   Agrid_obs.Sink.set_gauge sink "slrh/minor_alloc_bytes" per_step;
   Fmt.pr "steady-state allocation: %g bytes/timestep (%d vs %d steps)@." per_step
     steps_a steps_b;
+  (* The same budget over non-empty pools: every swept step re-scores
+     them (the batch scorer's steady state), committed as
+     "slrh/minor_alloc_bytes_bounded" with a budget of 0. *)
+  let bounded, steps_a, steps_b, scored = per_step_bytes ~far_roots:true workload in
+  Agrid_obs.Sink.set_gauge sink "slrh/minor_alloc_bytes_bounded" bounded;
+  Fmt.pr
+    "bounded-out pools allocation: %g bytes/timestep (%d vs %d steps, %d candidates \
+     scored)@."
+    bounded steps_a steps_b scored;
   (* SoA vs rescan-oracle scoring latency, for the record: the regression
      gate pins the SoA p50 through the committed baseline plus the
      tightened "slrh/score" tolerance, so scoring cannot silently fall

@@ -170,71 +170,79 @@ module Memo = struct
         Array.make (Workload.n_tasks workload * Workload.n_machines workload) Float.nan;
     }
 
-  (* The secondary version's admission bound [exec +. comm], priced on
-     first use. Real energies are finite, so nan is a safe "unpriced"
-     sentinel. *)
-  let required_secondary t ~task ~machine =
-    let i = (task * t.n_machines) + machine in
-    let v = t.required.(i) in
-    if Float.is_nan v then begin
-      let wl = t.workload in
-      let exec =
-        Workload.exec_energy wl ~task ~machine ~version:Version.Secondary
-      in
-      let comm =
-        comm_bound ~mode:t.mode wl ~task ~machine ~version:Version.Secondary
-      in
-      (* same expression [version_verdict] tests under every mode, so
-         memoised and rescan admissions stay bit-identical *)
-      let v = apply_margin ~mode:t.mode (exec +. comm) in
-      t.required.(i) <- v;
-      v
-    end
-    else v
-
+  (* Price the secondary version's admission bound [exec +. comm] into
+     its slot. Real energies are finite, so nan is a safe "unpriced"
+     sentinel. Returns unit so the hot loop re-reads the float from the
+     array instead of receiving it boxed. *)
+  let price t ~task ~machine ~slot =
+    let wl = t.workload in
+    let exec =
+      Workload.exec_energy wl ~task ~machine ~version:Version.Secondary
+    in
+    let comm =
+      comm_bound ~mode:t.mode wl ~task ~machine ~version:Version.Secondary
+    in
+    (* same expression [version_verdict] tests under every mode, so
+       memoised and rescan admissions stay bit-identical *)
+    t.required.(slot) <- apply_margin ~mode:t.mode (exec +. comm)
 end
 
+type filter_counts = { mutable admitted : int; mutable checked : int }
+
+(* [filter_into]'s loop: a walk over the frontier array, the memoised
+   bound read in place. A top-level function with int results only, so
+   the noop-sink path builds no closure and boxes nothing per task. *)
+let filter_pass memo sched ~machine ~eligible ~dst counts =
+  let frontier = Schedule.ready_tasks sched in
+  let n_ready = Schedule.n_ready sched in
+  if Array.length dst < n_ready then
+    invalid_arg "Feasibility.filter_into: destination shorter than the frontier";
+  let available = Schedule.energy_remaining sched machine in
+  let required = memo.Memo.required in
+  let stride = memo.Memo.n_machines in
+  let n = ref 0 in
+  let admitted = ref 0 in
+  for i = 0 to n_ready - 1 do
+    let task = frontier.(i) in
+    let slot = (task * stride) + machine in
+    if Float.is_nan required.(slot) then Memo.price memo ~task ~machine ~slot;
+    if available >= required.(slot) then begin
+      incr admitted;
+      if eligible task then begin
+        dst.(!n) <- task;
+        incr n
+      end
+    end
+  done;
+  counts.admitted <- !admitted;
+  counts.checked <- n_ready;
+  !n
+
 (* Batch admission for the flat (SoA) pool path: filter the ready set
-   for [machine] straight into a caller-owned buffer. [ensure] is called
-   exactly once, before any write, with an upper bound on the pool size
-   (the ready-set length), so the caller can regrow its arena row while
-   its contents are still dead. Returns
-   (pool size, admitted count, checked count), where [admitted] counts
-   energy-admissible tasks BEFORE the [eligible] filter — the values
+   for [machine] straight into the caller-owned buffer [dst], which must
+   hold the whole frontier ({!Schedule.n_ready}). Returns the pool size
+   and leaves in [counts] the energy-admissible tasks BEFORE the
+   [eligible] filter and the frontier length — the values
    [candidate_pool]'s counters report and the pool-reuse path replays.
    [eligible] is called once per admitted task, in ready-list order (the
    scheduler's ledger hooks its Ineligible entries there). Span and
-   counter telemetry shape is identical to [candidate_pool].
+   counter telemetry shape is identical to [candidate_pool]; the span's
+   closure is only built when the sink is enabled.
 
    The admission test compares the same memoised float against the same
    remaining-energy read the boxed path compares (hoisting the read is
    sound: scoring never mutates the schedule, so every per-task read
    returns the identical float), keeping decisions bit-identical. *)
-let filter_into ?(obs = Agrid_obs.Sink.noop) memo sched ~machine ~eligible ~ensure =
+let filter_into ~obs memo sched ~machine ~eligible ~dst counts =
   if not (Schedule.workload sched == memo.Memo.workload) then
     invalid_arg "Feasibility.filter_into: memo priced for another workload";
-  Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
-      let ready = Schedule.ready_unmapped sched in
-      let n_ready = List.length ready in
-      let dst = ensure n_ready in
-      let available = Schedule.energy_remaining sched machine in
-      let n = ref 0 in
-      let admitted = ref 0 in
-      List.iter
-        (fun task ->
-          if available >= Memo.required_secondary memo ~task ~machine then begin
-            incr admitted;
-            if eligible task then begin
-              dst.(!n) <- task;
-              incr n
-            end
-          end)
-        ready;
-      if Agrid_obs.Sink.enabled obs then begin
-        Agrid_obs.Sink.add obs "feasibility/checked" n_ready;
-        Agrid_obs.Sink.add obs "feasibility/admitted" !admitted
-      end;
-      (!n, !admitted, n_ready))
+  if Agrid_obs.Sink.enabled obs then
+    Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
+        let n = filter_pass memo sched ~machine ~eligible ~dst counts in
+        Agrid_obs.Sink.add obs "feasibility/checked" counts.checked;
+        Agrid_obs.Sink.add obs "feasibility/admitted" counts.admitted;
+        n)
+  else filter_pass memo sched ~machine ~eligible ~dst counts
 
 (* Every unmapped task the pool turned away for [machine], with its
    verdict — the decision ledger's per-candidate rejection record. This

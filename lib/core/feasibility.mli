@@ -72,40 +72,44 @@ val candidate_pool :
 (** Memoised admission bounds for the SoA pool path
     ({!Slrh.params.mode} [= `Soa]). The energy bound a (task, machine)
     pair must clear is a pure function of the workload and the mode, so
-    it is priced once and replayed; the admission test compares the same
-    float the rescan path compares, keeping decisions bit-identical
-    (pinned by the differential suite). *)
+    it is priced once, on first use by {!filter_into}, and replayed; the
+    admission test compares the same float the rescan path compares,
+    keeping decisions bit-identical (pinned by the differential suite). *)
 module Memo : sig
   type t
 
   val create : ?mode:mode -> Workload.t -> t
   (** Lazy table over all (task, machine) pairs; nothing is priced until
       first use. [?mode] defaults to [Conservative], as everywhere. *)
-
-  val required_secondary : t -> task:int -> machine:int -> float
-  (** [= required_energy ~mode sched ~task ~machine ~version:Secondary],
-      priced on first call and cached. *)
 end
 
+type filter_counts = { mutable admitted : int; mutable checked : int }
+(** The telemetry side of one {!filter_into} pass: energy-admitted tasks
+    before the eligibility filter, and the frontier length — the counter
+    values {!candidate_pool} reports. Allocated once per owner and
+    overwritten by every pass. *)
+
 val filter_into :
-  ?obs:Agrid_obs.Sink.t ->
+  obs:Agrid_obs.Sink.t ->
   Memo.t ->
   Schedule.t ->
   machine:int ->
   eligible:(int -> bool) ->
-  ensure:(int -> int array) ->
-  int * int * int
-(** Batch admission for the flat (SoA) pool path: filter the ready,
-    unmapped, energy-admissible, eligible tasks for [machine] into the
-    buffer returned by [ensure] (called once, before any write, with the
-    ready-set length as an upper bound on the pool size). Returns
-    [(pool, admitted, checked)] where [admitted] counts energy-admitted
-    tasks before the eligibility filter and [checked] the ready set —
-    the counter values {!candidate_pool} reports. [eligible] is called
-    exactly once per energy-admitted task, in ready-list order, so a
-    caller may record the tasks it turns away. Same telemetry shape,
-    same admission as {!candidate_pool}, bit-identical decisions.
-    @raise Invalid_argument if the memo was priced for another workload. *)
+  dst:int array ->
+  filter_counts ->
+  int
+(** Batch admission for the flat (SoA) pool path: write the ready,
+    unmapped, energy-admissible, eligible tasks for [machine] into
+    [dst.(0 .. pool-1)] and return the pool size; [counts] receives the
+    energy-admitted count (before the eligibility filter) and the
+    frontier length. [dst] must hold the whole frontier
+    ({!Schedule.n_ready}). [eligible] is called exactly once per
+    energy-admitted task, in ready-list order, so a caller may record the
+    tasks it turns away. Same telemetry shape, same admission as
+    {!candidate_pool}, bit-identical decisions. With a noop [obs] the pass
+    builds no closure and allocates nothing beyond first-use pricing.
+    @raise Invalid_argument if the memo was priced for another workload
+    or [dst] is shorter than the frontier. *)
 
 val explain_rejections :
   ?mode:mode -> Schedule.t -> machine:int -> (int * infeasibility) list

@@ -231,16 +231,26 @@ let parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm =
 (* Score the pool [tasks.(0 .. n-1)] for [machine] in one pass, writing
    the best version and score per slot into [versions] / [scores].
    Parent bounds are priced lazily into the flat store (valid for the
-   whole run). Equals [best_version w sched ~task ~machine ~now] per candidate,
-   bit for bit. On the steady-state path (noop sink, warm bounds) the
-   loop performs no heap allocation: all hoisted floats live in unboxed
-   locals, and the per-version evaluation is a local function whose
-   results flow straight into float-array writes. *)
+   whole run). Equals [best_version w sched ~task ~machine ~now] per
+   candidate, bit for bit. Both versions are evaluated inline — no local
+   function, no cross-module call per candidate: cycles come from the
+   workload's flat table, and execution energy is
+   [rate *. (float_of_int c /. cps)], the exact expression
+   [Machine.compute_energy] of [Units.seconds_of_cycles] evaluates. On
+   the steady-state path (noop sink, warm bounds) the pass performs no
+   heap allocation: every float stays in an unboxed local and flows
+   straight into a float-array write. *)
 let score_into w sched ~machine ~now ~n ~tasks ~bound_ready ~bound_comm
     ~bound_known ~versions ~scores =
   if n > 0 then begin
     let wl = Schedule.workload sched in
     let stride = Workload.n_machines wl in
+    let cycles = Workload.cycles wl in
+    let rate =
+      (Agrid_platform.Grid.machine (Workload.grid wl) machine)
+        .Agrid_platform.Machine.compute_rate
+    in
+    let cps = float_of_int Agrid_platform.Units.cycles_per_second in
     let horizon = Timeline.horizon (Schedule.exec_timeline sched machine) in
     let n_primary = Schedule.n_primary sched in
     let tec0 = Schedule.tec sched in
@@ -248,21 +258,7 @@ let score_into w sched ~machine ~now ~n ~tasks ~bound_ready ~bound_comm
     let tse = Workload.total_system_energy wl in
     let n_tasks_f = float_of_int (Workload.n_tasks wl) in
     let tau_f = float_of_int (Workload.tau wl) in
-    (* [estimate_parts_with]'s total for one version, every schedule-wide
-       load hoisted; [start] and [comm] are version-independent. *)
-    let est task start comm version =
-      let finish = start + Workload.exec_cycles wl ~task ~machine ~version in
-      let t100 = n_primary + if Version.is_primary version then 1 else 0 in
-      let tec = tec0 +. Workload.exec_energy wl ~task ~machine ~version +. comm in
-      let aet = if aet0 >= finish then aet0 else finish in
-      let aet_raw = w.gamma *. (float_of_int aet /. tau_f) in
-      let aet_term =
-        match w.aet_sign with Reward -> aet_raw | Penalise -> -.aet_raw
-      in
-      let t100_term = w.alpha *. (float_of_int t100 /. n_tasks_f) in
-      let energy_term = w.beta *. (tec /. tse) in
-      t100_term -. energy_term +. aet_term
-    in
+    let penalise = match w.aet_sign with Reward -> false | Penalise -> true in
     for k = 0 to n - 1 do
       let task = tasks.(k) in
       let slot = (task * stride) + machine in
@@ -274,8 +270,25 @@ let score_into w sched ~machine ~now ~n ~tasks ~bound_ready ~bound_comm
       let comm = bound_comm.(slot) in
       let ready = if now >= rf then now else rf in
       let start = if ready >= horizon then ready else horizon in
-      let ep = est task start comm Version.Primary in
-      let es = est task start comm Version.Secondary in
+      (* [estimate_parts_with]'s total, primary then secondary: the same
+         float operations in the same order as [value_parts] *)
+      let c = 2 * slot in
+      let cp = cycles.(c) in
+      let finish = start + cp in
+      let tec = tec0 +. (rate *. (float_of_int cp /. cps)) +. comm in
+      let aet = if aet0 >= finish then aet0 else finish in
+      let aet_raw = w.gamma *. (float_of_int aet /. tau_f) in
+      let aet_term = if penalise then -.aet_raw else aet_raw in
+      let t100_term = w.alpha *. (float_of_int (n_primary + 1) /. n_tasks_f) in
+      let ep = t100_term -. (w.beta *. (tec /. tse)) +. aet_term in
+      let cs = cycles.(c + 1) in
+      let finish = start + cs in
+      let tec = tec0 +. (rate *. (float_of_int cs /. cps)) +. comm in
+      let aet = if aet0 >= finish then aet0 else finish in
+      let aet_raw = w.gamma *. (float_of_int aet /. tau_f) in
+      let aet_term = if penalise then -.aet_raw else aet_raw in
+      let t100_term = w.alpha *. (float_of_int n_primary /. n_tasks_f) in
+      let es = t100_term -. (w.beta *. (tec /. tse)) +. aet_term in
       if ep >= es then begin
         versions.(k) <- Version.Primary;
         scores.(k) <- ep

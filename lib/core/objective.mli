@@ -107,9 +107,11 @@ val score_into :
     run — are priced lazily into the flat store (stride [n_machines],
     index [task * n_machines + machine]; a slot is trusted once its
     [bound_known] byte is set). Per candidate this equals {!best_version}
-    bit for bit (pinned by the QCheck batch-equals-fold property);
-    schedule-wide inputs are hoisted out of the loop, and with warm
-    bounds the pass performs no heap allocation. *)
+    bit for bit (pinned by the QCheck batch-equals-fold property).
+    Schedule-wide inputs are hoisted out of the loop, both versions are
+    evaluated inline off {!Workload.cycles} with no cross-module call per
+    candidate, and with warm bounds the pass performs no heap allocation
+    (pinned at exactly 0 bytes by the allocation suite). *)
 
 val parent_bound_into :
   Schedule.t ->

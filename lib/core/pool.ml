@@ -39,8 +39,8 @@ module Flat = struct
     mutable versions : Version.t array;  (* best version per slot *)
     mutable scores : float array;  (* best score per slot *)
     mutable count : int;  (* live slots *)
-    mutable admitted : int;  (* |raw pool| — "feasibility/admitted" replay *)
-    mutable checked : int;  (* |ready set| — "feasibility/checked" replay *)
+    counts : Feasibility.filter_counts;
+        (* |raw pool|, |ready set| — "feasibility/admitted"/"checked" replay *)
     mutable epoch : int;  (* Schedule.n_mapped at build; -1 = never built *)
   }
 
@@ -79,8 +79,7 @@ module Flat = struct
               versions = Array.make cap Version.Primary;
               scores = Array.make cap 0.;
               count = 0;
-              admitted = 0;
-              checked = 0;
+              counts = { Feasibility.admitted = 0; checked = 0 };
               epoch = -1;
             });
       bound_ready = Array.make (n_tasks * n_machines) min_int;

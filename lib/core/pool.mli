@@ -18,10 +18,9 @@ module Flat : sig
     mutable versions : Version.t array;  (** best version per slot *)
     mutable scores : float array;  (** best score per slot *)
     mutable count : int;  (** live slots *)
-    mutable admitted : int;
-        (** |raw pool| at build — ["feasibility/admitted"] replay *)
-    mutable checked : int;
-        (** |ready set| at build — ["feasibility/checked"] replay *)
+    counts : Feasibility.filter_counts;
+        (** |raw pool| and |ready set| at build — the
+            ["feasibility/admitted"] / ["feasibility/checked"] replay *)
     mutable epoch : int;  (** commit epoch at build; [-1] = never built *)
   }
 

@@ -460,13 +460,12 @@ let soa_rebuild params (s : soa) ~eligible sched ~machine ~now ~epoch =
                false
              end
   in
-  let n, admitted, checked =
+  let n =
     Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine ~eligible
-      ~ensure:(fun cap -> Pool.Flat.ensure arena row cap)
+      ~dst:(Pool.Flat.ensure arena row (Schedule.n_ready sched))
+      row.Pool.Flat.counts
   in
   row.Pool.Flat.count <- n;
-  row.Pool.Flat.admitted <- admitted;
-  row.Pool.Flat.checked <- checked;
   Pool.Flat.note_occupancy arena n;
   row.Pool.Flat.epoch <- epoch;
   Agrid_obs.Sink.incr obs "slrh/pool_rebuilt"
@@ -486,8 +485,9 @@ let soa_scored_pool params (s : soa) ~eligible sched ~machine ~now stats_candida
     if enabled then
       Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
           Agrid_obs.Sink.span obs "feasibility/filter" (fun () ->
-              Agrid_obs.Sink.add obs "feasibility/checked" row.Pool.Flat.checked;
-              Agrid_obs.Sink.add obs "feasibility/admitted" row.Pool.Flat.admitted);
+              let c = row.Pool.Flat.counts in
+              Agrid_obs.Sink.add obs "feasibility/checked" c.Feasibility.checked;
+              Agrid_obs.Sink.add obs "feasibility/admitted" c.Feasibility.admitted);
           Agrid_obs.Sink.incr obs "slrh/pool_reused")
   end
   else if enabled then

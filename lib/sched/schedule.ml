@@ -50,10 +50,11 @@ type t = {
   mutable aet : int;
   mutable tec : float;
   (* frontier bookkeeping: pending_parents.(i) = unmapped parents of i;
-     ready holds unmapped tasks whose count reached 0 (may contain
-     just-mapped tasks; compacted lazily by [ready_unmapped]) *)
+     ready.(0 .. n_ready-1) holds exactly the unmapped tasks whose count
+     reached 0, most recently readied first *)
   pending_parents : int array;
-  mutable ready : int list;
+  ready : int array;
+  mutable n_ready : int;
 }
 
 let create workload =
@@ -61,9 +62,13 @@ let create workload =
   let n = Workload.n_tasks workload in
   let dag = Workload.dag workload in
   let pending_parents = Array.init n (Agrid_dag.Dag.in_degree dag) in
-  let ready = ref [] in
-  for i = n - 1 downto 0 do
-    if pending_parents.(i) = 0 then ready := i :: !ready
+  let ready = Array.make n 0 in
+  let n_ready = ref 0 in
+  for i = 0 to n - 1 do
+    if pending_parents.(i) = 0 then begin
+      ready.(!n_ready) <- i;
+      incr n_ready
+    end
   done;
   {
     workload;
@@ -79,24 +84,44 @@ let create workload =
     aet = 0;
     tec = 0.;
     pending_parents;
-    ready = !ready;
+    ready;
+    n_ready = !n_ready;
   }
 
-(* Mark [task] mapped in the frontier: its children with all parents mapped
-   become ready. *)
+(* Mark [task] mapped in the frontier: it leaves the ready array (the
+   rest keep their order), then each child whose last parent it was joins
+   at the front, in child-edge order — so the latest-readied task comes
+   first. That order is every SoA pool's fill order (pinned against a
+   list reference model by a QCheck property). A task replayed before
+   its parents never joins: it is mapped by the time its count reaches 0. *)
 let frontier_mapped t task =
-  Array.iter
-    (fun (c, _) ->
-      t.pending_parents.(c) <- t.pending_parents.(c) - 1;
-      if t.pending_parents.(c) = 0 then t.ready <- c :: t.ready)
-    (Agrid_dag.Dag.child_edges (Workload.dag t.workload) task)
+  let ready = t.ready in
+  let n = t.n_ready in
+  let i = ref 0 in
+  while !i < n && ready.(!i) <> task do
+    incr i
+  done;
+  if !i < n then begin
+    Array.blit ready (!i + 1) ready !i (n - !i - 1);
+    t.n_ready <- n - 1
+  end;
+  let children = Agrid_dag.Dag.child_edges (Workload.dag t.workload) task in
+  for k = 0 to Array.length children - 1 do
+    let c, _ = children.(k) in
+    t.pending_parents.(c) <- t.pending_parents.(c) - 1;
+    if t.pending_parents.(c) = 0 && t.placements.(c) = None then begin
+      Array.blit ready 0 ready 1 t.n_ready;
+      ready.(0) <- c;
+      t.n_ready <- t.n_ready + 1
+    end
+  done
+
+let ready_tasks t = t.ready
+let n_ready t = t.n_ready
 
 (* Unmapped tasks whose parents are all mapped — the only tasks a candidate
-   pool can contain. Compacts the ready list as a side effect. *)
-let ready_unmapped t =
-  let live = List.filter (fun i -> t.placements.(i) = None) t.ready in
-  t.ready <- live;
-  live
+   pool can contain — as a fresh list in frontier order. *)
+let ready_unmapped t = List.init t.n_ready (fun i -> t.ready.(i))
 
 let workload t = t.workload
 let placement t task = t.placements.(task)

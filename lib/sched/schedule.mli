@@ -71,7 +71,19 @@ val machine_free_from : t -> machine:int -> time:int -> int
 
 val ready_unmapped : t -> int list
 (** Unmapped tasks whose parents are all mapped — the candidate-pool
-    universe. Maintained incrementally (O(frontier), not O(|T|)). *)
+    universe — most recently readied first. A fresh list copied from the
+    frontier array ({!ready_tasks}); reading it changes nothing. The
+    frontier is maintained at {!commit} and {!replay_placement}
+    (O(frontier), not O(|T|)). *)
+
+val ready_tasks : t -> int array
+(** The frontier itself, allocation-free: slots [0 .. n_ready t - 1]
+    hold {!ready_unmapped}'s sequence. The array is the schedule's own
+    and is rewritten by the next {!commit} or {!replay_placement}; read
+    it, never write it. *)
+
+val n_ready : t -> int
+(** Length of the frontier ({!ready_tasks}'s live prefix). *)
 
 val parents_mapped : t -> int -> bool
 val latest_parent_finish : t -> int -> int

@@ -20,7 +20,9 @@ type t = {
   etc : Agrid_etc.Etc.t; (* restricted to this case's machines *)
   data_bits : float array; (* per edge id *)
   tau : int; (* cycles *)
-  exec_cycles_cache : int array array; (* .(task).(machine) primary cycles *)
+  cycles : int array;
+      (* 2 * (task * n_machines + machine) + (0 primary | 1 secondary) *)
+  tse : float; (* Grid.total_system_energy grid *)
 }
 
 (* Independent, label-keyed stream derivation: mixes the label hash and the
@@ -49,10 +51,26 @@ let data_for_spec spec dag ~dag_index =
   Agrid_dag.Generate.data_sizes rng dag ~mean_bits:spec.Spec.data_mean_bits
     ~cv:spec.Spec.data_cv
 
-let secondary_cycles t primary_cycles =
+(* Secondary versions take the spec's fraction (paper: 10 %) of the
+   primary's cycles, at least one. *)
+let secondary_cycles spec primary_cycles =
   max 1
     (int_of_float
-       (Float.ceil (float_of_int primary_cycles *. t.spec.Spec.secondary_fraction)))
+       (Float.ceil (float_of_int primary_cycles *. spec.Spec.secondary_fraction)))
+
+(* The flat cycle table: both versions' occupancy for every (task,
+   machine), priced once per workload. *)
+let cycle_table spec etc ~n ~m =
+  let cycles = Array.make (2 * n * m) 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to m - 1 do
+      let primary = Units.cycles_of_seconds (Agrid_etc.Etc.seconds etc ~task:i ~machine:j) in
+      let slot = 2 * ((i * m) + j) in
+      cycles.(slot) <- primary;
+      cycles.(slot + 1) <- secondary_cycles spec primary
+    done
+  done;
+  cycles
 
 let build ?etc ?dag ?data_bits spec ~etc_index ~dag_index ~case =
   Spec.validate spec;
@@ -74,11 +92,6 @@ let build ?etc ?dag ?data_bits spec ~etc_index ~dag_index ~case =
   if Array.length data_bits <> Agrid_dag.Dag.n_edges dag then
     invalid_arg "Workload.build: data size count does not match DAG edges";
   let n = spec.Spec.n_tasks and m = Grid.n_machines grid in
-  let exec_cycles_cache =
-    Array.init n (fun i ->
-        Array.init m (fun j ->
-            Units.cycles_of_seconds (Agrid_etc.Etc.seconds etc ~task:i ~machine:j)))
-  in
   {
     spec;
     case;
@@ -89,7 +102,8 @@ let build ?etc ?dag ?data_bits spec ~etc_index ~dag_index ~case =
     etc;
     data_bits;
     tau = Spec.tau_cycles spec;
-    exec_cycles_cache;
+    cycles = cycle_table spec etc ~n ~m;
+    tse = Grid.total_system_energy grid;
   }
 
 let with_tau t ~tau_cycles =
@@ -97,23 +111,32 @@ let with_tau t ~tau_cycles =
   { t with tau = tau_cycles }
 
 (* Drop one machine mid-run (dynamic-grid extension): the grid loses the
-   machine, the ETC loses its column, the cycle cache shrinks. Remaining
-   machines keep their relative order; the caller remaps indices with
-   old index -> (if old < lost then old else old - 1). *)
+   machine, the ETC loses its column, the cycle table loses the machine's
+   pairs. Remaining machines keep their relative order; the caller remaps
+   indices with old index -> (if old < lost then old else old - 1). *)
 let remove_machine t ~machine =
   let m = Grid.n_machines t.grid in
   if machine < 0 || machine >= m then invalid_arg "Workload.remove_machine";
   let keep = Array.of_list (List.filter (fun j -> j <> machine) (List.init m Fun.id)) in
+  let m' = m - 1 in
+  let cycles = Array.make (2 * t.spec.Spec.n_tasks * m') 0 in
+  for task = 0 to t.spec.Spec.n_tasks - 1 do
+    Array.iteri
+      (fun j old ->
+        Array.blit t.cycles (2 * ((task * m) + old)) cycles (2 * ((task * m') + j)) 2)
+      keep
+  done;
+  let grid = Grid.remove_machine t.grid machine in
   {
     t with
-    grid = Grid.remove_machine t.grid machine;
+    grid;
     etc = Agrid_etc.Etc.restrict t.etc ~columns:keep;
-    exec_cycles_cache =
-      Array.map (fun row -> Array.map (fun j -> row.(j)) keep) t.exec_cycles_cache;
+    cycles;
+    tse = Grid.total_system_energy grid;
   }
 
 (* Scale one machine's bandwidth mid-run (churn extension): the ETC matrix
-   and execution-cycle cache are unaffected — only communication durations
+   and the cycle table are unaffected — only communication durations
    and energies computed against the grid change for future plans. *)
 let degrade_bandwidth t ~machine ~factor =
   { t with grid = Grid.scale_bandwidth t.grid ~machine ~factor }
@@ -128,13 +151,14 @@ let case t = t.case
 let spec t = t.spec
 let indices t = (t.etc_index, t.dag_index)
 
-(* Execution time of a (task, machine, version) triple in cycles; secondary
-   versions take the spec's fraction (paper: 10 %), at least one cycle. *)
+let cycles t = t.cycles
+
+(* Execution time of a (task, machine, version) triple in cycles. *)
 let exec_cycles t ~task ~machine ~version =
-  let primary = t.exec_cycles_cache.(task).(machine) in
+  let slot = 2 * ((task * Grid.n_machines t.grid) + machine) in
   match (version : Version.t) with
-  | Primary -> primary
-  | Secondary -> secondary_cycles t primary
+  | Primary -> t.cycles.(slot)
+  | Secondary -> t.cycles.(slot + 1)
 
 (* Energy for that execution: rate E(j) over the occupied integer cycles. *)
 let exec_energy t ~task ~machine ~version =
@@ -149,7 +173,7 @@ let edge_bits t ~edge ~parent_version =
   | Primary -> bits
   | Secondary -> bits *. t.spec.Spec.secondary_fraction
 
-let total_system_energy t = Grid.total_system_energy t.grid
+let total_system_energy t = t.tse
 
 (* Sum over a task's children of the worst-case transmit energy from
    [machine], assuming version [version] output volumes — the SLRH

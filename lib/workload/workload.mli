@@ -51,12 +51,23 @@ val indices : t -> int * int
 val exec_cycles : t -> task:int -> machine:int -> version:Version.t -> int
 (** Occupancy in cycles; secondary = ceil(fraction * primary), >= 1. *)
 
+val cycles : t -> int array
+(** The flat cycle table {!exec_cycles} reads, priced once by {!build}
+    and re-indexed by {!remove_machine}: slot
+    [2 * (task * n_machines + machine)] holds the primary version's
+    cycles and the next slot the secondary's. Shared, not copied — the
+    allocation-free scoring pass reads it directly; callers must not
+    mutate it. *)
+
 val exec_energy : t -> task:int -> machine:int -> version:Version.t -> float
+(** [compute_rate *. seconds_of_cycles (exec_cycles ...)] — the machine's
+    rate over the occupied integer cycles. *)
 
 val edge_bits : t -> edge:int -> parent_version:Version.t -> float
 (** Output volume of an edge given the parent's executed version. *)
 
 val total_system_energy : t -> float
+(** TSE of the grid, computed once per grid. *)
 
 val worst_case_child_comm_energy :
   t -> task:int -> machine:int -> version:Version.t -> float

@@ -24,14 +24,13 @@
    without planning.
 
    Budgets per mode:
-   - `Soa      : 0 bytes per swept timestep with empty pools and 0 bytes
-                 per jumped timestep, all three variants. The flat arena
-                 is the whole point — reused pools re-score into
-                 preallocated rows and the walk commits off the arena.
-                 With bound-ruled-out pools the batch scorer still boxes
-                 floats (no cross-module inlining in the dev profile), so
-                 that row is reported and must stay below rescan's on the
-                 same fixture.
+   - `Soa      : 0 bytes per swept timestep, with empty pools and with
+                 pools the bound rules out, and 0 bytes per jumped
+                 timestep, all three variants. The flat arena is the
+                 whole point — reused pools re-score into preallocated
+                 rows (both versions inline off the workload's cycle
+                 table, no boxed float even under the dev profile's
+                 -opaque) and the walk commits off the arena.
    - `Rescan   : nonzero (span thunks, pool lists, scored tuples) on the
                  commit-free scenario, where it sweeps every step.
                  Asserted positive — if the boxed oracle ever measures 0
@@ -257,14 +256,15 @@ let () =
             (Fmt.str "soa %s %s = 0 bytes/timestep (got %g)" fixture vname bytes)
             (bytes = 0.))
         per_variant)
-    [ ("swept", empty_swept); ("jumped", soa_jumped) ];
-  List.iter2
-    (fun (vname, soa) (_, rescan) ->
+    [ ("swept", empty_swept); ("jumped", soa_jumped); ("bounded-out", soa_bounded) ];
+  List.iter
+    (fun (vname, bytes) ->
+      (* the boxed oracle scores the same pools and allocates; a zero here
+         means the bounded-out fixture is measuring nothing *)
       check
-        (Fmt.str "soa %s bounded-out step allocates less than rescan (%g vs %g)"
-           vname soa rescan)
-        (soa < rescan))
-    soa_bounded rescan_bounded;
+        (Fmt.str "rescan %s bounded-out step allocates (harness sanity)" vname)
+        (bytes > 0.))
+    rescan_bounded;
   List.iter
     (fun (vname, bytes) ->
       (* the boxed oracle allocates; a zero here means the harness is

@@ -424,11 +424,15 @@ let test_flat_occupancy_and_filter_fill () =
   Alcotest.(check int) "hwm is a max" 7 (Pool.Flat.hwm a);
   let sched = Schedule.create wl in
   let row = a.Pool.Flat.rows.(0) in
-  let n, admitted, checked =
-    Feasibility.filter_into a.Pool.Flat.memo sched ~machine:0
-      ~eligible:(fun _ -> true)
-      ~ensure:(Pool.Flat.ensure a row)
+  let counts = { Feasibility.admitted = 0; checked = 0 } in
+  let n =
+    Feasibility.filter_into ~obs:Agrid_obs.Sink.noop a.Pool.Flat.memo sched
+      ~machine:0 ~eligible:(fun _ -> true)
+      ~dst:(Pool.Flat.ensure a row (Schedule.n_ready sched))
+      counts
   in
+  let admitted = counts.Feasibility.admitted
+  and checked = counts.Feasibility.checked in
   let boxed = Feasibility.candidate_pool sched ~machine:0 in
   Alcotest.(check (list int)) "fill = candidate_pool, same order" boxed
     (Array.to_list (Array.sub row.Pool.Flat.tasks 0 n));

@@ -623,10 +623,11 @@ let qcheck_batch_equals_fold =
       in
       for machine = 0 to Workload.n_machines wl - 1 do
         let row = a.Pool.Flat.rows.(machine) in
-        let n, _admitted, _checked =
-          Feasibility.filter_into a.Pool.Flat.memo sched ~machine
-            ~eligible:(fun _ -> true)
-            ~ensure:(Pool.Flat.ensure a row)
+        let n =
+          Feasibility.filter_into ~obs:Agrid_obs.Sink.noop a.Pool.Flat.memo
+            sched ~machine ~eligible:(fun _ -> true)
+            ~dst:(Pool.Flat.ensure a row (Schedule.n_ready sched))
+            { Feasibility.admitted = 0; checked = 0 }
         in
         Objective.score_into w sched ~machine ~now ~n
           ~tasks:row.Pool.Flat.tasks ~bound_ready:a.Pool.Flat.bound_ready

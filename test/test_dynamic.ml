@@ -117,8 +117,44 @@ let test_validation_args () =
   Alcotest.check_raises "bad time" (Invalid_argument "Dynamic.run_with_loss: negative loss time")
     (fun () -> ignore (Dynamic.run_with_loss params wl { Dynamic.at = -1; machine = 0 }))
 
+(* The flat cycle table against the ETC-derived formula, both versions,
+   every (task, machine): primary = cycles_of_seconds (ETC seconds),
+   secondary = max 1 (ceil (fraction * primary)), energy = the machine's
+   compute rate over the occupied cycles. [etc_machine] maps [wl]'s
+   machine index to the column of [etc] it must read, which is how a
+   reduced workload is checked against the ETC it was cut from. *)
+let check_exec_table ~what ~etc ~etc_machine wl =
+  let fraction = (Workload.spec wl).Spec.secondary_fraction in
+  for task = 0 to Workload.n_tasks wl - 1 do
+    for machine = 0 to Workload.n_machines wl - 1 do
+      let primary =
+        Agrid_platform.Units.cycles_of_seconds
+          (Agrid_etc.Etc.seconds etc ~task ~machine:(etc_machine machine))
+      in
+      let secondary =
+        max 1 (int_of_float (Float.ceil (float_of_int primary *. fraction)))
+      in
+      let rate =
+        (Agrid_platform.Grid.machine (Workload.grid wl) machine)
+          .Agrid_platform.Machine.compute_rate
+      in
+      List.iter
+        (fun (version, cycles) ->
+          let label = Fmt.str "%s: task %d machine %d %a" what task machine Version.pp version in
+          Alcotest.(check int) (label ^ " cycles") cycles
+            (Workload.exec_cycles wl ~task ~machine ~version);
+          Alcotest.(check int64) (label ^ " energy (bits)")
+            (Int64.bits_of_float
+               (rate *. Agrid_platform.Units.seconds_of_cycles cycles))
+            (Int64.bits_of_float (Workload.exec_energy wl ~task ~machine ~version)))
+        [ (Version.Primary, primary); (Version.Secondary, secondary) ]
+    done
+  done
+
 let test_workload_remove_machine () =
   let wl = workload () in
+  let etc = Workload.etc wl in
+  check_exec_table ~what:"full grid" ~etc ~etc_machine:Fun.id wl;
   let r = Workload.remove_machine wl ~machine:1 in
   Alcotest.(check int) "one fewer machine" (Workload.n_machines wl - 1) (Workload.n_machines r);
   (* columns shift: old machine 2 becomes machine 1 *)
@@ -126,6 +162,19 @@ let test_workload_remove_machine () =
     Alcotest.(check int) "column shift"
       (Workload.exec_cycles wl ~task ~machine:2 ~version:Version.Primary)
       (Workload.exec_cycles r ~task ~machine:1 ~version:Version.Primary)
+  done;
+  (* every machine lost in turn, and a second loss on top of the first:
+     the re-indexed table must still read the original ETC column *)
+  for lost = 0 to Workload.n_machines wl - 1 do
+    let shift lost j = if j < lost then j else j + 1 in
+    let r = Workload.remove_machine wl ~machine:lost in
+    check_exec_table ~what:(Fmt.str "without %d" lost) ~etc ~etc_machine:(shift lost) r;
+    let rr = Workload.remove_machine r ~machine:0 in
+    check_exec_table
+      ~what:(Fmt.str "without %d then 0" lost)
+      ~etc
+      ~etc_machine:(fun j -> shift lost (shift 0 j))
+      rr
   done
 
 let test_charge_energy () =

@@ -647,6 +647,88 @@ let test_qcheck_bound_below_plan () =
   Alcotest.(check bool) "some bounds are met exactly" true (!tight > 0);
   Alcotest.(check bool) "some bounds lie past not_before" true (!ahead > 0)
 
+(* The ready frontier against the list model it replaced: roots in
+   ascending order, each child prepended the moment its last parent is
+   mapped (in child-edge order), mapped tasks filtered out on read. The
+   rescan/soa differential cannot see this order — both modes share
+   [Schedule] — yet it is the fill order of every pool. Random
+   interleavings of [commit] (a random ready task) and [replay_placement]
+   (any unmapped task, ready or not, as churn rebuilds do) must leave
+   [ready_unmapped] and the array view equal to the model after every
+   step. *)
+let test_qcheck_frontier_matches_list_model () =
+  let replayed_early = ref 0 in
+  let prop seed =
+    let rng = Testlib.rng ~seed () in
+    let next = Agrid_prng.Splitmix64.next_int rng in
+    let wl = random_workload rng in
+    let dag = Workload.dag wl in
+    let n = Workload.n_tasks wl and m = Workload.n_machines wl in
+    let sched = Schedule.create wl in
+    let pending = Array.init n (Agrid_dag.Dag.in_degree dag) in
+    let model = ref (List.filter (fun i -> pending.(i) = 0) (List.init n Fun.id)) in
+    let mapped = Array.make n false in
+    let model_view () = List.filter (fun i -> not mapped.(i)) !model in
+    let model_mapped task =
+      mapped.(task) <- true;
+      Array.iter
+        (fun (c, _) ->
+          pending.(c) <- pending.(c) - 1;
+          if pending.(c) = 0 then model := c :: !model)
+        (Agrid_dag.Dag.child_edges dag task)
+    in
+    let check step =
+      let want = model_view () in
+      let got = Schedule.ready_unmapped sched in
+      let arr =
+        List.init (Schedule.n_ready sched) (fun i -> (Schedule.ready_tasks sched).(i))
+      in
+      let show l = String.concat ";" (List.map string_of_int l) in
+      if got <> want then
+        QCheck2.Test.fail_reportf "step %d: ready_unmapped [%s], model [%s]" step
+          (show got) (show want);
+      if arr <> want then
+        QCheck2.Test.fail_reportf "step %d: frontier array [%s], model [%s]" step
+          (show arr) (show want)
+    in
+    check 0;
+    for step = 1 to n do
+      let ready = model_view () in
+      let unmapped = List.filter (fun i -> not mapped.(i)) (List.init n Fun.id) in
+      if ready = [] || next 3 = 0 then begin
+        let task = List.nth unmapped (next (List.length unmapped)) in
+        if pending.(task) > 0 then incr replayed_early;
+        let machine = next m in
+        (* past everything on the machine, so the replay cannot overlap *)
+        let start = Timeline.horizon (Schedule.exec_timeline sched machine) + 1000 in
+        Schedule.replay_placement sched
+          {
+            Schedule.task;
+            version = (if next 2 = 0 then Version.Primary else Version.Secondary);
+            machine;
+            start;
+            stop = start + 5;
+          };
+        model_mapped task
+      end
+      else begin
+        let task = List.nth ready (next (List.length ready)) in
+        Schedule.commit sched
+          (Schedule.plan sched ~task
+             ~version:(if next 2 = 0 then Version.Primary else Version.Secondary)
+             ~machine:(next m) ~not_before:(next 300));
+        model_mapped task
+      end;
+      check step
+    done;
+    true
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:300 ~name:"frontier = list model"
+       (QCheck2.Gen.int_range 0 1_000_000) prop);
+  Alcotest.(check bool) "some tasks were replayed before their parents" true
+    (!replayed_early > 0)
+
 (* [Schedule.machine_free_from] against a linear scan of the execution
    timeline: step past whichever interval covers the candidate cycle
    until none does. Extra intervals are inserted straight into the
@@ -854,6 +936,8 @@ let suites =
           test_qcheck_bound_below_plan;
         Alcotest.test_case "qcheck machine_free_from = scan" `Quick
           test_qcheck_machine_free_from;
+        Alcotest.test_case "qcheck frontier = list model" `Quick
+          test_qcheck_frontier_matches_list_model;
         Alcotest.test_case "channel overlap rejected" `Quick
           test_validator_detects_channel_overlap;
         Alcotest.test_case "duplicate transfer caught" `Quick
