@@ -546,6 +546,35 @@ let run_obs_profile config ~total_seconds =
     "bounded-out pools allocation: %g bytes/timestep (%d vs %d steps, %d candidates \
      scored)@."
     bounded steps_a steps_b scored;
+  (* Realize allocation budgets: bytes one [Serialize.realize] allocates,
+     after a warm-up, for a fixed generated scenario (31 tasks, the shape
+     serve-closed sends) and a fixed pinned text (128 tasks, ~15 KB, the
+     shape serve-pinned-repeat sends). Allocation is deterministic, so
+     check_regression treats the committed "realize/" gauges as
+     upper-bound budgets. *)
+  let realize_bytes scenario =
+    ignore (Serialize.realize scenario);
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Serialize.realize scenario));
+    Gc.minor ();
+    Gc.allocated_bytes () -. before
+  in
+  let generated =
+    Serialize.Generated
+      { seed = 5; scale = 0.03; etc_index = 1; dag_index = 2; case = Agrid_platform.Grid.B }
+  in
+  let pinned =
+    Serialize.Pinned
+      (Serialize.to_string
+         (Serialize.spec_for ~seed:3 ~scale:0.125)
+         ~etc_index:1 ~dag_index:2 ~case:Agrid_platform.Grid.A)
+  in
+  let gen_bytes = realize_bytes generated and pinned_bytes = realize_bytes pinned in
+  Agrid_obs.Sink.set_gauge sink "realize/minor_alloc_bytes_generated" gen_bytes;
+  Agrid_obs.Sink.set_gauge sink "realize/minor_alloc_bytes_pinned" pinned_bytes;
+  Fmt.pr "realize allocation: generated %g bytes, pinned %g bytes@." gen_bytes
+    pinned_bytes;
   (* SoA vs rescan-oracle scoring latency, for the record: the regression
      gate pins the SoA p50 through the committed baseline plus the
      tightened "slrh/score" tolerance, so scoring cannot silently fall

@@ -15,6 +15,16 @@ val of_edges : n:int -> (int * int) list -> t
     @raise Invalid_argument on out-of-range endpoints or self edges.
     @raise Cycle if the edges are not acyclic. *)
 
+val of_edge_arrays : n:int -> int array -> int array -> t * int array
+(** [of_edge_arrays ~n src dst] builds from parallel endpoint arrays (record
+    [k] is the edge [src.(k) -> dst.(k)]) in O(E + n). Also returns, for
+    every edge id, the index of the record that defines it: the last
+    one when a pair is repeated. Records already in (src, dst) order with
+    no repeat keep their positions as edge ids.
+    @raise Invalid_argument on out-of-range endpoints, self edges or
+    arrays of different lengths.
+    @raise Cycle if the edges are not acyclic. *)
+
 val n_tasks : t -> int
 val n_edges : t -> int
 

@@ -59,29 +59,36 @@ let generate ?(params_check = true) rng (p : params) =
         level_of.(i) <- l
       done
     done;
-    let edges = ref [] in
+    (* at most [max_parents] edges per non-root task; [chosen_by.(v) = i]
+       marks v as already a parent of task i *)
+    let cap = (p.n - bounds.(1)) * p.max_parents in
+    let src = Array.make cap 0 and dst = Array.make cap 0 in
+    let n_edges = ref 0 in
+    let chosen_by = Array.make p.n (-1) in
     for i = bounds.(1) to p.n - 1 do
       let l = level_of.(i) in
       let n_parents = 1 + Splitmix64.next_int rng p.max_parents in
-      let chosen = Hashtbl.create 8 in
       for _ = 1 to n_parents do
         let from_prev = Dist.bernoulli rng ~p:p.prev_level_bias in
-        let lo, hi =
-          if from_prev then (bounds.(l - 1), bounds.(l))
-          else (0, bounds.(l)) (* any earlier level *)
-        in
-        let parent = lo + Splitmix64.next_int rng (hi - lo) in
-        if not (Hashtbl.mem chosen parent) then begin
-          Hashtbl.add chosen parent ();
-          edges := (parent, i) :: !edges
+        let lo = if from_prev then bounds.(l - 1) else 0 (* any earlier level *) in
+        let parent = lo + Splitmix64.next_int rng (bounds.(l) - lo) in
+        if chosen_by.(parent) <> i then begin
+          chosen_by.(parent) <- i;
+          src.(!n_edges) <- parent;
+          dst.(!n_edges) <- i;
+          incr n_edges
         end
       done
     done;
-    Dag.of_edges ~n:p.n !edges
+    fst (Dag.of_edge_arrays ~n:p.n (Array.sub src 0 !n_edges) (Array.sub dst 0 !n_edges))
   end
 
 (* Per-edge global data item sizes in bits, gamma distributed. The default
    mean (see Workload.Spec) is calibrated so communication energy stays a
    small fraction of compute energy, matching the paper's observation. *)
 let data_sizes rng dag ~mean_bits ~cv =
-  Array.init (Dag.n_edges dag) (fun _ -> Dist.gamma_mean_cv rng ~mean:mean_bits ~cv)
+  let bits = Array.make (Dag.n_edges dag) 0. in
+  for e = 0 to Array.length bits - 1 do
+    bits.(e) <- Dist.gamma_mean_cv rng ~mean:mean_bits ~cv
+  done;
+  bits

@@ -56,6 +56,7 @@ type t = {
 let n_tasks t = Array.length t.seconds
 let n_machines t = Array.length t.klasses
 let seconds t ~task ~machine = t.seconds.(task).(machine)
+let row t i = t.seconds.(i)
 let klass t ~machine = t.klasses.(machine)
 let klasses t = t.klasses
 
@@ -63,11 +64,12 @@ let of_matrix ~klasses seconds =
   let m = Array.length klasses in
   if Array.length seconds = 0 then invalid_arg "Etc.of_matrix: no tasks";
   Array.iter
-    (fun row ->
+    (fun (row : float array) ->
       if Array.length row <> m then invalid_arg "Etc.of_matrix: ragged matrix";
-      Array.iter
-        (fun v -> if not (v > 0.) then invalid_arg "Etc.of_matrix: nonpositive entry")
-        row)
+      (* a loop, not [Array.iter]: the polymorphic iterator boxes each float *)
+      for j = 0 to m - 1 do
+        if not (row.(j) > 0.) then invalid_arg "Etc.of_matrix: nonpositive entry"
+      done)
     seconds;
   { seconds; klasses }
 
@@ -95,16 +97,30 @@ let generate rng (p : params) ~klasses =
   { seconds; klasses }
 
 (* Column subset, preserving order — Cases B and C are column restrictions
-   of the Case A matrix. *)
+   of the Case A matrix. A matrix is never mutated after construction, so
+   keeping every column in order shares [t]. *)
 let restrict t ~columns =
   Array.iter
     (fun j ->
       if j < 0 || j >= n_machines t then invalid_arg "Etc.restrict: bad column")
     columns;
-  {
-    seconds = Array.map (fun row -> Array.map (fun j -> row.(j)) columns) t.seconds;
-    klasses = Array.map (fun j -> t.klasses.(j)) columns;
-  }
+  let k = Array.length columns in
+  let identity = ref (k = n_machines t) in
+  Array.iteri (fun i j -> if i <> j then identity := false) columns;
+  if !identity then t
+  else
+    {
+      seconds =
+        Array.map
+          (fun row ->
+            let out = Array.make k 0. in
+            for i = 0 to k - 1 do
+              out.(i) <- row.(columns.(i))
+            done;
+            out)
+          t.seconds;
+      klasses = Array.map (fun j -> t.klasses.(j)) columns;
+    }
 
 (* Which Case A columns each configuration keeps: Case B drops the last
    slow machine, Case C drops the second fast machine, so machine 0 (the

@@ -33,6 +33,10 @@ val n_machines : t -> int
 val seconds : t -> task:int -> machine:int -> float
 (** ETC(i, j): estimated primary-version execution seconds. *)
 
+val row : t -> int -> float array
+(** Task [i]'s ETC row, one entry per machine. Shared with [t]: read it,
+    do not mutate it. *)
+
 val klass : t -> machine:int -> Agrid_platform.Machine.klass
 val klasses : t -> Agrid_platform.Machine.klass array
 

@@ -9,4 +9,8 @@ val cycles_of_seconds : float -> int
 (** Rounds up; any positive duration occupies at least one cycle.
     @raise Invalid_argument on negative input. *)
 
+val cycles_of_seconds_at : float array -> int -> int
+(** [cycles_of_seconds_at a i] is [cycles_of_seconds a.(i)] without boxing
+    the float. *)
+
 val pp_cycles : Format.formatter -> int -> unit

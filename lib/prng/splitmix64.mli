@@ -24,6 +24,12 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val next_bits53 : t -> int
+(** The top 53 bits of the next raw output, as a non-negative [int].
+    [next_unit_float t] is [float_of_int (next_bits53 t) *. 0x1p-53];
+    callers that scale the draw in place use this to keep the float
+    unboxed. *)
+
 val next_unit_float : t -> float
 (** Uniform float in [\[0,1)] with 53 random mantissa bits. *)
 

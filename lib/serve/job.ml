@@ -157,6 +157,15 @@ let run ?(obs = Sink.noop) spec =
   with
   | exception Serialize.Parse_error { line; message } ->
       errored (Fmt.str "scenario parse error at line %d: %s" line message)
+  | exception Agrid_dag.Dag.Cycle tasks ->
+      (* the tasks still locked in cycles, the first 16 of them by id *)
+      let shown = List.filteri (fun i _ -> i < 16) tasks in
+      let more = List.length tasks - List.length shown in
+      errored
+        (Fmt.str "scenario DAG has a cycle through tasks %a%s"
+           Fmt.(list ~sep:(any ", ") int)
+           shown
+           (if more > 0 then Fmt.str " and %d more" more else ""))
   | exception Invalid_argument msg -> errored msg
   | exception Failure msg -> errored msg
   | outcome -> (

@@ -54,17 +54,19 @@ let data_for_spec spec dag ~dag_index =
 (* Secondary versions take the spec's fraction (paper: 10 %) of the
    primary's cycles, at least one. *)
 let secondary_cycles spec primary_cycles =
-  max 1
-    (int_of_float
-       (Float.ceil (float_of_int primary_cycles *. spec.Spec.secondary_fraction)))
+  let c =
+    int_of_float (Float.ceil (float_of_int primary_cycles *. spec.Spec.secondary_fraction))
+  in
+  if c < 1 then 1 else c
 
 (* The flat cycle table: both versions' occupancy for every (task,
    machine), priced once per workload. *)
 let cycle_table spec etc ~n ~m =
   let cycles = Array.make (2 * n * m) 0 in
   for i = 0 to n - 1 do
+    let row = Agrid_etc.Etc.row etc i in
     for j = 0 to m - 1 do
-      let primary = Units.cycles_of_seconds (Agrid_etc.Etc.seconds etc ~task:i ~machine:j) in
+      let primary = Units.cycles_of_seconds_at row j in
       let slot = 2 * ((i * m) + j) in
       cycles.(slot) <- primary;
       cycles.(slot + 1) <- secondary_cycles spec primary

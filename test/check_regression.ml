@@ -126,10 +126,16 @@ let gauges_of doc =
    already reflects a structural speedup we refuse to lose. *)
 let tight_spans = [ ("slrh/score", 3.) ]
 
-(* Only "slrh/"-prefixed gauges are gated: they are seed-deterministic
-   facts about the scheduler run. Serve/fleet gauges are wall-clock
-   measurements and would flap on CI runners. *)
-let gauge_gated name = String.length name >= 5 && String.sub name 0 5 = "slrh/"
+(* Only "slrh/"- and "realize/"-prefixed gauges are gated: they are
+   seed-deterministic facts about the scheduler run and the scenario
+   realize layer. Serve/fleet gauges are wall-clock measurements and
+   would flap on CI runners. *)
+let gauge_gated name =
+  let has prefix =
+    String.length name >= String.length prefix
+    && String.sub name 0 (String.length prefix) = prefix
+  in
+  has "slrh/" || has "realize/"
 
 (* Allocation gauges are upper-bound budgets, not exact values: a fresh
    run allocating LESS than the committed budget is an improvement. *)

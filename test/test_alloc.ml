@@ -46,7 +46,11 @@
    transfers have been committed on every channel it touches, must
    allocate exactly the same number of bytes (nothing that grows with
    channel length — a timeline copy would) and at most
-   [plan_budget_bytes]. *)
+   [plan_budget_bytes].
+
+   Realize budget: one [Serialize.realize] of a fixed generated scenario
+   and of a fixed pinned text must allocate at most the bytes committed
+   as bench/baseline_obs.json's "realize/" gauges. *)
 
 open Agrid_workload
 module Slrh = Agrid_core.Slrh
@@ -218,6 +222,30 @@ let plan_bytes ~pad =
   let after = Gc.allocated_bytes () in
   (p, (after -. before) /. float_of_int calls)
 
+(* Realize allocation: bytes one [Serialize.realize] allocates after a
+   warm-up, for the generated and pinned scenarios whose budgets
+   bench/baseline_obs.json commits as the "realize/" gauges (the same
+   scenarios bench/main.ml measures). *)
+let realize_budgets = [ ("generated", 20080.); ("pinned", 60856.) ]
+
+let realize_bytes scenario =
+  ignore (Serialize.realize scenario);
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Serialize.realize scenario));
+  Gc.minor ();
+  Gc.allocated_bytes () -. before
+
+let realize_scenario = function
+  | "generated" ->
+      Serialize.Generated
+        { seed = 5; scale = 0.03; etc_index = 1; dag_index = 2; case = Grid.B }
+  | _ ->
+      Serialize.Pinned
+        (Serialize.to_string
+           (Serialize.spec_for ~seed:3 ~scale:0.125)
+           ~etc_index:1 ~dag_index:2 ~case:Grid.A)
+
 let () =
   Fmt.pr "steady-state bytes/timestep (%d tasks):@." (Workload.n_tasks steady_workload);
   Fmt.pr "  %-30s %10s %10s %10s@." "mode, fixture" "V1" "V2" "V3";
@@ -352,6 +380,14 @@ let () =
   check
     (Fmt.str "plan allocation under %g bytes (got %g)" plan_budget_bytes long_bytes)
     (long_bytes <= plan_budget_bytes);
+  List.iter
+    (fun (name, budget) ->
+      let bytes = realize_bytes (realize_scenario name) in
+      Fmt.pr "bytes/realize (%s): %g (budget %g)@." name bytes budget;
+      check
+        (Fmt.str "realize %s allocation under %g bytes (got %g)" name budget bytes)
+        (bytes <= budget))
+    realize_budgets;
   (* Active scenario: total allocation over a committing run. *)
   Fmt.pr "whole-run bytes (active scenario, %d tasks):@."
     (Workload.n_tasks active_workload);

@@ -17,6 +17,7 @@
 module Json = Agrid_obs.Json
 module Csv = Agrid_report.Csv
 module Rng = Agrid_prng.Splitmix64
+module Dist = Agrid_prng.Dist
 
 (* ---- shared mutation machinery ---- *)
 
@@ -550,6 +551,279 @@ let test_traffic_spec_fuzz () =
           (Printexc.to_string e) s
   done
 
+(* ---- pinned-scenario decoder: differential against the line parser ----
+
+   Contracts pinned here:
+   - on every document of the corpus and its mutations the cursor decoder
+     ([Serialize.load_string]) and the line parser it replaced
+     ([Scenario_reference]) agree: bit-identical workloads, or a
+     [Parse_error] on the same line, or the same [Invalid_argument] /
+     [Dag.Cycle] from the build. Two documented exceptions: a declared
+     count the rest of the text cannot hold is rejected on the line that
+     declares it (never later than the reference's own error), and where
+     the reference dies allocating for a negative count the decoder
+     raises [Parse_error];
+   - the decoder raises nothing but [Parse_error], [Invalid_argument] and
+     [Dag.Cycle];
+   - on documents declaring 10^11 rows or edges the decoder answers with a
+     [Parse_error] on the declaring line (the reference is not run: it
+     would try to allocate them). *)
+
+module Ref = Scenario_reference
+
+type scenario_outcome =
+  | Realized of Digest.t
+  | Parse of int * string
+  | Raised of exn
+
+let scenario_outcome load text =
+  match load text with
+  | w -> Realized (Testlib.workload_digest w)
+  | exception Serialize.Parse_error { line; message } -> Parse (line, message)
+  | exception e -> Raised e
+
+let show_outcome = function
+  | Realized d -> "workload " ^ Digest.to_hex d
+  | Parse (l, m) -> Fmt.str "Parse_error line %d (%s)" l m
+  | Raised e -> Printexc.to_string e
+
+let is_count_rejection msg = Testlib.contains msg " declares "
+
+let check_decoder_agrees text =
+  let got = scenario_outcome Serialize.load_string text in
+  (match got with
+  | Raised (Invalid_argument _ | Agrid_dag.Dag.Cycle _) | Realized _ | Parse _ -> ()
+  | Raised e ->
+      Alcotest.failf "decoder raised %s on %S" (Printexc.to_string e) text);
+  let expected = scenario_outcome Ref.load_string text in
+  let agree =
+    match (expected, got) with
+    | Realized a, Realized b -> Digest.equal a b
+    | Parse (l, _), Parse (l', m') -> l' = l || (is_count_rejection m' && l' <= l)
+    | Raised (Invalid_argument m), Parse _ ->
+        String.length m >= 6 && String.sub m 0 6 = "Array."
+    | Raised (Invalid_argument _), Raised (Invalid_argument _) -> true
+    | Raised (Agrid_dag.Dag.Cycle a), Raised (Agrid_dag.Dag.Cycle b) -> a = b
+    | _ -> false
+  in
+  if not agree then
+    Alcotest.failf "decoder and reference disagree on %S:@.  reference: %s@.  decoder:   %s"
+      text (show_outcome expected) (show_outcome got)
+
+let split_lines text = String.split_on_char '\n' text
+
+(* The edge records of a saved document, with the lines around them. *)
+let edge_section text =
+  let lines = Array.of_list (split_lines text) in
+  let at = ref 0 in
+  while not (String.length lines.(!at) > 6 && String.sub lines.(!at) 0 6 = "edges ") do
+    incr at
+  done;
+  let n = int_of_string (String.sub lines.(!at) 6 (String.length lines.(!at) - 6)) in
+  ( Array.to_list (Array.sub lines 0 !at),
+    Array.to_list (Array.sub lines (!at + 1) n),
+    Array.to_list (Array.sub lines (!at + 1 + n) (Array.length lines - !at - 1 - n)) )
+
+let with_edges text edges =
+  let head, _, tail = edge_section text in
+  String.concat "\n" (head @ [ Fmt.str "edges %d" (List.length edges) ] @ edges @ tail)
+
+let scenario_corpus () =
+  let rng = Rng.of_int 0xF00D in
+  let saved seed factor case etc_index dag_index =
+    Serialize.to_string
+      (Agrid_workload.Spec.scaled ~seed ~factor ())
+      ~etc_index ~dag_index ~case
+  in
+  let bases =
+    [
+      saved 3 0.03 Agrid_platform.Grid.A 0 0;
+      saved 11 0.0625 Agrid_platform.Grid.B 1 2;
+      saved 5 0.03 Agrid_platform.Grid.C 2 1;
+    ]
+  in
+  let variants text =
+    let _, edges, _ = edge_section text in
+    let shuffled = Array.of_list edges in
+    Dist.shuffle_in_place rng shuffled;
+    (* repeats with new sizes: the last record of a pair must win *)
+    let repeated =
+      Array.to_list shuffled
+      @ List.filteri (fun i _ -> i mod 3 = 0)
+          (List.map
+             (fun l ->
+               match String.split_on_char ' ' l with
+               | [ s; d; _ ] -> Fmt.str "%s %s 12345.678" s d
+               | _ -> l)
+             edges)
+    in
+    [
+      text;
+      "# a pinned scenario\n\n" ^ text;
+      String.concat "\r\n" (split_lines text);
+      String.concat " \t\n" (split_lines text);
+      String.sub text 0 (String.length text - 1);
+      with_edges text (Array.to_list shuffled);
+      with_edges text repeated;
+      with_edges text [ "# no edges"; "" ] |> fun t ->
+      String.concat "\n"
+        (List.map (fun l -> if l = "edges 2" then "edges -3" else l) (split_lines t));
+    ]
+  in
+  List.concat_map variants bases
+
+let scenario_mutation_chars = [| '\t'; '#'; ' '; '\n'; '1'; '5'; '0'; '_'; 'x'; '.'; 'e'; '-' |]
+
+let mutate_scenario rng s =
+  if Rng.next_int rng 2 = 0 || String.length s = 0 then mutate rng s
+  else
+    let pos = Rng.next_int rng (String.length s) in
+    let c = scenario_mutation_chars.(Rng.next_int rng (Array.length scenario_mutation_chars)) in
+    String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (String.length s - pos)
+
+let test_scenario_decoder_differential () =
+  let corpus = Array.of_list (scenario_corpus ()) in
+  Array.iter check_decoder_agrees corpus;
+  let rng = Rng.of_int 0xF00E in
+  for _ = 1 to 2500 do
+    let base = corpus.(Rng.next_int rng (Array.length corpus)) in
+    let rec go k s = if k = 0 then s else go (k - 1) (mutate_scenario rng s) in
+    check_decoder_agrees (go (1 + Rng.next_int rng 4) base)
+  done;
+  (* cycles: both raise Dag.Cycle naming the same tasks *)
+  let text = corpus.(0) in
+  let _, edges, _ = edge_section text in
+  List.iter
+    (fun cycle -> check_decoder_agrees (with_edges text (edges @ cycle)))
+    [ [ "3 0 1"; "0 3 1" ]; [ "0 1 1"; "1 2 1"; "2 0 1" ]; [ "7 5 2.5" ] ]
+
+let test_scenario_decoder_oversized () =
+  let text = Serialize.to_string (Agrid_workload.Spec.scaled ~seed:3 ~factor:0.03 ()) ~etc_index:0 ~dag_index:0 ~case:Agrid_platform.Grid.A in
+  let replace f = String.concat "\n" (List.map f (split_lines text)) in
+  let huge = "100000000000" in
+  let rejects ~line doc =
+    match Serialize.load_string doc with
+    | _ -> Alcotest.fail "oversized document accepted"
+    | exception Serialize.Parse_error { line = l; message } ->
+        if l <> line || not (is_count_rejection message) then
+          Alcotest.failf "expected a count rejection on line %d, got line %d: %s" line l
+            message
+  in
+  rejects ~line:10
+    (replace (fun l ->
+         if l = "n_tasks 31" then "n_tasks " ^ huge
+         else if l = "etc 31 4" then "etc " ^ huge ^ " 4"
+         else l));
+  let head, _, _ = edge_section text in
+  rejects ~line:(List.length head + 1)
+    (replace (fun l -> if String.length l > 6 && String.sub l 0 6 = "edges " then "edges " ^ huge else l));
+  (* a huge column count fails on the first row, as it always has *)
+  check_decoder_agrees (replace (fun l -> if l = "etc 31 4" then "etc 31 " ^ huge else l))
+
+(* ---- the float kernel against float_of_string ---- *)
+
+module Kernel = Agrid_workload.Float_kernel
+
+let kernel_slot = [| 0. |]
+
+(* [true] when the kernel decided [s]; fails if it decided it wrongly *)
+let kernel_agrees s =
+  if Kernel.scan s ~pos:0 ~limit:(String.length s) kernel_slot 0 = String.length s then begin
+    match float_of_string_opt s with
+    | Some f when Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float kernel_slot.(0)) ->
+        true
+    | Some f ->
+        Alcotest.failf "kernel decided %S as %h, float_of_string says %h" s kernel_slot.(0) f
+    | None -> Alcotest.failf "kernel decided %S, which float_of_string rejects" s
+  end
+  else false
+
+let qcheck_rand seed = Random.State.make [| seed |]
+
+let test_kernel_bit_patterns () =
+  let finite_bits =
+    QCheck2.Gen.(
+      oneof
+        [
+          int64;
+          (* subnormals and zeros: biased exponent 0 *)
+          map (fun b -> Int64.logand b 0x800F_FFFF_FFFF_FFFFL) int64;
+          (* the exponent range the scenarios live in *)
+          map
+            (fun (b, e) ->
+              Int64.logor (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)
+                (Int64.shift_left (Int64.of_int (1023 - 40 + e)) 52))
+            (pair int64 (int_bound 80));
+        ])
+  in
+  let decided = ref 0 and normal_17g = ref 0 in
+  QCheck2.Test.check_exn ~rand:(qcheck_rand 0x4E11)
+    (QCheck2.Test.make ~count:20_000 ~name:"kernel = float_of_string on printed doubles"
+       finite_bits (fun b ->
+         let f = Int64.float_of_bits b in
+         if Float.is_finite f then begin
+           let s17 = Fmt.str "%.17g" f in
+           if kernel_agrees s17 then incr decided;
+           if Float.classify_float f = FP_normal then incr normal_17g;
+           ignore (kernel_agrees (Fmt.str "%.15g" f));
+           ignore (kernel_agrees (Fmt.str "%g" f))
+         end;
+         true));
+  (* the kernel must actually carry the load: nearly every normal double's
+     %.17g spelling is decided without the fallback *)
+  if float_of_int !decided < 0.99 *. float_of_int !normal_17g then
+    Alcotest.failf "kernel decided only %d of %d normal %%.17g tokens" !decided !normal_17g
+
+let test_kernel_digit_strings () =
+  let token =
+    QCheck2.Gen.(
+      let digits n = string_size ~gen:numeral (return n) in
+      int_range 1 25 >>= fun n ->
+      digits n >>= fun ds ->
+      int_range 0 n >>= fun point ->
+      int_range (-350) 350 >>= fun e ->
+      bool >>= fun neg ->
+      oneofl [ ""; "e"; "E" ] >>= fun mark ->
+      let mantissa =
+        if point = n then ds else String.sub ds 0 point ^ "." ^ String.sub ds point (n - point)
+      in
+      return
+        ((if neg then "-" else "")
+        ^ mantissa
+        ^ if mark = "" then "" else mark ^ string_of_int e))
+  in
+  QCheck2.Test.check_exn ~rand:(qcheck_rand 0xD161)
+    (QCheck2.Test.make ~count:20_000 ~name:"kernel = float_of_string on digit strings" token
+       (fun s ->
+         ignore (kernel_agrees s);
+         true));
+  (* hard cases: a tie just above 2^53, the largest subnormal boundary,
+     the classic 1e23 and a value near 2^1023 *)
+  List.iter
+    (fun s -> ignore (kernel_agrees s))
+    [
+      "9007199254740993";
+      "2.2250738585072011e-308";
+      "1e23";
+      "8.98846567431158e307";
+      "0";
+      "-0";
+      "0e400";
+      "1.7976931348623157e308";
+      "1.7976931348623159e308";
+      "4.9406564584124654e-324";
+      "123456789012345678";
+      "1234567890123456789";
+      "+1.5";
+      "0x1p3";
+      "1_000.5";
+      "nan";
+      "inf";
+      "1e";
+      ".5";
+      "5.";
+    ]
+
 let suites =
   [
     ( "fuzz",
@@ -574,5 +848,13 @@ let suites =
           test_trace_fuzz;
         Alcotest.test_case "agrid-traffic/1: mutation corpus" `Quick
           test_traffic_spec_fuzz;
+        Alcotest.test_case "pinned decoder = line parser (differential)" `Quick
+          test_scenario_decoder_differential;
+        Alcotest.test_case "pinned decoder rejects oversized counts" `Quick
+          test_scenario_decoder_oversized;
+        Alcotest.test_case "float kernel: printed doubles (qcheck)" `Quick
+          test_kernel_bit_patterns;
+        Alcotest.test_case "float kernel: digit strings and hard cases" `Quick
+          test_kernel_digit_strings;
       ] );
   ]

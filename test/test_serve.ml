@@ -192,6 +192,71 @@ let test_job_errored () =
       Alcotest.(check string) "status" "errored" (get_str "status" (parse_line line))
   | lines -> Alcotest.failf "expected one response, got %d" (List.length lines)
 
+(* Hostile pinned scenarios must come back as [errored] without taking
+   the worker down: a 2-cycle in the edge list (Dag.Cycle out of the DAG
+   build) and a declared task count the text cannot hold (which used to
+   reach Array.init as an allocation of 10^11 rows). A valid job sent
+   after both must still be answered and the drain must return. *)
+let hostile_texts () =
+  let spec = Agrid_workload.Spec.scaled ~seed:5 ~factor:0.03 () in
+  let text =
+    Serialize.to_string spec ~etc_index:0 ~dag_index:0 ~case:Agrid_platform.Grid.A
+  in
+  let lines = String.split_on_char '\n' text in
+  let n = string_of_int spec.Agrid_workload.Spec.n_tasks in
+  let before_edges =
+    List.filter (fun l -> l <> "") (List.filteri (fun i _ -> i < 10 + spec.Agrid_workload.Spec.n_tasks) lines)
+  in
+  let cyclic = String.concat "\n" (before_edges @ [ "edges 2"; "0 1 1000"; "1 0 1000"; "end"; "" ]) in
+  let huge = "100000000000" in
+  let oversized =
+    String.concat "\n"
+      (List.map
+         (fun l ->
+           if l = "n_tasks " ^ n then "n_tasks " ^ huge
+           else if l = "etc " ^ n ^ " 4" then "etc " ^ huge ^ " 4"
+           else l)
+         lines)
+  in
+  (cyclic, oversized)
+
+let test_hostile_scenarios () =
+  let cyclic, oversized = hostile_texts () in
+  (match (Job.run (Job.default (Serialize.Pinned cyclic))).Job.status with
+  | Job.Errored msg ->
+      Alcotest.(check bool) ("cycle named: " ^ msg) true (contains ~affix:"cycle through tasks 0, 1" msg)
+  | _ -> Alcotest.fail "cyclic scenario not errored");
+  (match (Job.run (Job.default (Serialize.Pinned oversized))).Job.status with
+  | Job.Errored msg ->
+      Alcotest.(check bool) ("count rejected: " ^ msg) true (contains ~affix:"line 10: etc rows declares 100000000000" msg)
+  | _ -> Alcotest.fail "oversized scenario not errored");
+  let c = collector () in
+  let server = Server.create ~workers:1 ~queue_capacity:4 () in
+  let submit text =
+    Server.submit server ~respond:(respond_to c)
+      (Json.to_string (Codec.job_to_json (Job.default (Serialize.Pinned text))))
+  in
+  submit cyclic;
+  submit oversized;
+  Server.submit server ~respond:(respond_to c) (job_line ());
+  let drained = Atomic.make false in
+  let _ : Thread.t =
+    Thread.create
+      (fun () ->
+        Server.drain server;
+        Atomic.set drained true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Atomic.get drained)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "drain returned" true (Atomic.get drained);
+  let statuses =
+    List.sort compare (List.map (fun l -> get_str "status" (parse_line l)) (collected c))
+  in
+  Alcotest.(check (list string)) "two errored, one ok" [ "errored"; "errored"; "ok" ] statuses
+
 (* ---- health ---- *)
 
 let test_health () =
@@ -463,6 +528,8 @@ let suites =
         Alcotest.test_case "Job.run deadline, directly" `Quick
           test_job_deadline_direct;
         Alcotest.test_case "bad scenario -> errored result" `Quick test_job_errored;
+        Alcotest.test_case "hostile pinned scenarios -> errored, worker lives" `Quick
+          test_hostile_scenarios;
         Alcotest.test_case "health request" `Quick test_health;
         Alcotest.test_case "stats request: rolling snapshot" `Quick
           test_stats_request;

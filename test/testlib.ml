@@ -92,3 +92,52 @@ let first_fit_joint a b ~not_before ~duration =
     in
     step not_before
   end
+
+(* Append to [buf] everything a realized workload carries that a
+   scheduler reads: the cycle table, the ETC bits, the edge list, every
+   task's parent and child edge order, the data-size bits, tau and TSE.
+   Two workloads append the same bytes iff they are bit-identical in
+   all of these. *)
+let digest_workload buf wl =
+  let add_int i = Buffer.add_string buf (string_of_int i); Buffer.add_char buf ' ' in
+  let add_float f = Buffer.add_int64_le buf (Int64.bits_of_float f) in
+  let n = Agrid_workload.Workload.n_tasks wl and m = Agrid_workload.Workload.n_machines wl in
+  add_int n;
+  add_int m;
+  add_int (Agrid_workload.Workload.tau wl);
+  add_float (Agrid_workload.Workload.total_system_energy wl);
+  Array.iter add_int (Agrid_workload.Workload.cycles wl);
+  let etc = Agrid_workload.Workload.etc wl in
+  for i = 0 to n - 1 do
+    for j = 0 to m - 1 do
+      add_float (Agrid_etc.Etc.seconds etc ~task:i ~machine:j)
+    done
+  done;
+  let dag = Agrid_workload.Workload.dag wl in
+  Array.iter
+    (fun (s, d) ->
+      add_int s;
+      add_int d)
+    (Agrid_dag.Dag.edges dag);
+  for i = 0 to n - 1 do
+    Buffer.add_char buf 'p';
+    Array.iter
+      (fun (p, e) ->
+        add_int p;
+        add_int e)
+      (Agrid_dag.Dag.parent_edges dag i);
+    Buffer.add_char buf 'c';
+    Array.iter
+      (fun (c, e) ->
+        add_int c;
+        add_int e)
+      (Agrid_dag.Dag.child_edges dag i)
+  done;
+  for e = 0 to Agrid_dag.Dag.n_edges dag - 1 do
+    add_float (Agrid_workload.Workload.edge_bits wl ~edge:e ~parent_version:Agrid_workload.Version.Primary)
+  done
+
+let workload_digest wl =
+  let buf = Buffer.create 4096 in
+  digest_workload buf wl;
+  Digest.string (Buffer.contents buf)
