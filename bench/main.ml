@@ -486,7 +486,7 @@ let run_obs_profile config ~total_seconds =
   (* [~far_roots] also replays every root on machines 1.. far past tau,
      so the normal-battery workload's pools stay non-empty yet the
      parent-ready bound rules every candidate out: each swept step
-     re-scores, sorts and walks them without planning or committing. *)
+     re-scores, selects and walks them without planning or committing. *)
   let swept_schedule ~far_roots wl =
     let sched = Agrid_sched.Schedule.create wl in
     let m = Workload.n_machines wl in
@@ -546,6 +546,34 @@ let run_obs_profile config ~total_seconds =
     "bounded-out pools allocation: %g bytes/timestep (%d vs %d steps, %d candidates \
      scored)@."
     bounded steps_a steps_b scored;
+  (* Whole-run allocation budget: bytes one SoA SLRH-1 run of the
+     pinned-scale scenario allocates after a warm-up (Spec.scaled ~seed:7
+     ~factor:0.125, Case A, ETC/DAG 0, delta_t 100 — serve-pinned-repeat's
+     scale and timestep; test_alloc measures the same run). Committed as
+     the "slrh/minor_alloc_bytes_run" budget: a plan, a commit or a priced
+     pair that starts allocating again fails the gate. *)
+  let run_bytes =
+    let wl =
+      Workload.build (Spec.scaled ~seed:7 ~factor:0.125 ()) ~etc_index:0 ~dag_index:0
+        ~case:Agrid_platform.Grid.A
+    in
+    let p =
+      {
+        (Agrid_core.Slrh.default_params
+           (Agrid_core.Objective.make_weights ~alpha:0.4 ~beta:0.3))
+        with
+        Agrid_core.Slrh.delta_t = 100;
+      }
+    in
+    ignore (Agrid_core.Slrh.run p wl);
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Agrid_core.Slrh.run p wl));
+    Gc.minor ();
+    Gc.allocated_bytes () -. before
+  in
+  Agrid_obs.Sink.set_gauge sink "slrh/minor_alloc_bytes_run" run_bytes;
+  Fmt.pr "pinned-scale run allocation: %g bytes@." run_bytes;
   (* Realize allocation budgets: bytes one [Serialize.realize] allocates,
      after a warm-up, for a fixed generated scenario (31 tasks, the shape
      serve-closed sends) and a fixed pinned text (128 tasks, ~15 KB, the

@@ -1239,6 +1239,14 @@ let run_daemon ~cmd ~conn_errors ~listening ~submit ~quiesce ~stop ~drain ~pp_su
     end
   in
   Fmt.epr "agrid %s: %t@." cmd pp_summary;
+  (* where the resident set goes: each domain owns a minor heap of the
+     size below, beside the shared major heap *)
+  let gc = Gc.quick_stat () in
+  Fmt.epr
+    "agrid %s: gc: minor heap %d words per domain, heap_words %d, top_heap_words %d, \
+     %d major collections, %d minor collections@."
+    cmd (Gc.get ()).Gc.minor_heap_size gc.Gc.heap_words gc.Gc.top_heap_words
+    gc.Gc.major_collections gc.Gc.minor_collections;
   if dropped > 0 then
     Fmt.epr "agrid %s: dropped %d queued job(s) on shutdown@." cmd dropped;
   write_obs obs_file sink;

@@ -41,10 +41,11 @@ let validate ~n_machines events =
           if up.(j) then bad "rejoin@%d: machine %d is already present" at j;
           up.(j) <- true
       | Battery_shock (_, f) ->
-          if f < 0. || f > 1. then bad "shock@%d: fraction %g outside [0,1]" at f;
+          if not (f >= 0. && f <= 1.) then bad "shock@%d: fraction %g outside [0,1]" at f;
           if not up.(j) then bad "shock@%d: machine %d is absent" at j
       | Bandwidth_degrade (_, f) ->
-          if f <= 0. then bad "degrade@%d: factor %g must be positive" at f;
+          if not (f > 0. && Float.is_finite f) then
+            bad "degrade@%d: factor %g must be finite and positive" at f;
           if not up.(j) then bad "degrade@%d: machine %d is absent" at j)
     events
 

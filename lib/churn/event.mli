@@ -31,8 +31,9 @@ val sort : t list -> t list
 
 val validate : n_machines:int -> t list -> unit
 (** Check a (sorted) trace is applicable: nonnegative times, machines in
-    range, shock fractions in [\[0,1\]], degrade factors positive, no
-    [Leave] of an absent machine, no [Rejoin] of a present one. (All
+    range, shock fractions in [\[0,1\]] (NaN is not), degrade factors
+    finite and positive, no [Leave] of an absent machine, no [Rejoin] of
+    a present one. (All
     machines absent at once — a total blackout — is representable: the
     engine masks machines rather than removing them, and simply makes no
     progress until someone rejoins.) @raise Invalid_argument otherwise. *)

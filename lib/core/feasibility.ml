@@ -44,7 +44,7 @@ let comm_bound ~mode wl ~task ~machine ~version =
    their historical selves; chance with p = 0.5 or sigma = 0 has factor
    exactly 1, and x *. 1. = x, so it coincides with Conservative bit for
    bit (a differential pair in the test suite). *)
-let apply_margin ~mode req =
+let[@inline] apply_margin ~mode req =
   match mode with
   | Conservative | Optimistic -> req
   | Chance { p; sigma } -> req *. Agrid_lagrange.Chance.inflation ~p ~sigma
@@ -159,6 +159,7 @@ module Memo = struct
     workload : Workload.t;
     n_machines : int;
     required : float array;  (* (task * n_machines + machine) -> bound; nan = unpriced *)
+    terms : float array;  (* pricing scratch: 0 exec, 1 comm *)
   }
 
   let create ?(mode = Conservative) workload =
@@ -168,23 +169,40 @@ module Memo = struct
       n_machines = Workload.n_machines workload;
       required =
         Array.make (Workload.n_tasks workload * Workload.n_machines workload) Float.nan;
+      terms = [| 0.; 0. |];
     }
 
   (* Price the secondary version's admission bound [exec +. comm] into
      its slot. Real energies are finite, so nan is a safe "unpriced"
-     sentinel. Returns unit so the hot loop re-reads the float from the
-     array instead of receiving it boxed. *)
-  let price t ~task ~machine ~slot =
+     sentinel. [exec] is [Workload.exec_energy] and [comm] the
+     [Workload.worst_case_child_comm_energy] fold — children in edge
+     order, summed from [0.] — both priced through the run's rate table
+     ([tb], read once per run, minimum bandwidth included), so no float
+     is boxed and the sum is the same float. Returns unit so the hot
+     loop re-reads the bound from the array. *)
+  let price t tb ~task ~machine ~slot =
     let wl = t.workload in
-    let exec =
-      Workload.exec_energy wl ~task ~machine ~version:Version.Secondary
-    in
-    let comm =
-      comm_bound ~mode:t.mode wl ~task ~machine ~version:Version.Secondary
-    in
+    let terms = t.terms in
+    Agrid_platform.Comm.exec_energy_into tb ~machine
+      ~cycles:(Workload.exec_cycles wl ~task ~machine ~version:Version.Secondary)
+      terms 0;
+    terms.(1) <- 0.;
+    (match t.mode with
+    | Optimistic -> ()
+    | Conservative | Chance _ ->
+        let stage = Agrid_platform.Comm.staging tb in
+        let children = Agrid_dag.Dag.child_edges (Workload.dag wl) task in
+        for k = 0 to Array.length children - 1 do
+          let _, edge = children.(k) in
+          Workload.edge_bits_into wl ~edge ~parent_version:Version.Secondary stage 0;
+          Agrid_platform.Comm.transfer_energy_into tb ~src:machine
+            ~cycles:(Agrid_platform.Comm.worst_case_cycles_at tb stage 0)
+            stage 0;
+          terms.(1) <- terms.(1) +. stage.(0)
+        done);
     (* same expression [version_verdict] tests under every mode, so
        memoised and rescan admissions stay bit-identical *)
-    t.required.(slot) <- apply_margin ~mode:t.mode (exec +. comm)
+    t.required.(slot) <- apply_margin ~mode:t.mode (terms.(0) +. terms.(1))
 end
 
 type filter_counts = { mutable admitted : int; mutable checked : int }
@@ -200,12 +218,13 @@ let filter_pass memo sched ~machine ~eligible ~dst counts =
   let available = Schedule.energy_remaining sched machine in
   let required = memo.Memo.required in
   let stride = memo.Memo.n_machines in
+  let tb = Schedule.rates sched in
   let n = ref 0 in
   let admitted = ref 0 in
   for i = 0 to n_ready - 1 do
     let task = frontier.(i) in
     let slot = (task * stride) + machine in
-    if Float.is_nan required.(slot) then Memo.price memo ~task ~machine ~slot;
+    if Float.is_nan required.(slot) then Memo.price memo tb ~task ~machine ~slot;
     if available >= required.(slot) then begin
       incr admitted;
       if eligible task then begin

@@ -196,12 +196,16 @@ let best_version ?(obs = Agrid_obs.Sink.noop) w sched ~task ~machine ~now =
 (* [parent_bound], accumulated directly into the destination slots: the
    same parent-edge iteration order, the same [max] folds from the same
    identities ([min_int] / [0.]), the same float additions — so the
-   stored pair is bit-identical to the record [parent_bound] returns. *)
+   stored pair is bit-identical to the record [parent_bound] returns.
+   Each transfer is priced through the run's rate table: the edge's bits
+   staged in an array slot, its cycles computed once, and its energy
+   derived from those cycles (which [Comm.transfer_energy] recomputes
+   from the bits), so no float is boxed. *)
 let parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm =
   let wl = Schedule.workload sched in
-  let grid = Workload.grid wl in
-  let dag = Workload.dag wl in
-  let edges = Agrid_dag.Dag.parent_edges dag task in
+  let tb = Schedule.rates sched in
+  let stage = Agrid_platform.Comm.staging tb in
+  let edges = Agrid_dag.Dag.parent_edges (Workload.dag wl) task in
   bound_ready.(slot) <- min_int;
   bound_comm.(slot) <- 0.;
   for i = 0 to Array.length edges - 1 do
@@ -209,20 +213,18 @@ let parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm =
     match Schedule.placement sched p with
     | None -> invalid_arg "Objective.estimate: unmapped parent"
     | Some pp ->
-        if pp.Schedule.machine = machine then begin
+        let src = pp.Schedule.machine in
+        if src = machine then begin
           if pp.Schedule.stop > bound_ready.(slot) then
             bound_ready.(slot) <- pp.Schedule.stop
         end
         else begin
-          let bits = Workload.edge_bits wl ~edge ~parent_version:pp.Schedule.version in
+          Workload.edge_bits_into wl ~edge ~parent_version:pp.Schedule.version stage 0;
           let cycles =
-            Agrid_platform.Comm.transfer_cycles grid ~src:pp.Schedule.machine
-              ~dst:machine ~bits
+            Agrid_platform.Comm.transfer_cycles_at tb ~src ~dst:machine stage 0
           in
-          bound_comm.(slot) <-
-            bound_comm.(slot)
-            +. Agrid_platform.Comm.transfer_energy grid ~src:pp.Schedule.machine
-                 ~dst:machine ~bits;
+          Agrid_platform.Comm.transfer_energy_into tb ~src ~cycles stage 0;
+          bound_comm.(slot) <- bound_comm.(slot) +. stage.(0);
           let r = pp.Schedule.stop + cycles in
           if r > bound_ready.(slot) then bound_ready.(slot) <- r
         end
@@ -259,6 +261,9 @@ let score_into w sched ~machine ~now ~n ~tasks ~bound_ready ~bound_comm
     let n_tasks_f = float_of_int (Workload.n_tasks wl) in
     let tau_f = float_of_int (Workload.tau wl) in
     let penalise = match w.aet_sign with Reward -> false | Penalise -> true in
+    (* the T100 terms do not depend on the candidate *)
+    let t100_primary = w.alpha *. (float_of_int (n_primary + 1) /. n_tasks_f) in
+    let t100_secondary = w.alpha *. (float_of_int n_primary /. n_tasks_f) in
     for k = 0 to n - 1 do
       let task = tasks.(k) in
       let slot = (task * stride) + machine in
@@ -279,16 +284,14 @@ let score_into w sched ~machine ~now ~n ~tasks ~bound_ready ~bound_comm
       let aet = if aet0 >= finish then aet0 else finish in
       let aet_raw = w.gamma *. (float_of_int aet /. tau_f) in
       let aet_term = if penalise then -.aet_raw else aet_raw in
-      let t100_term = w.alpha *. (float_of_int (n_primary + 1) /. n_tasks_f) in
-      let ep = t100_term -. (w.beta *. (tec /. tse)) +. aet_term in
+      let ep = t100_primary -. (w.beta *. (tec /. tse)) +. aet_term in
       let cs = cycles.(c + 1) in
       let finish = start + cs in
       let tec = tec0 +. (rate *. (float_of_int cs /. cps)) +. comm in
       let aet = if aet0 >= finish then aet0 else finish in
       let aet_raw = w.gamma *. (float_of_int aet /. tau_f) in
       let aet_term = if penalise then -.aet_raw else aet_raw in
-      let t100_term = w.alpha *. (float_of_int n_primary /. n_tasks_f) in
-      let es = t100_term -. (w.beta *. (tec /. tse)) +. aet_term in
+      let es = t100_secondary -. (w.beta *. (tec /. tse)) +. aet_term in
       if ep >= es then begin
         versions.(k) <- Version.Primary;
         scores.(k) <- ep

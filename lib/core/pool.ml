@@ -13,7 +13,8 @@
    - one flat parent-bound store per (task, machine) — the ready floor
      and incoming communication energy of a candidate, unpacked into an
      int array and a float array so neither lookups nor writes allocate;
-   - one shared [order] permutation used to sort each pool by
+   - one shared [order] permutation into which each pool is selected,
+     position by position and only as far as the walk reads, by
      (score desc, task asc) without moving the rows — the rows keep
      their fill order, which is what pool reuse re-scores next timestep.
 
@@ -52,7 +53,8 @@ module Flat = struct
     bound_ready : int array;  (* task * n_machines + machine -> ready floor *)
     bound_comm : float array;  (* task * n_machines + machine -> comm energy *)
     bound_known : Bytes.t;  (* '\001' once the slot above is priced *)
-    order : int array;  (* shared sort permutation, length n_tasks *)
+    order : int array;  (* shared walk permutation, length n_tasks *)
+    mutable selected : int;  (* order.(0 .. selected - 1) is final *)
     reuse_pools : bool;  (* false while a decision ledger is attached *)
     mutable capacity : int;  (* largest row capacity *)
     mutable hwm : int;  (* largest pool ever held *)
@@ -86,6 +88,7 @@ module Flat = struct
       bound_comm = Array.make (n_tasks * n_machines) 0.;
       bound_known = Bytes.make (n_tasks * n_machines) '\000';
       order = Array.init (max 1 n_tasks) (fun i -> i);
+      selected = 0;
       reuse_pools;
       capacity = cap;
       hwm = 0;
@@ -121,38 +124,39 @@ module Flat = struct
   (* Record a freshly built pool's occupancy (for the high-water gauge). *)
   let note_occupancy t n = if n > t.hwm then t.hwm <- n
 
-  (* Order the first [n] pool slots by decreasing score, ties broken on
-     ascending task id — the boxed [List.sort] comparator. Task ids in a
-     pool are distinct, so the comparator is a total order and any
-     correct sort yields the one sequence [List.sort] yields; insertion
-     sort keeps it allocation-free (pools stay well under a hundred).
-     Writes the permutation into the shared [order] scratch; the rows
-     themselves keep their fill order for reuse-path re-scoring. *)
-  let sort t row n =
+  (* A pool of [n] slots was just scored: forget the previous pool's
+     selection. *)
+  let reset_order t n =
     let order = t.order in
-    let scores = row.scores in
-    let tasks = row.tasks in
     for i = 0 to n - 1 do
       order.(i) <- i
     done;
-    for i = 1 to n - 1 do
-      let k = order.(i) in
-      let sk = scores.(k) in
-      let tk = tasks.(k) in
-      let j = ref (i - 1) in
-      let moving = ref true in
-      while !moving do
-        if !j < 0 then moving := false
-        else begin
-          let kj = order.(!j) in
-          let c = Float.compare scores.(kj) sk in
-          if c < 0 || (c = 0 && tasks.(kj) > tk) then begin
-            order.(!j + 1) <- kj;
-            j := !j - 1
-          end
-          else moving := false
-        end
+    t.selected <- 0
+
+  (* The row slot at walk position [i] of a pool of [n] scored slots,
+     selecting positions on demand: each step moves the best remaining
+     slot by (score desc, task asc) — the boxed [List.sort] comparator —
+     into the next position. Task ids in a pool are distinct, so the
+     comparator is a strict total order and every selected prefix equals
+     the fully sorted one; a walk that stops after a few positions never
+     pays for ordering the rest. Allocation-free; the rows keep their
+     fill order for reuse-path re-scoring. *)
+  let nth t row ~n i =
+    let order = t.order in
+    let scores = row.scores in
+    let tasks = row.tasks in
+    while t.selected <= i do
+      let p = t.selected in
+      let best = ref p in
+      for q = p + 1 to n - 1 do
+        let kq = order.(q) and kb = order.(!best) in
+        let c = Float.compare scores.(kq) scores.(kb) in
+        if c > 0 || (c = 0 && tasks.(kq) < tasks.(kb)) then best := q
       done;
-      order.(!j + 1) <- k
-    done
+      let k = order.(!best) in
+      order.(!best) <- order.(p);
+      order.(p) <- k;
+      t.selected <- p + 1
+    done;
+    order.(i)
 end

@@ -4,7 +4,7 @@
     One arena lives for one {!Slrh.continue_run}: per-machine rows of
     (task, best version, best score) in ready-list order, a flat
     (task, machine) parent-bound store (ready floor and incoming comm
-    energy, unboxed), and a shared sort permutation. Rows are stamped
+    energy, unboxed), and a shared walk permutation selected on demand. Rows are stamped
     with the commit epoch ([Schedule.n_mapped]) and reused while it is
     unchanged (DESIGN.md section 13). Steady-state reuse touches no
     allocating operation at all, which is what the allocation-budget
@@ -34,7 +34,9 @@ module Flat : sig
     bound_comm : float array;
         (** [task * n_machines + machine] -> incoming comm energy *)
     bound_known : Bytes.t;  (** ['\001'] once the slot above is priced *)
-    order : int array;  (** shared sort permutation, length [n_tasks] *)
+    order : int array;  (** shared walk permutation, length [n_tasks] *)
+    mutable selected : int;
+        (** [order.(0 .. selected - 1)] is final for the pool last reset *)
     reuse_pools : bool;  (** false while a decision ledger is attached *)
     mutable capacity : int;  (** largest row capacity *)
     mutable hwm : int;  (** largest pool ever held *)
@@ -75,8 +77,14 @@ module Flat : sig
   val note_occupancy : t -> int -> unit
   (** Fold a freshly built pool's size into the high-water mark. *)
 
-  val sort : t -> row -> int -> unit
-  (** Write into the shared [order] scratch the permutation of the first
-      [n] slots sorted by (score desc, task asc) — the boxed
-      [List.sort] order, allocation-free. Rows keep their fill order. *)
+  val reset_order : t -> int -> unit
+  (** Start a fresh selection over a pool of [n] just-scored slots. *)
+
+  val nth : t -> row -> n:int -> int -> int
+  (** [nth t row ~n i] is the row slot at walk position [i] (< [n]) of
+      the pool last passed to {!reset_order}: the (i+1)-th slot by
+      (score desc, task asc) — the boxed [List.sort] order. Positions are
+      selected on demand into the shared [order] scratch, so a walk that
+      reads only a prefix orders only that prefix. Allocation-free; rows
+      keep their fill order. *)
 end

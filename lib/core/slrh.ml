@@ -199,7 +199,7 @@ let record_idle ledger ~clock ~machine cause =
    commits), so for SLRH-2's stale pools the recorded terms are the fresh
    truth even when the stale pool score differs. *)
 let record_commit params sched led ~machine ~now ~task ~version ~pool_size
-    ~runner_up (plan : Schedule.plan) =
+    ~runner_up ~start ~stop =
   let parts =
     Objective.estimate_parts (live_weights params) sched ~task ~version ~machine ~now
   in
@@ -210,8 +210,8 @@ let record_commit params sched led ~machine ~now ~task ~version ~pool_size
          machine;
          task;
          version = Version.to_string version;
-         start = plan.Schedule.pl_start;
-         stop = plan.Schedule.pl_stop;
+         start;
+         stop;
          score = parts.Objective.total;
          alpha_term = parts.Objective.t100_term;
          beta_term = parts.Objective.energy_term;
@@ -220,15 +220,15 @@ let record_commit params sched led ~machine ~now ~task ~version ~pool_size
          runner_up;
        })
 
-let trace_assigned t sched ~machine ~now ~task ~version ~score ~pool_size
-    (plan : Schedule.plan) =
+let trace_assigned t sched ~machine ~now ~task ~version ~score ~pool_size ~start
+    ~stop =
   Trace.record t ~clock:now ~machine
     (Trace.Assigned
        {
          task;
          version;
-         start = plan.Schedule.pl_start;
-         stop = plan.Schedule.pl_stop;
+         start;
+         stop;
          score;
          pool_size;
          energy_remaining = Schedule.energy_remaining sched machine;
@@ -360,7 +360,8 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
                     scored
                 in
                 record_commit params sched led ~machine ~now ~task ~version
-                  ~pool_size ~runner_up plan;
+                  ~pool_size ~runner_up ~start:plan.Schedule.pl_start
+                  ~stop:plan.Schedule.pl_stop;
                 List.iteri
                   (fun i (t, v, s) ->
                     let fate =
@@ -377,7 +378,7 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
             | None -> ()
             | Some t ->
                 trace_assigned t sched ~machine ~now ~task ~version ~score ~pool_size
-                  plan);
+                  ~start:plan.Schedule.pl_start ~stop:plan.Schedule.pl_stop);
             Some task
           end
           else begin
@@ -400,11 +401,12 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
    Same decisions, no boxes: pools live in the {!Pool.Flat} arena, are
    rebuilt with {!Feasibility.filter_into} and re-scored with
    {!Objective.score_into} in single passes, and are walked in place
-   through the shared sort permutation. A row stamped with the commit
+   through the shared walk permutation, each position selected only when
+   the walk reaches it ({!Pool.Flat.nth}). A row stamped with the commit
    epoch ([Schedule.n_mapped]) is reused while the epoch is unchanged
    (DESIGN.md section 13). Telemetry, when the sink is enabled, replays
    the rescan path's span/counter/histogram sequence verbatim (fill order
-   IS the boxed pool order, and observation loops run before sorting),
+   IS the boxed pool order, and observation loops run before selecting),
    and the decision ledger and tracer are recorded here too, so the
    differential suite compares every artefact of this walk against the
    oracle directly.
@@ -470,8 +472,9 @@ let soa_rebuild params (s : soa) ~eligible sched ~machine ~now ~epoch =
   row.Pool.Flat.epoch <- epoch;
   Agrid_obs.Sink.incr obs "slrh/pool_rebuilt"
 
-(* [scored_pool] on the arena: obtain (reuse or rebuild), re-score, sort.
-   Returns the pool size; the sorted walk order is in [arena.order].
+(* [scored_pool] on the arena: obtain (reuse or rebuild), re-score, and
+   start a fresh selection. Returns the pool size; the walk reads its
+   order through [Pool.Flat.nth].
    Re-scoring happens every timestep even on reuse — scores depend on
    [now] and the timelines. *)
 let soa_scored_pool params (s : soa) ~eligible sched ~machine ~now stats_candidates =
@@ -525,33 +528,33 @@ let soa_scored_pool params (s : soa) ~eligible sched ~machine ~now stats_candida
       ~bound_comm:arena.Pool.Flat.bound_comm
       ~bound_known:arena.Pool.Flat.bound_known ~versions:row.Pool.Flat.versions
       ~scores:row.Pool.Flat.scores;
-  if n > 1 then Pool.Flat.sort arena row n
-  else if n = 1 then arena.Pool.Flat.order.(0) <- 0;
+  Pool.Flat.reset_order arena n;
   n
 
-(* The ledger fates of a flat commit at sort position [i]: the [Commit]
+(* The ledger fates of a flat commit at walk position [i]: the [Commit]
    entry (runner-up = best other unmapped candidate, wherever it ranks),
-   then [Outscored] for every unmapped candidate after it. Mapped slots
-   are stragglers an SLRH-2 drain already committed; the rescan path
-   filters them out of its list, so they take no rank here either. *)
+   then [Outscored] for every unmapped candidate after it — so this path
+   selects the pool through its last position. Mapped slots are
+   stragglers an SLRH-2 drain already committed; the rescan path filters
+   them out of its list, so they take no rank here either. *)
 let record_flat_commit params (s : soa) sched led ~machine ~now ~n ~i ~rank
-    ~pool_size ~task ~version plan =
-  let row = s.arena.Pool.Flat.rows.(machine) in
-  let order = s.arena.Pool.Flat.order in
+    ~pool_size ~task ~version ~start ~stop =
+  let arena = s.arena in
+  let row = arena.Pool.Flat.rows.(machine) in
   let runner_up = ref None in
   let j = ref 0 in
   while Option.is_none !runner_up && !j < n do
-    let k = order.(!j) in
+    let k = Pool.Flat.nth arena row ~n !j in
     let t = row.Pool.Flat.tasks.(k) in
     if t <> task && not (Schedule.is_mapped sched t) then
       runner_up := Some (t, row.Pool.Flat.scores.(k));
     incr j
   done;
   record_commit params sched led ~machine ~now ~task ~version ~pool_size
-    ~runner_up:!runner_up plan;
+    ~runner_up:!runner_up ~start ~stop;
   let r = ref rank in
   for j = i + 1 to n - 1 do
-    let k = order.(j) in
+    let k = Pool.Flat.nth arena row ~n j in
     let t = row.Pool.Flat.tasks.(k) in
     if not (Schedule.is_mapped sched t) then begin
       incr r;
@@ -565,7 +568,7 @@ let record_flat_commit params (s : soa) sched led ~machine ~now ~n ~i ~rank
     end
   done
 
-(* [try_assign] on the arena: walk the sort order from position [i],
+(* [try_assign] on the arena: walk the pool's order from position [i],
    plan each unmapped candidate the bound does not rule out, commit the
    first whose start fits the horizon; returns the committed task id or
    -1. [skipped] counts the already-mapped stragglers passed so far and
@@ -583,7 +586,7 @@ let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
   else begin
     let arena = s.arena in
     let row = arena.Pool.Flat.rows.(machine) in
-    let k = arena.Pool.Flat.order.(i) in
+    let k = Pool.Flat.nth arena row ~n i in
     let task = row.Pool.Flat.tasks.(k) in
     let bound = arena.Pool.Flat.bound_ready.((task * arena.Pool.Flat.n_machines) + machine) in
     if Schedule.is_mapped sched task then
@@ -599,24 +602,26 @@ let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
     else begin
       incr plans_attempted;
       let version = row.Pool.Flat.versions.(k) in
-      let plan =
+      let start =
         if Agrid_obs.Sink.enabled obs then
           Agrid_obs.Sink.span obs "slrh/plan" (fun () ->
-              Schedule.plan sched ~task ~version ~machine ~not_before:now)
-        else Schedule.plan sched ~task ~version ~machine ~not_before:now
+              Schedule.plan_into sched ~task ~version ~machine ~not_before:now)
+        else Schedule.plan_into sched ~task ~version ~machine ~not_before:now
       in
-      if plan.Schedule.pl_start <= now + params.horizon then begin
+      if start <= now + params.horizon then begin
+        let stop = Schedule.planned_stop sched in
         (match s.ledger with
         | None -> ()
         | Some led ->
             record_flat_commit params s sched led ~machine ~now ~n ~i
-              ~rank:(i - skipped) ~pool_size:(n - drained) ~task ~version plan);
-        Schedule.commit sched plan;
+              ~rank:(i - skipped) ~pool_size:(n - drained) ~task ~version ~start
+              ~stop);
+        Schedule.commit_planned sched;
         (match params.tracer with
         | None -> ()
         | Some t ->
             trace_assigned t sched ~machine ~now ~task ~version
-              ~score:row.Pool.Flat.scores.(k) ~pool_size:(n - drained) plan);
+              ~score:row.Pool.Flat.scores.(k) ~pool_size:(n - drained) ~start ~stop);
         task
       end
       else begin
@@ -629,7 +634,7 @@ let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
                    version = Version.to_string version;
                    score = row.Pool.Flat.scores.(k);
                    rank = i - skipped;
-                   planned_start = plan.Schedule.pl_start;
+                   planned_start = start;
                  }));
         flat_walk params s sched ~machine ~now ~drained n (i + 1) skipped
           plans_attempted
@@ -638,7 +643,9 @@ let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
   end
 
 (* SLRH-2's drain on the flat path: keep walking the SAME stale pool
-   (no re-score, no re-sort) until a walk commits nothing. *)
+   (no re-score, no fresh selection — positions already selected stay
+   final, later ones are selected as this walk reaches them) until a
+   walk commits nothing. *)
 let rec flat_drain params s sched ~machine ~now n drained plans_attempted assignments =
   if flat_walk params s sched ~machine ~now ~drained n 0 0 plans_attempted >= 0 then begin
     incr assignments;

@@ -38,8 +38,13 @@ let scale_bandwidth factor p =
   if factor <= 0. then invalid_arg "Machine.scale_bandwidth: factor must be positive";
   { p with bandwidth = p.bandwidth *. factor }
 
-let compute_energy p ~seconds = p.compute_rate *. seconds
-let transmit_energy p ~seconds = p.transmit_rate *. seconds
+let[@inline] energy ~rate ~seconds = rate *. seconds
+let compute_energy p ~seconds = energy ~rate:p.compute_rate ~seconds
+let transmit_energy p ~seconds = energy ~rate:p.transmit_rate ~seconds
+
+(* [energy] over array slots, so no float crosses a module boundary
+   boxed: [a.(i)] holds the seconds on entry and the energy on return. *)
+let energy_in_place rates j a i = a.(i) <- energy ~rate:rates.(j) ~seconds:a.(i)
 
 let klass_to_string = function Fast -> "fast" | Slow -> "slow"
 

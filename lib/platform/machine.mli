@@ -31,6 +31,11 @@ val scale_bandwidth : float -> profile -> profile
 val compute_energy : profile -> seconds:float -> float
 val transmit_energy : profile -> seconds:float -> float
 
+val energy_in_place : float array -> int -> float array -> int -> unit
+(** [energy_in_place rates j a i] replaces the seconds in [a.(i)] by the
+    energy spent over them at rate [rates.(j)] — the expression of
+    {!compute_energy} and {!transmit_energy}, with no float boxed. *)
+
 val klass_to_string : klass -> string
 val equal_klass : klass -> klass -> bool
 val pp : Format.formatter -> profile -> unit

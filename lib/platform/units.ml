@@ -5,7 +5,13 @@
 
 let cycles_per_second = 10
 
-let seconds_of_cycles c = float_of_int c /. float_of_int cycles_per_second
+let[@inline] seconds_of c = float_of_int c /. float_of_int cycles_per_second
+
+let seconds_of_cycles c = seconds_of c
+
+(* Writes the float in place, for callers in other modules that must not
+   receive it boxed. *)
+let seconds_of_cycles_into a i c = a.(i) <- seconds_of c
 
 (* Round up: a duration of any positive length occupies at least 1 cycle. *)
 let[@inline] cycles_of s =

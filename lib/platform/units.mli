@@ -5,6 +5,10 @@ val cycles_per_second : int
 
 val seconds_of_cycles : int -> float
 
+val seconds_of_cycles_into : float array -> int -> int -> unit
+(** [seconds_of_cycles_into a i c] stores [seconds_of_cycles c] in
+    [a.(i)] without boxing the float. *)
+
 val cycles_of_seconds : float -> int
 (** Rounds up; any positive duration occupies at least one cycle.
     @raise Invalid_argument on negative input. *)

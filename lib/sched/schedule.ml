@@ -8,10 +8,12 @@
    all incoming transfers) WITHOUT mutating anything; [commit] applies a
    plan. SLRH plans many candidates per timestep and commits at most one,
    so plans must be side-effect free. A plan never copies a timeline: its
-   own provisional transfers live in a per-call overlay sized by the task's
-   in-degree, and each transfer is fitted against the real channels plus
-   that overlay. Planning thus costs nothing that grows with channel
-   length, keeps no scratch state in [t], and is reentrant. *)
+   own provisional transfers live in the schedule's plan buffer, sized once
+   by the DAG's largest in-degree, and each transfer is fitted against the
+   real channels plus the transfers already in that buffer. Planning thus
+   costs nothing that grows with channel length. The buffer is the only
+   scratch state in [t]; [plan] copies it out into a [plan] record, so
+   planning changes nothing a reader of the schedule can observe. *)
 
 open Agrid_workload
 open Agrid_platform
@@ -55,6 +57,27 @@ type t = {
   pending_parents : int array;
   ready : int array;
   mutable n_ready : int;
+  rates : Comm.table;  (* the grid's rates, read once for the run *)
+  buf : buffer;  (* the latest [plan_into], until it is committed *)
+}
+
+(* The run-owned plan buffer: the assignment [plan_into] computed, its
+   transfers in flat arrays (parent order), and its two energy sums in a
+   float array, so writing a plan allocates nothing. *)
+and buffer = {
+  mutable b_task : int;  (* -1 once committed, or before any plan *)
+  mutable b_version : Version.t;
+  mutable b_machine : int;
+  mutable b_start : int;
+  mutable b_stop : int;
+  mutable b_n : int;  (* transfers planned *)
+  b_edge : int array;
+  b_src_task : int array;
+  b_src : int array;
+  b_slots : int array;  (* 2k, 2k + 1: transfer k's start and stop *)
+  b_bits : float array;
+  b_energy : float array;
+  b_sums : float array;  (* 0: execution energy, 1: communication energy *)
 }
 
 let create workload =
@@ -62,6 +85,7 @@ let create workload =
   let n = Workload.n_tasks workload in
   let dag = Workload.dag workload in
   let pending_parents = Array.init n (Agrid_dag.Dag.in_degree dag) in
+  let cap = Array.fold_left Int.max 0 pending_parents in
   let ready = Array.make n 0 in
   let n_ready = ref 0 in
   for i = 0 to n - 1 do
@@ -86,6 +110,23 @@ let create workload =
     pending_parents;
     ready;
     n_ready = !n_ready;
+    rates = Comm.table (Workload.grid workload);
+    buf =
+      {
+        b_task = -1;
+        b_version = Version.Primary;
+        b_machine = 0;
+        b_start = 0;
+        b_stop = 0;
+        b_n = 0;
+        b_edge = Array.make cap 0;
+        b_src_task = Array.make cap 0;
+        b_src = Array.make cap 0;
+        b_slots = Array.make (2 * cap) 0;
+        b_bits = Array.make cap 0.;
+        b_energy = Array.make cap 0.;
+        b_sums = [| 0.; 0. |];
+      };
   }
 
 (* Mark [task] mapped in the frontier: it leaves the ready array (the
@@ -124,6 +165,7 @@ let n_ready t = t.n_ready
 let ready_unmapped t = List.init t.n_ready (fun i -> t.ready.(i))
 
 let workload t = t.workload
+let rates t = t.rates
 let placement t task = t.placements.(task)
 let is_mapped t task = t.placements.(task) <> None
 let n_mapped t = t.n_mapped
@@ -194,74 +236,103 @@ type plan = {
 exception Unmapped_parent of { task : int; parent : int }
 
 (* Compute the assignment of (task, version) to [machine] with no action
-   starting before [not_before] (the heuristic's current clock): schedule
-   one transfer per cross-machine parent edge (in parent order,
-   earliest-joint-slot-first), then the execution in the earliest adequate
-   gap. Raises [Unmapped_parent] if a parent has no placement yet. *)
-let plan t ~task ~version ~machine ~not_before =
+   starting before [not_before] (the heuristic's current clock) into the
+   plan buffer: schedule one transfer per cross-machine parent edge (in
+   parent order, earliest-joint-slot-first), then the execution in the
+   earliest adequate gap. Returns the planned start. Raises
+   [Unmapped_parent] if a parent has no placement yet.
+
+   Every float is read from and written to an array slot — the edge's
+   bits through [Workload.edge_bits_into], the duration and energies
+   through the run's [Comm.table] — so a plan allocates nothing. The
+   transfer's energy is priced from the cycles already computed for its
+   duration, which is exactly what [Comm.transfer_energy] recomputes. *)
+let plan_into t ~task ~version ~machine ~not_before =
   if t.placements.(task) <> None then invalid_arg "Schedule.plan: task already mapped";
   if not_before < 0 then invalid_arg "Schedule.plan: negative not_before";
   let wl = t.workload in
-  let grid = Workload.grid wl in
+  let tb = t.rates in
+  let b = t.buf in
   let parents = Agrid_dag.Dag.parent_edges (Workload.dag wl) task in
-  let n_parents = Array.length parents in
-  (* The plan's own transfers, not yet inserted anywhere: flat [start;
-     stop] pairs. All of them occupy the receiver's in-channel, so fitting
-     each new transfer clear of every earlier one also covers those that
-     share its sender's out-channel. *)
-  let pending = Array.make (2 * n_parents) 0 in
-  let n_pending = ref 0 in
+  (* [b_slots]' first [n] pairs are the transfers placed so far, not yet
+     inserted anywhere. All of them occupy the receiver's in-channel, so
+     fitting each new transfer clear of every earlier one also covers
+     those that share its sender's out-channel. *)
+  b.b_task <- -1;
+  b.b_n <- 0;
+  b.b_sums.(1) <- 0.;
   let ready = ref not_before in
-  let planned = ref [] in
-  let comm_energy = ref 0. in
-  for k = 0 to n_parents - 1 do
+  for k = 0 to Array.length parents - 1 do
     let p, edge = parents.(k) in
     match t.placements.(p) with
     | None -> raise (Unmapped_parent { task; parent = p })
     | Some pp ->
         if pp.machine = machine then ready := Int.max !ready pp.stop
         else begin
-          let bits = Workload.edge_bits wl ~edge ~parent_version:pp.version in
-          let duration = Comm.transfer_cycles grid ~src:pp.machine ~dst:machine ~bits in
+          let j = b.b_n in
+          Workload.edge_bits_into wl ~edge ~parent_version:pp.version b.b_bits j;
+          let duration =
+            Comm.transfer_cycles_at tb ~src:pp.machine ~dst:machine b.b_bits j
+          in
           let nb = Int.max pp.stop not_before in
           if duration = 0 then ready := Int.max !ready nb
           else begin
             let start =
-              Timeline.first_fit_joint t.ch_out.(pp.machine) t.ch_in.(machine) ~pending
-                ~n_pending:!n_pending ~not_before:nb ~duration
+              Timeline.first_fit_joint t.ch_out.(pp.machine) t.ch_in.(machine)
+                ~pending:b.b_slots ~n_pending:j ~not_before:nb ~duration
             in
             let stop = start + duration in
-            pending.(2 * !n_pending) <- start;
-            pending.((2 * !n_pending) + 1) <- stop;
-            incr n_pending;
-            let energy = Comm.transfer_energy grid ~src:pp.machine ~dst:machine ~bits in
-            planned :=
-              {
-                p_edge = edge;
-                p_src_task = p;
-                p_src = pp.machine;
-                p_start = start;
-                p_stop = stop;
-                p_bits = bits;
-                p_energy = energy;
-              }
-              :: !planned;
-            comm_energy := !comm_energy +. energy;
+            b.b_slots.(2 * j) <- start;
+            b.b_slots.((2 * j) + 1) <- stop;
+            b.b_edge.(j) <- edge;
+            b.b_src_task.(j) <- p;
+            b.b_src.(j) <- pp.machine;
+            Comm.transfer_energy_into tb ~src:pp.machine ~cycles:duration b.b_energy j;
+            b.b_sums.(1) <- b.b_sums.(1) +. b.b_energy.(j);
+            b.b_n <- j + 1;
             ready := Int.max !ready stop
           end
         end
   done;
   let duration = Workload.exec_cycles wl ~task ~machine ~version in
   let start = Timeline.first_fit t.exec.(machine) ~not_before:!ready ~duration in
+  Comm.exec_energy_into tb ~machine ~cycles:duration b.b_sums 0;
+  b.b_task <- task;
+  b.b_version <- version;
+  b.b_machine <- machine;
+  b.b_start <- start;
+  b.b_stop <- start + duration;
+  start
+
+let planned_stop t = t.buf.b_stop
+
+(* [plan_into], copied out of the buffer into a record the caller keeps. *)
+let plan t ~task ~version ~machine ~not_before =
+  let start = plan_into t ~task ~version ~machine ~not_before in
+  let b = t.buf in
+  let transfers = ref [] in
+  for k = b.b_n - 1 downto 0 do
+    transfers :=
+      {
+        p_edge = b.b_edge.(k);
+        p_src_task = b.b_src_task.(k);
+        p_src = b.b_src.(k);
+        p_start = b.b_slots.(2 * k);
+        p_stop = b.b_slots.((2 * k) + 1);
+        p_bits = b.b_bits.(k);
+        p_energy = b.b_energy.(k);
+      }
+      :: !transfers
+  done;
   {
     pl_task = task;
     pl_version = version;
     pl_machine = machine;
     pl_start = start;
-    pl_stop = start + duration;
-    pl_transfers = List.rev !planned;
-    pl_exec_energy = Workload.exec_energy wl ~task ~machine ~version;
-    pl_comm_energy = !comm_energy;
+    pl_stop = b.b_stop;
+    pl_transfers = !transfers;
+    pl_exec_energy = b.b_sums.(0);
+    pl_comm_energy = b.b_sums.(1);
   }
 
 (* T100 / TEC / AET as they would stand after committing [plan] — used to
@@ -272,50 +343,76 @@ let totals_after t plan =
   let aet = max t.aet plan.pl_stop in
   (t100, tec, aet)
 
-let commit t plan =
-  if t.placements.(plan.pl_task) <> None then
-    invalid_arg "Schedule.commit: task already mapped";
+(* Apply the buffered plan. The schedule keeps only what it retains: the
+   placement and one [transfer] record per transfer. *)
+let commit_planned t =
+  let b = t.buf in
+  let task = b.b_task in
+  if task < 0 then invalid_arg "Schedule.commit_planned: no plan to commit";
+  if t.placements.(task) <> None then invalid_arg "Schedule.commit: task already mapped";
+  let machine = b.b_machine in
   (* Insert the execution first: if anything raises Overlap here the
      schedule is untouched; transfer inserts below come from a consistent
      plan so they cannot collide unless the caller interleaved commits with
      a stale plan — in which case Overlap propagates and state may be
      partial, so heuristics must not catch it. *)
-  Timeline.insert t.exec.(plan.pl_machine) ~start:plan.pl_start ~stop:plan.pl_stop;
-  List.iter
-    (fun p ->
-      Timeline.insert t.ch_out.(p.p_src) ~start:p.p_start ~stop:p.p_stop;
-      Timeline.insert t.ch_in.(plan.pl_machine) ~start:p.p_start ~stop:p.p_stop;
-      t.energy_used.(p.p_src) <- t.energy_used.(p.p_src) +. p.p_energy;
-      t.transfers <-
-        {
-          edge = p.p_edge;
-          src_task = p.p_src_task;
-          dst_task = plan.pl_task;
-          src = p.p_src;
-          dst = plan.pl_machine;
-          start = p.p_start;
-          stop = p.p_stop;
-          bits = p.p_bits;
-          energy = p.p_energy;
-        }
-        :: t.transfers)
-    plan.pl_transfers;
-  t.placements.(plan.pl_task) <-
-    Some
+  Timeline.insert t.exec.(machine) ~start:b.b_start ~stop:b.b_stop;
+  for k = 0 to b.b_n - 1 do
+    let src = b.b_src.(k) in
+    let start = b.b_slots.(2 * k) and stop = b.b_slots.((2 * k) + 1) in
+    Timeline.insert t.ch_out.(src) ~start ~stop;
+    Timeline.insert t.ch_in.(machine) ~start ~stop;
+    t.energy_used.(src) <- t.energy_used.(src) +. b.b_energy.(k);
+    t.transfers <-
       {
-        task = plan.pl_task;
-        version = plan.pl_version;
-        machine = plan.pl_machine;
-        start = plan.pl_start;
-        stop = plan.pl_stop;
-      };
-  t.energy_used.(plan.pl_machine) <-
-    t.energy_used.(plan.pl_machine) +. plan.pl_exec_energy;
+        edge = b.b_edge.(k);
+        src_task = b.b_src_task.(k);
+        dst_task = task;
+        src;
+        dst = machine;
+        start;
+        stop;
+        bits = b.b_bits.(k);
+        energy = b.b_energy.(k);
+      }
+      :: t.transfers
+  done;
+  t.placements.(task) <-
+    Some { task; version = b.b_version; machine; start = b.b_start; stop = b.b_stop };
+  t.energy_used.(machine) <- t.energy_used.(machine) +. b.b_sums.(0);
   t.n_mapped <- t.n_mapped + 1;
-  if Version.is_primary plan.pl_version then t.n_primary <- t.n_primary + 1;
-  t.aet <- max t.aet plan.pl_stop;
-  t.tec <- t.tec +. plan.pl_exec_energy +. plan.pl_comm_energy;
-  frontier_mapped t plan.pl_task
+  if Version.is_primary b.b_version then t.n_primary <- t.n_primary + 1;
+  t.aet <- max t.aet b.b_stop;
+  t.tec <- t.tec +. b.b_sums.(0) +. b.b_sums.(1);
+  b.b_task <- -1;
+  frontier_mapped t task
+
+(* A plan record goes back into the buffer and through [commit_planned]:
+   one commit path for both. *)
+let commit t plan =
+  let b = t.buf in
+  let n = List.length plan.pl_transfers in
+  if n > Array.length b.b_edge then
+    invalid_arg "Schedule.commit: more transfers than any task has parents";
+  List.iteri
+    (fun k p ->
+      b.b_edge.(k) <- p.p_edge;
+      b.b_src_task.(k) <- p.p_src_task;
+      b.b_src.(k) <- p.p_src;
+      b.b_slots.(2 * k) <- p.p_start;
+      b.b_slots.((2 * k) + 1) <- p.p_stop;
+      b.b_bits.(k) <- p.p_bits;
+      b.b_energy.(k) <- p.p_energy)
+    plan.pl_transfers;
+  b.b_n <- n;
+  b.b_task <- plan.pl_task;
+  b.b_version <- plan.pl_version;
+  b.b_machine <- plan.pl_machine;
+  b.b_start <- plan.pl_start;
+  b.b_stop <- plan.pl_stop;
+  b.b_sums.(0) <- plan.pl_exec_energy;
+  b.b_sums.(1) <- plan.pl_comm_energy;
+  commit_planned t
 
 (* ------------------------------------------------------------------ *)
 (* Replay primitives (dynamic-grid extension rebuilds)                 *)

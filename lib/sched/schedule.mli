@@ -32,6 +32,10 @@ type t
 val create : Workload.t -> t
 val workload : t -> Workload.t
 
+val rates : t -> Agrid_platform.Comm.table
+(** The grid's rate table, read once by {!create}, for pricing transfers
+    and executions with no boxed float. Owned by this schedule's run. *)
+
 val placement : t -> int -> placement option
 val placements : t -> placement array
 (** All committed placements (task order). *)
@@ -112,15 +116,33 @@ type plan = {
 
 exception Unmapped_parent of { task : int; parent : int }
 
+val plan_into :
+  t -> task:int -> version:Version.t -> machine:int -> not_before:int -> int
+(** Plan (task, version) on [machine] with no action before [not_before]
+    into the schedule's plan buffer and return the planned start:
+    transfers per cross-machine parent edge in parent order, then the
+    execution in the earliest adequate gap. The buffer is owned by the
+    schedule and sized once by the DAG's largest in-degree; later
+    transfers are fitted clear of earlier ones, no timeline is copied or
+    mutated, and nothing is allocated, so the cost does not grow with
+    channel length. The next [plan_into], {!plan} or {!commit} overwrites
+    the buffer; a schedule must not be planned from two domains at once.
+    @raise Unmapped_parent if a parent is unmapped.
+    @raise Invalid_argument if [task] is already mapped. *)
+
+val planned_stop : t -> int
+(** The execution stop of the buffered plan. *)
+
+val commit_planned : t -> unit
+(** Apply the buffered plan. It must be the latest {!plan_into} and no
+    commit may have happened since.
+    @raise Invalid_argument if the buffer holds no plan (none was made,
+    or it was already committed). *)
+
 val plan :
   t -> task:int -> version:Version.t -> machine:int -> not_before:int -> plan
-(** Plan (task, version) on [machine] with no action before [not_before]:
-    transfers per cross-machine parent edge in parent order, then the
-    execution in the earliest adequate gap. Pure and reentrant: the plan's
-    own transfers go into a per-call overlay sized by the task's in-degree
-    (later transfers are fitted clear of earlier ones), no timeline is
-    copied or mutated, and no scratch state lives in the schedule, so the
-    cost does not grow with channel length.
+(** {!plan_into}, copied out into a record the caller keeps: the
+    schedule's observable state does not change.
     @raise Unmapped_parent if a parent is unmapped.
     @raise Invalid_argument if [task] is already mapped. *)
 
@@ -128,8 +150,11 @@ val totals_after : t -> plan -> int * float * int
 (** [(T100, TEC, AET)] as they would stand after committing the plan. *)
 
 val commit : t -> plan -> unit
-(** Apply a plan. Plans must be committed against the schedule state they
-    were computed from (at most one per planning round). *)
+(** Apply a plan, through the plan buffer and {!commit_planned}. Plans
+    must be committed against the schedule state they were computed from
+    (at most one per planning round).
+    @raise Invalid_argument if the task is already mapped, or if the plan
+    carries more transfers than any task has parents. *)
 
 val replay_placement : t -> placement -> unit
 (** Re-insert a known-valid placement (dynamic-grid rebuilds); recomputes

@@ -67,8 +67,11 @@ let insert t ~start ~stop =
   if i < t.len && t.starts.(i) < stop then
     raise (Overlap { start; stop; with_start = t.starts.(i); with_stop = t.stops.(i) });
   grow t;
-  Array.blit t.starts i t.starts (i + 1) (t.len - i);
-  Array.blit t.stops i t.stops (i + 1) (t.len - i);
+  (* appending, the common case for a clock-driven heuristic, moves nothing *)
+  if i < t.len then begin
+    Array.blit t.starts i t.starts (i + 1) (t.len - i);
+    Array.blit t.stops i t.stops (i + 1) (t.len - i)
+  end;
   t.starts.(i) <- start;
   t.stops.(i) <- stop;
   t.len <- t.len + 1

@@ -254,14 +254,18 @@ let int_field c =
     | None -> fail ~line:c.line "not an integer: %S" (token_text c)
   end
 
-(* Store the next field as a float in [dst.(i)]. *)
+(* Store the next field as a float in [dst.(i)]. Every float a scenario
+   carries is a finite quantity; the kernel only ever stores finite
+   values, so only the fallback can meet (and must refuse) a NaN or an
+   infinity. *)
 let float_field_into c dst i =
   let e = Float_kernel.scan c.s ~pos:c.tok ~limit:c.len dst i in
   if e >= 0 && field_ends_at c e then close_field c e
   else begin
     close_field_slow c;
     match float_of_string_opt (token_text c) with
-    | Some v -> dst.(i) <- v
+    | Some v when Float.is_finite v -> dst.(i) <- v
+    | Some _ -> fail ~line:c.line "not a finite float: %S" (token_text c)
     | None -> fail ~line:c.line "not a float: %S" (token_text c)
   end
 

@@ -25,7 +25,8 @@ val to_string :
   Spec.t -> etc_index:int -> dag_index:int -> case:Agrid_platform.Grid.case -> string
 
 val load_string : string -> Workload.t
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on malformed input, including a float field that
+    parses to NaN or an infinity. *)
 
 val load_file : string -> Workload.t
 

@@ -75,11 +75,17 @@ let validate t =
   if t.n_tasks <> t.etc_params.n_tasks then
     invalid_arg "Spec: etc_params.n_tasks mismatch";
   if t.n_tasks <> t.dag_params.n then invalid_arg "Spec: dag_params.n mismatch";
-  if t.data_mean_bits < 0. then invalid_arg "Spec: negative data size";
-  if t.secondary_fraction <= 0. || t.secondary_fraction > 1. then
+  (* written so that NaN fails every test: a comparison with NaN is false *)
+  if not (t.data_mean_bits >= 0. && Float.is_finite t.data_mean_bits) then
+    invalid_arg "Spec: data size must be finite and nonnegative";
+  if not (t.data_cv >= 0. && Float.is_finite t.data_cv) then
+    invalid_arg "Spec: data_cv must be finite and nonnegative";
+  if not (t.secondary_fraction > 0. && t.secondary_fraction <= 1.) then
     invalid_arg "Spec: secondary_fraction outside (0, 1]";
-  if t.battery_scale <= 0. then invalid_arg "Spec: battery_scale must be positive";
-  if t.tau_seconds <= 0. then invalid_arg "Spec: tau must be positive"
+  if not (t.battery_scale > 0. && Float.is_finite t.battery_scale) then
+    invalid_arg "Spec: battery_scale must be finite and positive";
+  if not (t.tau_seconds > 0. && Float.is_finite t.tau_seconds) then
+    invalid_arg "Spec: tau must be finite and positive"
 
 let pp ppf t =
   Fmt.pf ppf "spec<|T|=%d tau=%.0fs battery*%.3g seed=%d>" t.n_tasks

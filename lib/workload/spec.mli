@@ -29,6 +29,7 @@ val tau_cycles : t -> int
 
 val validate : t -> unit
 (** @raise Invalid_argument on any inconsistency (task-count mismatches,
-    nonpositive tau, out-of-range fractions). *)
+    nonpositive tau, out-of-range fractions) and on NaN or infinite
+    scalars. *)
 
 val pp : Format.formatter -> t -> unit

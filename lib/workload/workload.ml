@@ -169,11 +169,17 @@ let exec_energy t ~task ~machine ~version =
     ~seconds:(Units.seconds_of_cycles cycles)
 
 (* Output volume of an edge given the version the parent ran as. *)
-let edge_bits t ~edge ~parent_version =
+let[@inline] bits_of t ~edge ~parent_version =
   let bits = t.data_bits.(edge) in
   match (parent_version : Version.t) with
   | Primary -> bits
   | Secondary -> bits *. t.spec.Spec.secondary_fraction
+
+let edge_bits t ~edge ~parent_version = bits_of t ~edge ~parent_version
+
+(* Written in place: a float returned to another module would be boxed. *)
+let edge_bits_into t ~edge ~parent_version a i =
+  a.(i) <- bits_of t ~edge ~parent_version
 
 let total_system_energy t = t.tse
 

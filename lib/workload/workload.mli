@@ -66,6 +66,11 @@ val exec_energy : t -> task:int -> machine:int -> version:Version.t -> float
 val edge_bits : t -> edge:int -> parent_version:Version.t -> float
 (** Output volume of an edge given the parent's executed version. *)
 
+val edge_bits_into :
+  t -> edge:int -> parent_version:Version.t -> float array -> int -> unit
+(** [edge_bits_into t ~edge ~parent_version a i] stores {!edge_bits} in
+    [a.(i)] without boxing the float. *)
+
 val total_system_energy : t -> float
 (** TSE of the grid, computed once per grid. *)
 

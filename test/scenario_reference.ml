@@ -51,7 +51,8 @@ let parse_int r s =
 
 let parse_float r s =
   match float_of_string_opt s with
-  | Some v -> v
+  | Some v when Float.is_finite v -> v
+  | Some _ -> fail ~line:r.line "not a finite float: %S" s
   | None -> fail ~line:r.line "not a float: %S" s
 
 let load_from_lines lines =

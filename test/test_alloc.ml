@@ -48,6 +48,14 @@
    channel length — a timeline copy would) and at most
    [plan_budget_bytes].
 
+   Whole-run budget: one SoA SLRH-1 run of the pinned-scale scenario
+   ([Spec.scaled ~seed:7 ~factor:0.125], Case A, ETC/DAG 0, delta_t 100:
+   128 tasks, the scale and timestep of svcbench's serve-pinned-repeat)
+   must allocate at most [run_budget_bytes] — the schedule it keeps, the
+   arena and nothing per plan, commit or priced pair beyond the records
+   the schedule retains. bench/baseline_obs.json commits the same budget
+   as the "slrh/minor_alloc_bytes_run" gauge.
+
    Realize budget: one [Serialize.realize] of a fixed generated scenario
    and of a fixed pinned text must allocate at most the bytes committed
    as bench/baseline_obs.json's "realize/" gauges. *)
@@ -159,7 +167,7 @@ let variants = [ (Slrh.V1, "V1"); (Slrh.V2, "V2"); (Slrh.V3, "V3") ]
    2, all feeding machine 1's in-channel. The long-channel schedule is the
    same plus [pad] transfers replayed far in the future on each of those
    channels, so the plan itself is unchanged. *)
-let plan_budget_bytes = 1024.
+let plan_budget_bytes = 480.
 
 let plan_bytes ~pad =
   let module Machine = Agrid_platform.Machine in
@@ -221,6 +229,24 @@ let plan_bytes ~pad =
   Gc.minor ();
   let after = Gc.allocated_bytes () in
   (p, (after -. before) /. float_of_int calls)
+
+(* Whole-run allocation of the pinned-scale run, after a warm-up: bytes
+   (the gated figure) and minor words. *)
+let run_budget_bytes = 65226.
+
+let run_allocation () =
+  let wl =
+    Workload.build (Spec.scaled ~seed:7 ~factor:0.125 ()) ~etc_index:0 ~dag_index:0
+      ~case:Grid.A
+  in
+  let p = { (Slrh.default_params weights) with Slrh.delta_t = 100 } in
+  ignore (Slrh.run p wl);
+  Gc.minor ();
+  let bytes0 = Gc.allocated_bytes () and words0 = Gc.minor_words () in
+  let o = Sys.opaque_identity (Slrh.run p wl) in
+  let words = Gc.minor_words () -. words0 in
+  Gc.minor ();
+  (o, Gc.allocated_bytes () -. bytes0, words)
 
 (* Realize allocation: bytes one [Serialize.realize] allocates after a
    warm-up, for the generated and pinned scenarios whose budgets
@@ -380,6 +406,14 @@ let () =
   check
     (Fmt.str "plan allocation under %g bytes (got %g)" plan_budget_bytes long_bytes)
     (long_bytes <= plan_budget_bytes);
+  let run, run_bytes, run_words = run_allocation () in
+  Fmt.pr "bytes/run (pinned scale, %d plans): %g, %g minor words (budget %g bytes)@."
+    run.Slrh.stats.Slrh.plans_attempted run_bytes run_words run_budget_bytes;
+  check "pinned-scale run completes (harness sanity)" run.Slrh.completed;
+  check
+    (Fmt.str "pinned-scale run allocation under %g bytes (got %g)" run_budget_bytes
+       run_bytes)
+    (run_bytes <= run_budget_bytes);
   List.iter
     (fun (name, budget) ->
       let bytes = realize_bytes (realize_scenario name) in

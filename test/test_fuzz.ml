@@ -720,6 +720,114 @@ let test_scenario_decoder_oversized () =
   (* a huge column count fails on the first row, as it always has *)
   check_decoder_agrees (replace (fun l -> if l = "etc 31 4" then "etc 31 " ^ huge else l))
 
+(* ---- Job.run on hostile floats ----
+
+   Every float a job carries must be a finite quantity. Over the
+   scenario mutation corpus, over each float field of a pinned text
+   spelled as NaN or an infinity, and over churn events with such
+   fractions and factors, [Job.run] must answer either [ok] (or a
+   deadline miss) with finite fields, or [errored] — and never raise.
+   A non-finite field of a pinned text is a parse error naming its
+   line. *)
+
+let job_answers_soundly what spec =
+  let r =
+    match Job.run spec with
+    | r -> r
+    | exception e -> Alcotest.failf "%s: Job.run raised %s" what (Printexc.to_string e)
+  in
+  match r.Job.status with
+  | Job.Errored _ -> ()
+  | Job.Ok_done | Job.Deadline_missed ->
+      let finite = Float.is_finite in
+      if
+        not
+          (finite r.Job.tec && finite r.Job.sunk_energy
+          && Array.for_all finite r.Job.energy_remaining)
+      then Alcotest.failf "%s: answered ok with a non-finite field" what
+
+let non_finite_spellings = [ "nan"; "-nan"; "NaN"; "inf"; "-inf"; "infinity"; "1e400"; "-1e400" ]
+
+(* [text] with the [field]-th space-separated field of line [line]
+   (0-based) replaced by [v]. *)
+let with_field text ~line ~field v =
+  String.concat "\n"
+    (List.mapi
+       (fun i l ->
+         if i <> line then l
+         else
+           String.concat " "
+             (List.mapi (fun j f -> if j = field then v else f) (String.split_on_char ' ' l)))
+       (split_lines text))
+
+let test_job_hostile_floats () =
+  let corpus = Array.of_list (scenario_corpus ()) in
+  let pinned text = Job.default (Serialize.Pinned text) in
+  Array.iteri (fun i text -> job_answers_soundly (Fmt.str "corpus %d" i) (pinned text)) corpus;
+  let rng = Rng.of_int 0xF010 in
+  for k = 1 to 150 do
+    let base = corpus.(Rng.next_int rng (Array.length corpus)) in
+    let rec go n s = if n = 0 then s else go (n - 1) (mutate_scenario rng s) in
+    job_answers_soundly (Fmt.str "mutant %d" k) (pinned (go (1 + Rng.next_int rng 4) base))
+  done;
+  (* every float field of the first base text: the five header scalars,
+     an ETC entry and an edge size *)
+  let text = corpus.(0) in
+  let lines = Array.of_list (split_lines text) in
+  let line_of prefix =
+    let rec find i =
+      let l = lines.(i) in
+      if String.length l >= String.length prefix
+         && String.sub l 0 (String.length prefix) = prefix
+      then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let etc = line_of "etc " + 1 and edges = line_of "edges " + 1 in
+  let fields =
+    [
+      ("tau_seconds", line_of "tau_seconds", 1);
+      ("battery_scale", line_of "battery_scale", 1);
+      ("secondary_fraction", line_of "secondary_fraction", 1);
+      ("data_mean_bits", line_of "data_mean_bits", 1);
+      ("data_cv", line_of "data_mean_bits", 3);
+      ("etc entry", etc, 2);
+      ("edge size", edges, 2);
+    ]
+  in
+  List.iter
+    (fun (name, line, field) ->
+      List.iter
+        (fun v ->
+          let doc = with_field text ~line ~field v in
+          let what = Fmt.str "%s = %s" name v in
+          (match Serialize.load_string doc with
+          | _ -> Alcotest.failf "%s: accepted" what
+          | exception Serialize.Parse_error { line = l; _ } ->
+              Alcotest.(check int) (what ^ ": parse error names the line") (line + 1) l);
+          job_answers_soundly what (pinned doc))
+        non_finite_spellings)
+    fields;
+  (* churn events with non-finite fractions and factors: rejected *)
+  let generated =
+    Serialize.Generated
+      { seed = 3; scale = 0.03; etc_index = 0; dag_index = 0; case = Agrid_platform.Grid.A }
+  in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun ev ->
+          let spec =
+            { (Job.default generated) with Job.events = [ Agrid_churn.Event.parse ev ] }
+          in
+          job_answers_soundly ev spec;
+          match (Job.run spec).Job.status with
+          | Job.Errored _ -> ()
+          | _ -> Alcotest.failf "%s: accepted" ev)
+        [ Fmt.str "shock@40:1:%s" v; Fmt.str "degrade@40:1:%s" v ])
+    [ "nan"; "inf"; "-inf" ]
+
 (* ---- the float kernel against float_of_string ---- *)
 
 module Kernel = Agrid_workload.Float_kernel
@@ -852,6 +960,8 @@ let suites =
           test_scenario_decoder_differential;
         Alcotest.test_case "pinned decoder rejects oversized counts" `Quick
           test_scenario_decoder_oversized;
+        Alcotest.test_case "Job.run: hostile floats answer ok-finite or errored"
+          `Quick test_job_hostile_floats;
         Alcotest.test_case "float kernel: printed doubles (qcheck)" `Quick
           test_kernel_bit_patterns;
         Alcotest.test_case "float kernel: digit strings and hard cases" `Quick

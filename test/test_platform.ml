@@ -118,6 +118,53 @@ let test_worst_case_energy () =
     then Alcotest.failf "worst case underestimates dst %d" dst
   done
 
+(* The rate table's kernels against the scalar functions, bit for bit:
+   every machine pair of every case (degraded links included), edge
+   volumes from nothing to far past a cycle, and the scalar argument
+   check on a negative volume. *)
+let table_matches_scalar =
+  let gen =
+    QCheck2.Gen.(
+      triple (int_range 0 2) (int_range 0 3)
+        (oneof [ return 0.; float_range 0. 1e4; float_range 0. 1e9; float_range 1e-3 1. ]))
+  in
+  Testlib.qcheck_case ~count:500 "rate table = scalar pricing (qcheck)" gen
+    (fun (case, degraded, bits) ->
+      let grid = Grid.of_case (List.nth Grid.all_cases case) in
+      let grid =
+        if degraded < Grid.n_machines grid then
+          Grid.scale_bandwidth grid ~machine:degraded ~factor:0.37
+        else grid
+      in
+      let tb = Comm.table grid in
+      let n = Grid.n_machines grid in
+      let a = [| bits |] and out = [| 0. |] in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      let ok = ref true in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let c = Comm.transfer_cycles_at tb ~src ~dst a 0 in
+          if c <> Comm.transfer_cycles grid ~src ~dst ~bits then ok := false;
+          Comm.transfer_energy_into tb ~src ~cycles:c out 0;
+          let e = if src = dst then 0. else out.(0) in
+          if not (same e (Comm.transfer_energy grid ~src ~dst ~bits)) then ok := false
+        done;
+        let wc = Comm.worst_case_cycles_at tb a 0 in
+        if wc <> Comm.worst_case_cycles grid ~bits then ok := false;
+        Comm.transfer_energy_into tb ~src ~cycles:wc out 0;
+        if not (same out.(0) (Comm.worst_case_energy grid ~src ~bits)) then ok := false;
+        Comm.exec_energy_into tb ~machine:src ~cycles:wc out 0;
+        let exec =
+          Machine.compute_energy (Grid.machine grid src)
+            ~seconds:(Units.seconds_of_cycles wc)
+        in
+        if not (same out.(0) exec) then ok := false
+      done;
+      (match Comm.transfer_cycles_at tb ~src:0 ~dst:(n - 1) [| -1. |] 0 with
+      | _ -> ok := false
+      | exception Invalid_argument _ -> ());
+      !ok)
+
 let suites =
   [
     ( "platform",
@@ -137,5 +184,6 @@ let suites =
         Alcotest.test_case "transfer cycles" `Quick test_transfer_cycles;
         Alcotest.test_case "transfer energy" `Quick test_transfer_energy;
         Alcotest.test_case "worst-case comm energy" `Quick test_worst_case_energy;
+        table_matches_scalar;
       ] );
   ]

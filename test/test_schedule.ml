@@ -607,6 +607,61 @@ let test_qcheck_plan_matches_oracle () =
   Alcotest.(check bool) "some plans share the in-channel" true (!shared_in > 0);
   Alcotest.(check bool) "the overlay displaced some transfer" true (!displaced > 0)
 
+(* The SoA walk plans into the schedule's buffer and commits from it;
+   the rescan path and the baselines copy the same plan out into a
+   record and commit that. Both routes must leave bit-identical
+   schedules: same start and stop, timelines, transfer records, energy
+   ledger and TEC. Each case maps the whole ready set, one task at a
+   time, on two copies of one random partial schedule. *)
+let schedule_fingerprint sched =
+  let wl = Schedule.workload sched in
+  let bits f = Int64.bits_of_float f in
+  ( timelines_snapshot sched,
+    Array.to_list (Schedule.transfers sched)
+    |> List.map (fun (tr : Schedule.transfer) ->
+           ( (tr.Schedule.edge, tr.Schedule.src_task, tr.Schedule.dst_task, tr.Schedule.src),
+             (tr.Schedule.dst, tr.Schedule.start, tr.Schedule.stop),
+             (bits tr.Schedule.bits, bits tr.Schedule.energy) )),
+    List.init (Workload.n_machines wl) (fun j -> bits (Schedule.energy_used sched j)),
+    (bits (Schedule.tec sched), Schedule.n_primary sched, Schedule.aet sched) )
+
+let test_qcheck_buffered_commit_matches_record () =
+  let prop seed =
+    let a, next, version = random_partial_schedule seed in
+    let b, _, _ = random_partial_schedule seed in
+    let m = Workload.n_machines (Schedule.workload a) in
+    while Schedule.n_ready a > 0 do
+      let task = (Schedule.ready_tasks a).(next (Schedule.n_ready a)) in
+      let version = version () and machine = next m and not_before = next 400 in
+      let p = Schedule.plan a ~task ~version ~machine ~not_before in
+      let start = Schedule.plan_into b ~task ~version ~machine ~not_before in
+      if start <> p.Schedule.pl_start || Schedule.planned_stop b <> p.Schedule.pl_stop then
+        QCheck2.Test.fail_reportf "task %d: buffered plan [%d, %d) vs record [%d, %d)" task
+          start (Schedule.planned_stop b) p.Schedule.pl_start p.Schedule.pl_stop;
+      Schedule.commit a p;
+      Schedule.commit_planned b;
+      if schedule_fingerprint a <> schedule_fingerprint b then
+        QCheck2.Test.fail_reportf "task %d: schedules differ after commit" task
+    done;
+    true
+  in
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:200 ~name:"buffered commit = record commit"
+       (QCheck2.Gen.int_range 0 1_000_000) prop)
+
+(* A buffered plan commits once; a commit of nothing is refused. *)
+let test_commit_planned_once () =
+  let s = sched () in
+  Alcotest.check_raises "nothing planned"
+    (Invalid_argument "Schedule.commit_planned: no plan to commit") (fun () ->
+      Schedule.commit_planned s);
+  ignore (Schedule.plan_into s ~task:0 ~version:Version.Primary ~machine:0 ~not_before:0);
+  Schedule.commit_planned s;
+  Alcotest.(check bool) "mapped" true (Schedule.is_mapped s 0);
+  Alcotest.check_raises "already committed"
+    (Invalid_argument "Schedule.commit_planned: no plan to commit") (fun () ->
+      Schedule.commit_planned s)
+
 (* ---- the SLRH walk's skip bound ----
 
    The SoA walk does not plan a candidate whose parent-ready bound (what
@@ -944,6 +999,9 @@ let suites =
           test_validator_detects_duplicate_transfer;
         Alcotest.test_case "stale plan raises" `Quick test_stale_plan_commit_raises;
         Alcotest.test_case "double commit rejected" `Quick test_double_commit_rejected;
+        Alcotest.test_case "qcheck buffered commit = record commit" `Quick
+          test_qcheck_buffered_commit_matches_record;
+        Alcotest.test_case "buffered plan commits once" `Quick test_commit_planned_once;
         Alcotest.test_case "metrics consistency" `Quick test_metrics_consistency;
         Alcotest.test_case "metrics comm share" `Quick test_metrics_comm_share;
         Alcotest.test_case "frontier progression" `Quick test_frontier_progression;
