@@ -142,13 +142,13 @@ let apply_leave st ~at j =
   Array.iter
     (fun task ->
       match Schedule.placement old task with
-      | Some p
-        when st.up.(p.Schedule.machine)
-             && p.Schedule.stop <= at
-             && Array.for_all
-                  (fun (q, _) -> survives.(q))
-                  (Agrid_dag.Dag.parent_edges dag task) ->
-          survives.(task) <- true
+      | Some p when st.up.(p.Schedule.machine) && p.Schedule.stop <= at ->
+          let n_parents = Agrid_dag.Dag.in_degree dag task in
+          let k = ref 0 in
+          while !k < n_parents && survives.(Agrid_dag.Dag.parent dag task !k) do
+            incr k
+          done;
+          survives.(task) <- !k = n_parents
       | Some _ | None -> ())
     (Agrid_dag.Dag.topological_order dag);
   (* retry bookkeeping per discarded placement *)

@@ -114,18 +114,14 @@ let version_feasible ?mode sched ~task ~machine ~version =
    historical bool for the pool filter, whose input is already ready. *)
 let verdict ?mode sched ~task ~machine =
   let dag = Workload.dag (Schedule.workload sched) in
-  let unmapped_parent =
-    Array.fold_left
-      (fun acc (p, _) ->
-        match acc with
-        | Some _ -> acc
-        | None -> if Schedule.is_mapped sched p then None else Some p)
-      None
-      (Agrid_dag.Dag.parent_edges dag task)
-  in
-  match unmapped_parent with
-  | Some parent -> Error (Parent_unmapped { parent })
-  | None -> version_verdict ?mode sched ~task ~machine ~version:Version.Secondary
+  let n_parents = Agrid_dag.Dag.in_degree dag task in
+  let k = ref 0 in
+  while !k < n_parents && Schedule.is_mapped sched (Agrid_dag.Dag.parent dag task !k) do
+    incr k
+  done;
+  if !k < n_parents then
+    Error (Parent_unmapped { parent = Agrid_dag.Dag.parent dag task !k })
+  else version_verdict ?mode sched ~task ~machine ~version:Version.Secondary
 
 let feasible ?mode sched ~task ~machine =
   version_feasible ?mode sched ~task ~machine ~version:Version.Secondary
@@ -191,9 +187,9 @@ module Memo = struct
     | Optimistic -> ()
     | Conservative | Chance _ ->
         let stage = Agrid_platform.Comm.staging tb in
-        let children = Agrid_dag.Dag.child_edges (Workload.dag wl) task in
-        for k = 0 to Array.length children - 1 do
-          let _, edge = children.(k) in
+        let dag = Workload.dag wl in
+        for k = 0 to Agrid_dag.Dag.out_degree dag task - 1 do
+          let edge = Agrid_dag.Dag.child_edge dag task k in
           Workload.edge_bits_into wl ~edge ~parent_version:Version.Secondary stage 0;
           Agrid_platform.Comm.transfer_energy_into tb ~src:machine
             ~cycles:(Agrid_platform.Comm.worst_case_cycles_at tb stage 0)

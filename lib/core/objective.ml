@@ -104,25 +104,25 @@ let parent_bound sched ~task ~machine =
   let dag = Workload.dag wl in
   let ready = ref min_int in
   let comm_energy = ref 0. in
-  Array.iter
-    (fun (p, edge) ->
-      match Schedule.placement sched p with
-      | None -> invalid_arg "Objective.estimate: unmapped parent"
-      | Some pp ->
-          if pp.Schedule.machine = machine then ready := max !ready pp.Schedule.stop
-          else begin
-            let bits = Workload.edge_bits wl ~edge ~parent_version:pp.Schedule.version in
-            let cycles =
-              Agrid_platform.Comm.transfer_cycles grid ~src:pp.Schedule.machine
-                ~dst:machine ~bits
-            in
-            comm_energy :=
-              !comm_energy
-              +. Agrid_platform.Comm.transfer_energy grid ~src:pp.Schedule.machine
-                   ~dst:machine ~bits;
-            ready := max !ready (pp.Schedule.stop + cycles)
-          end)
-    (Agrid_dag.Dag.parent_edges dag task);
+  for k = 0 to Agrid_dag.Dag.in_degree dag task - 1 do
+    let edge = Agrid_dag.Dag.parent_edge dag task k in
+    match Schedule.placement sched (Agrid_dag.Dag.src dag edge) with
+    | None -> invalid_arg "Objective.estimate: unmapped parent"
+    | Some pp ->
+        if pp.Schedule.machine = machine then ready := max !ready pp.Schedule.stop
+        else begin
+          let bits = Workload.edge_bits wl ~edge ~parent_version:pp.Schedule.version in
+          let cycles =
+            Agrid_platform.Comm.transfer_cycles grid ~src:pp.Schedule.machine
+              ~dst:machine ~bits
+          in
+          comm_energy :=
+            !comm_energy
+            +. Agrid_platform.Comm.transfer_energy grid ~src:pp.Schedule.machine
+                 ~dst:machine ~bits;
+          ready := max !ready (pp.Schedule.stop + cycles)
+        end
+  done;
   { ready_floor = !ready; comm_energy = !comm_energy }
 
 (* Cheap candidate score used by SLRH when ordering the pool (the paper
@@ -205,12 +205,12 @@ let parent_bound_into sched ~task ~machine ~slot bound_ready bound_comm =
   let wl = Schedule.workload sched in
   let tb = Schedule.rates sched in
   let stage = Agrid_platform.Comm.staging tb in
-  let edges = Agrid_dag.Dag.parent_edges (Workload.dag wl) task in
+  let dag = Workload.dag wl in
   bound_ready.(slot) <- min_int;
   bound_comm.(slot) <- 0.;
-  for i = 0 to Array.length edges - 1 do
-    let p, edge = edges.(i) in
-    match Schedule.placement sched p with
+  for k = 0 to Agrid_dag.Dag.in_degree dag task - 1 do
+    let edge = Agrid_dag.Dag.parent_edge dag task k in
+    match Schedule.placement sched (Agrid_dag.Dag.src dag edge) with
     | None -> invalid_arg "Objective.estimate: unmapped parent"
     | Some pp ->
         let src = pp.Schedule.machine in

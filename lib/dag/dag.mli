@@ -1,8 +1,13 @@
-(** Immutable DAG of subtask dependencies.
+(** Immutable DAG of subtask dependencies, stored once as int arrays in
+    compressed sparse rows and read through indices (no tuple, array or
+    closure per access).
 
-    Tasks are integers [0, n); every edge [(src, dst)] has a stable edge id
-    so per-edge payloads (the paper's global data items [g(i,j)]) can be
-    stored in plain arrays alongside the structure. *)
+    Tasks are integers [0, n). Edge ids [0, n_edges) follow the
+    lexicographic (src, dst) order, so per-edge payloads (the paper's
+    global data items [g(i,j)]) are plain arrays indexed by edge id. Task
+    [i]'s parents are [k] in [0, in_degree t i), in src order; its
+    children are [k] in [0, out_degree t i), in dst order, with
+    consecutive edge ids. An out-of-row [k] raises [Invalid_argument]. *)
 
 type t
 
@@ -20,7 +25,8 @@ val of_edge_arrays : n:int -> int array -> int array -> t * int array
     [k] is the edge [src.(k) -> dst.(k)]) in O(E + n). Also returns, for
     every edge id, the index of the record that defines it: the last
     one when a pair is repeated. Records already in (src, dst) order with
-    no repeat keep their positions as edge ids.
+    no repeat keep their positions as edge ids, and the DAG then keeps
+    [src] and [dst] as its own: the caller must not modify them afterwards.
     @raise Invalid_argument on out-of-range endpoints, self edges or
     arrays of different lengths.
     @raise Cycle if the edges are not acyclic. *)
@@ -28,24 +34,27 @@ val of_edge_arrays : n:int -> int array -> int array -> t * int array
 val n_tasks : t -> int
 val n_edges : t -> int
 
-val edges : t -> (int * int) array
-(** All edges, lexicographically sorted; index = edge id. *)
+val src : t -> int -> int
+val dst : t -> int -> int
 
 val edge : t -> int -> int * int
 (** [(src, dst)] of an edge id. *)
 
-val parents : t -> int -> int array
-val children : t -> int -> int array
-
-val parent_edges : t -> int -> (int * int) array
-(** Per task: [(parent, edge_id)] pairs, sorted by parent. *)
-
-val child_edges : t -> int -> (int * int) array
-(** Per task: [(child, edge_id)] pairs, sorted by child. *)
-
 val in_degree : t -> int -> int
 val out_degree : t -> int -> int
-val is_edge : t -> src:int -> dst:int -> bool
+
+val parent_edge : t -> int -> int -> int
+(** [parent_edge t i k]: the edge id from task [i]'s [k]-th parent. *)
+
+val parent : t -> int -> int -> int
+(** [parent t i k = src t (parent_edge t i k)]. *)
+
+val child_edge : t -> int -> int -> int
+(** [child_edge t i k]: the edge id to task [i]'s [k]-th child. *)
+
+val child : t -> int -> int -> int
+(** [child t i k = dst t (child_edge t i k)]. *)
+
 val iter_edges : (int -> src:int -> dst:int -> unit) -> t -> unit
 
 val topological_order : t -> int array

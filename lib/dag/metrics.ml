@@ -48,12 +48,11 @@ let critical_path dag ~weight =
   let best = ref 0. in
   Array.iter
     (fun i ->
-      let ready =
-        Array.fold_left
-          (fun acc (p, _) -> Float.max acc finish.(p))
-          0. (Dag.parent_edges dag i)
-      in
-      finish.(i) <- ready +. weight i;
+      let ready = ref 0. in
+      for k = 0 to Dag.in_degree dag i - 1 do
+        ready := Float.max !ready finish.(Dag.parent dag i k)
+      done;
+      finish.(i) <- !ready +. weight i;
       if finish.(i) > !best then best := finish.(i))
     order;
   !best

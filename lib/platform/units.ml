@@ -13,13 +13,18 @@ let seconds_of_cycles c = seconds_of c
    receive it boxed. *)
 let seconds_of_cycles_into a i c = a.(i) <- seconds_of c
 
-(* Round up: a duration of any positive length occupies at least 1 cycle. *)
+(* Round up: a duration of any positive length occupies at least 1 cycle.
+   A cycle count of 2^62 or more does not fit an int, where [int_of_float]
+   would wrap: it is refused before the conversion, so every count that
+   fits converts exactly as before. *)
 let[@inline] cycles_of s =
   if s < 0. then invalid_arg "Units.cycles_of_seconds: negative duration";
   if s = 0. then 0
   else
+    let x = Float.ceil (s *. float_of_int cycles_per_second) in
+    if not (x < 0x1p62) then invalid_arg "Units.cycles_of_seconds: duration too long";
     (* an int-typed max: [Stdlib.max] is polymorphic, a C call per use *)
-    let c = int_of_float (Float.ceil (s *. float_of_int cycles_per_second)) in
+    let c = int_of_float x in
     if c < 1 then 1 else c
 
 let cycles_of_seconds s = cycles_of s

@@ -11,7 +11,8 @@ val seconds_of_cycles_into : float array -> int -> int -> unit
 
 val cycles_of_seconds : float -> int
 (** Rounds up; any positive duration occupies at least one cycle.
-    @raise Invalid_argument on negative input. *)
+    @raise Invalid_argument on negative input, and on a duration whose
+    cycle count does not fit an int (2{^ 62} cycles or more). *)
 
 val cycles_of_seconds_at : float array -> int -> int
 (** [cycles_of_seconds_at a i] is [cycles_of_seconds a.(i)] without boxing

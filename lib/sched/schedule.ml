@@ -146,9 +146,9 @@ let frontier_mapped t task =
     Array.blit ready (!i + 1) ready !i (n - !i - 1);
     t.n_ready <- n - 1
   end;
-  let children = Agrid_dag.Dag.child_edges (Workload.dag t.workload) task in
-  for k = 0 to Array.length children - 1 do
-    let c, _ = children.(k) in
+  let dag = Workload.dag t.workload in
+  for k = 0 to Agrid_dag.Dag.out_degree dag task - 1 do
+    let c = Agrid_dag.Dag.child dag task k in
     t.pending_parents.(c) <- t.pending_parents.(c) - 1;
     if t.pending_parents.(c) = 0 && t.placements.(c) = None then begin
       Array.blit ready 0 ready 1 t.n_ready;
@@ -192,22 +192,6 @@ let machine_free_at t ~machine ~time = Timeline.is_free_at t.exec.(machine) time
    that search. *)
 let machine_free_from t ~machine ~time =
   Timeline.first_fit t.exec.(machine) ~not_before:time ~duration:1
-
-let parents_mapped t task =
-  Array.for_all
-    (fun (p, _) -> t.placements.(p) <> None)
-    (Agrid_dag.Dag.parent_edges (Workload.dag t.workload) task)
-
-(* Latest parent finish time — a lower bound on when [task]'s inputs can
-   even begin to move. Requires all parents mapped. *)
-let latest_parent_finish t task =
-  Array.fold_left
-    (fun acc (p, _) ->
-      match t.placements.(p) with
-      | Some pl -> max acc pl.stop
-      | None -> invalid_arg "Schedule.latest_parent_finish: unmapped parent")
-    0
-    (Agrid_dag.Dag.parent_edges (Workload.dag t.workload) task)
 
 (* ------------------------------------------------------------------ *)
 (* Planning                                                            *)
@@ -253,7 +237,7 @@ let plan_into t ~task ~version ~machine ~not_before =
   let wl = t.workload in
   let tb = t.rates in
   let b = t.buf in
-  let parents = Agrid_dag.Dag.parent_edges (Workload.dag wl) task in
+  let dag = Workload.dag wl in
   (* [b_slots]' first [n] pairs are the transfers placed so far, not yet
      inserted anywhere. All of them occupy the receiver's in-channel, so
      fitting each new transfer clear of every earlier one also covers
@@ -262,8 +246,9 @@ let plan_into t ~task ~version ~machine ~not_before =
   b.b_n <- 0;
   b.b_sums.(1) <- 0.;
   let ready = ref not_before in
-  for k = 0 to Array.length parents - 1 do
-    let p, edge = parents.(k) in
+  for k = 0 to Agrid_dag.Dag.in_degree dag task - 1 do
+    let edge = Agrid_dag.Dag.parent_edge dag task k in
+    let p = Agrid_dag.Dag.src dag edge in
     match t.placements.(p) with
     | None -> raise (Unmapped_parent { task; parent = p })
     | Some pp ->

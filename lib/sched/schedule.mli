@@ -89,10 +89,6 @@ val ready_tasks : t -> int array
 val n_ready : t -> int
 (** Length of the frontier ({!ready_tasks}'s live prefix). *)
 
-val parents_mapped : t -> int -> bool
-val latest_parent_finish : t -> int -> int
-(** @raise Invalid_argument if some parent is unmapped. *)
-
 type planned_transfer = {
   p_edge : int;
   p_src_task : int;

@@ -90,13 +90,13 @@ let execute ?rng ?(noise = no_noise) sched =
           (* ready: machine free, all inputs arrived *)
           let ready = ref (max machine_free.(machine) input_ready.(task)) in
           (* same-machine parents have no transfer record: wait directly *)
-          Array.iter
-            (fun (parent, _) ->
-              match Agrid_sched.Schedule.placement sched parent with
-              | Some pp when pp.Agrid_sched.Schedule.machine = machine ->
-                  ready := max !ready task_finish.(parent)
-              | Some _ | None -> ())
-            (Agrid_dag.Dag.parent_edges dag task);
+          for k = 0 to Agrid_dag.Dag.in_degree dag task - 1 do
+            let parent = Agrid_dag.Dag.parent dag task k in
+            match Agrid_sched.Schedule.placement sched parent with
+            | Some pp when pp.Agrid_sched.Schedule.machine = machine ->
+                ready := max !ready task_finish.(parent)
+            | Some _ | None -> ()
+          done;
           let planned_duration = p.Agrid_sched.Schedule.stop - p.Agrid_sched.Schedule.start in
           let duration = perturb rng ~cv:noise.exec_cv planned_duration in
           (* the heuristic's clock discipline held work until its planned

@@ -187,12 +187,13 @@ let total_system_energy t = t.tse
    [machine], assuming version [version] output volumes — the SLRH
    feasibility check's conservative estimate (paper Section IV). *)
 let worst_case_child_comm_energy t ~task ~machine ~version =
-  Array.fold_left
-    (fun acc (_child, edge) ->
-      let bits = edge_bits t ~edge ~parent_version:version in
-      acc +. Comm.worst_case_energy t.grid ~src:machine ~bits)
-    0.
-    (Agrid_dag.Dag.child_edges t.dag task)
+  let acc = ref 0. in
+  for k = 0 to Agrid_dag.Dag.out_degree t.dag task - 1 do
+    let edge = Agrid_dag.Dag.child_edge t.dag task k in
+    let bits = edge_bits t ~edge ~parent_version:version in
+    acc := !acc +. Comm.worst_case_energy t.grid ~src:machine ~bits
+  done;
+  !acc
 
 let pp ppf t =
   Fmt.pf ppf "workload<%s etc=%d dag=%d |T|=%d tau=%a>" (Grid.name t.grid)

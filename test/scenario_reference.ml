@@ -118,9 +118,8 @@ let load_from_lines lines =
   let dag = Agrid_dag.Dag.of_edges ~n:n_tasks !edges in
   (* data sizes follow the DAG's canonical edge-id order *)
   let data_bits =
-    Array.map
-      (fun (src, dst) -> Hashtbl.find bits_by_edge (src, dst))
-      (Agrid_dag.Dag.edges dag)
+    Array.init (Agrid_dag.Dag.n_edges dag) (fun e ->
+        Hashtbl.find bits_by_edge (Agrid_dag.Dag.edge dag e))
   in
   let spec =
     {

@@ -4,8 +4,8 @@ let test_of_edges_basic () =
   let d = Testlib.diamond_dag () in
   Alcotest.(check int) "tasks" 4 (Dag.n_tasks d);
   Alcotest.(check int) "edges" 4 (Dag.n_edges d);
-  Alcotest.(check (array int)) "parents of 3" [| 1; 2 |] (Dag.parents d 3);
-  Alcotest.(check (array int)) "children of 0" [| 1; 2 |] (Dag.children d 0);
+  Alcotest.(check (list int)) "parents of 3" [ 1; 2 ] (List.init 2 (Dag.parent d 3));
+  Alcotest.(check (list int)) "children of 0" [ 1; 2 ] (List.init 2 (Dag.child d 0));
   Alcotest.(check int) "in_degree root" 0 (Dag.in_degree d 0);
   Alcotest.(check int) "out_degree leaf" 0 (Dag.out_degree d 3)
 
@@ -14,9 +14,17 @@ let test_edge_ids_stable () =
   (* edges sorted lexicographically: (0,1) (0,2) (1,3) (2,3) *)
   Alcotest.(check (pair int int)) "edge 0" (0, 1) (Dag.edge d 0);
   Alcotest.(check (pair int int)) "edge 3" (2, 3) (Dag.edge d 3);
-  let pe = Dag.parent_edges d 3 in
-  Alcotest.(check (pair int int)) "parent edge (1,e2)" (1, 2) pe.(0);
-  Alcotest.(check (pair int int)) "parent edge (2,e3)" (2, 3) pe.(1)
+  Alcotest.(check int) "parent 0 of 3" 1 (Dag.parent d 3 0);
+  Alcotest.(check int) "its edge" 2 (Dag.parent_edge d 3 0);
+  Alcotest.(check int) "parent 1 of 3" 2 (Dag.parent d 3 1);
+  Alcotest.(check int) "its edge" 3 (Dag.parent_edge d 3 1);
+  Alcotest.(check int) "child edges are consecutive ids" 1 (Dag.child_edge d 0 1);
+  Alcotest.check_raises "past the last parent" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Dag.parent_edge d 3 2));
+  Alcotest.check_raises "not into the next row" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Dag.child_edge d 0 2));
+  Alcotest.check_raises "a leaf has no child" (Invalid_argument "index out of bounds")
+    (fun () -> ignore (Dag.child d 3 0))
 
 let test_duplicate_edges_collapse () =
   let d = Dag.of_edges ~n:3 [ (0, 1); (0, 1); (1, 2) ] in
@@ -60,10 +68,60 @@ let test_levels_depth () =
   let empty = Dag.of_edges ~n:0 [] in
   Alcotest.(check int) "empty depth" 0 (Dag.depth empty)
 
-let test_is_edge () =
-  let d = Testlib.diamond_dag () in
-  Alcotest.(check bool) "has (0,1)" true (Dag.is_edge d ~src:0 ~dst:1);
-  Alcotest.(check bool) "no (1,2)" false (Dag.is_edge d ~src:1 ~dst:2)
+(* The CSR store against a list model: random acyclic edge lists
+   (forward edges under a random relabelling of the tasks, so src > dst
+   occurs), unsorted, with repeated pairs, the empty list included. Edge
+   ids index the sorted, de-duplicated list; a task's parents and
+   children are that list filtered, in its order; each id's record is the
+   last input record of its pair. The already-canonical input, whose
+   records keep their positions, is checked too. *)
+let gen_edge_list =
+  QCheck2.Gen.(
+    let* n = int_range 0 60 in
+    let* relabel = shuffle_a (Array.init n Fun.id) in
+    let+ pairs =
+      if n < 2 then return []
+      else list_size (int_range 0 (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    in
+    ( n,
+      List.filter_map
+        (fun (a, b) ->
+          if a = b then None else Some (relabel.(min a b), relabel.(max a b)))
+        pairs ))
+
+let csr_matches_model (n, edges) =
+  let model = List.sort_uniq compare edges in
+  let ids = List.mapi (fun e (s, d) -> (e, s, d)) model in
+  let check_input input =
+    let src = Array.of_list (List.map fst input) and dst = Array.of_list (List.map snd input) in
+    let last_record e =
+      let s, d = List.nth model e in
+      let r = ref (-1) in
+      List.iteri (fun k (s', d') -> if s' = s && d' = d then r := k) input;
+      !r
+    in
+    let t, records = Dag.of_edge_arrays ~n src dst in
+    Dag.n_tasks t = n
+    && Dag.n_edges t = List.length model
+    && List.for_all (fun (e, s, d) -> Dag.src t e = s && Dag.dst t e = d && Dag.edge t e = (s, d)) ids
+    && Array.length records = List.length model
+    && List.for_all (fun (e, _, _) -> records.(e) = last_record e) ids
+    && List.for_all
+         (fun i ->
+           let parents = List.filter_map (fun (e, s, d) -> if d = i then Some (s, e) else None) ids in
+           let children = List.filter_map (fun (e, s, d) -> if s = i then Some (d, e) else None) ids in
+           List.init (Dag.in_degree t i) (fun k -> (Dag.parent t i k, Dag.parent_edge t i k))
+           = parents
+           && List.init (Dag.out_degree t i) (fun k -> (Dag.child t i k, Dag.child_edge t i k))
+              = children)
+         (List.init n Fun.id)
+  in
+  check_input edges && check_input model
+
+let test_csr_model () =
+  QCheck2.Test.check_exn
+    (QCheck2.Test.make ~count:300 ~name:"CSR store matches the list model" gen_edge_list
+       csr_matches_model)
 
 (* ---- generator ---- *)
 
@@ -113,7 +171,7 @@ let test_generator_deterministic () =
   let params = Generate.default_params ~n:64 in
   let d1 = Generate.generate (Testlib.rng ~seed:5 ()) params in
   let d2 = Generate.generate (Testlib.rng ~seed:5 ()) params in
-  Alcotest.(check (array (pair int int))) "same edges" (Dag.edges d1) (Dag.edges d2)
+  Testlib.check_same_dag "same edges" d1 d2
 
 let test_generator_level_structure () =
   let params = { (Generate.default_params ~n:100) with Generate.n_levels = 10 } in
@@ -186,7 +244,7 @@ let suites =
         Alcotest.test_case "topological order" `Quick test_topological_order;
         Alcotest.test_case "roots and leaves" `Quick test_roots_leaves;
         Alcotest.test_case "levels and depth" `Quick test_levels_depth;
-        Alcotest.test_case "is_edge" `Quick test_is_edge;
+        Alcotest.test_case "CSR store vs list model (qcheck)" `Quick test_csr_model;
         Alcotest.test_case "generator acyclic+sized (qcheck)" `Quick
           test_generator_acyclic_and_sized;
         Alcotest.test_case "generator forward edges (qcheck)" `Quick

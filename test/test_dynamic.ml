@@ -71,15 +71,15 @@ let test_ancestor_closure () =
   let dag = Workload.dag o.Dynamic.workload in
   Array.iter
     (fun (p : Schedule.placement) ->
-      Array.iter
-        (fun (parent, _) ->
-          match Schedule.placement sched parent with
-          | None -> Alcotest.failf "task %d mapped, parent %d missing" p.Schedule.task parent
-          | Some pp ->
-              if pp.Schedule.stop > p.Schedule.start then
-                Alcotest.failf "parent %d finishes after child %d starts" parent
-                  p.Schedule.task)
-        (Agrid_dag.Dag.parent_edges dag p.Schedule.task))
+      for k = 0 to Agrid_dag.Dag.in_degree dag p.Schedule.task - 1 do
+        let parent = Agrid_dag.Dag.parent dag p.Schedule.task k in
+        match Schedule.placement sched parent with
+        | None -> Alcotest.failf "task %d mapped, parent %d missing" p.Schedule.task parent
+        | Some pp ->
+            if pp.Schedule.stop > p.Schedule.start then
+              Alcotest.failf "parent %d finishes after child %d starts" parent
+                p.Schedule.task
+      done)
     (Schedule.placements sched)
 
 let test_sunk_energy_accounting () =

@@ -290,8 +290,7 @@ let test_pinned_realize_roundtrip () =
         Alcotest.failf "ETC(%d,%d) diverges: %.17g vs %.17g" t m a b
     done
   done;
-  Alcotest.(check bool) "edges" true
-    (Agrid_dag.Dag.edges (W.dag direct) = Agrid_dag.Dag.edges (W.dag via_ref))
+  Testlib.check_same_dag "edges" (W.dag direct) (W.dag via_ref)
 
 let test_request_fuzz () =
   let corpus =
@@ -809,6 +808,29 @@ let test_job_hostile_floats () =
           job_answers_soundly what (pinned doc))
         non_finite_spellings)
     fields;
+  (* finite values whose cycle count does not fit an int: an ETC entry of
+     1e18 s is 1e19 cycles, and 1e300 s or 1e300 bits overflow as well.
+     Each is refused, not wrapped to a one-cycle duration. An edge of
+     1e18 bits takes 2.5e11 s even on the slowest (4 Mbit/s) link: it
+     fits, and is scheduled at its true length, exactly like 1e17 bits. *)
+  let run_with name line v =
+    let spec = pinned (with_field text ~line ~field:2 v) in
+    let what = Fmt.str "%s = %s" name v in
+    job_answers_soundly what spec;
+    (what, Job.run spec)
+  in
+  List.iter
+    (fun (name, line, v) ->
+      match run_with name line v with
+      | _, { Job.status = Job.Errored _; _ } -> ()
+      | what, _ -> Alcotest.failf "%s: accepted" what)
+    [ ("etc entry", etc, "1e18"); ("etc entry", etc, "1e300"); ("edge size", edges, "1e300") ];
+  let _, e17 = run_with "edge size" edges "1e17" and what, e18 = run_with "edge size" edges "1e18" in
+  if e18.Job.status <> Job.Ok_done then Alcotest.failf "%s: not answered ok" what;
+  Alcotest.(check (list int))
+    (what ^ ": same schedule as 1e17 bits")
+    [ e17.Job.t100; e17.Job.mapped; e17.Job.aet ]
+    [ e18.Job.t100; e18.Job.mapped; e18.Job.aet ];
   (* churn events with non-finite fractions and factors: rejected *)
   let generated =
     Serialize.Generated

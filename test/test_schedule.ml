@@ -380,50 +380,52 @@ module Oracle = struct
     let ready = ref not_before in
     let planned = ref [] in
     let comm_energy = ref 0. in
-    Array.iter
-      (fun (p, edge) ->
-        match Schedule.placement sched p with
-        | None -> raise (Schedule.Unmapped_parent { task; parent = p })
-        | Some pp ->
-            if pp.Schedule.machine = machine then ready := max !ready pp.Schedule.stop
+    let dag = Workload.dag wl in
+    for k = 0 to Agrid_dag.Dag.in_degree dag task - 1 do
+      let edge = Agrid_dag.Dag.parent_edge dag task k in
+      let p = Agrid_dag.Dag.src dag edge in
+      match Schedule.placement sched p with
+      | None -> raise (Schedule.Unmapped_parent { task; parent = p })
+      | Some pp ->
+          if pp.Schedule.machine = machine then ready := max !ready pp.Schedule.stop
+          else begin
+            let src = pp.Schedule.machine in
+            let bits =
+              Workload.edge_bits wl ~edge ~parent_version:pp.Schedule.version
+            in
+            let duration =
+              Agrid_platform.Comm.transfer_cycles grid ~src ~dst:machine ~bits
+            in
+            let nb = max pp.Schedule.stop not_before in
+            if duration = 0 then ready := max !ready nb
             else begin
-              let src = pp.Schedule.machine in
-              let bits =
-                Workload.edge_bits wl ~edge ~parent_version:pp.Schedule.version
+              let out_tl = get (Schedule.ch_out_timeline sched src) in
+              let in_tl = get (Schedule.ch_in_timeline sched machine) in
+              let start =
+                Testlib.first_fit_joint out_tl in_tl ~not_before:nb ~duration
               in
-              let duration =
-                Agrid_platform.Comm.transfer_cycles grid ~src ~dst:machine ~bits
+              let stop = start + duration in
+              Timeline.insert out_tl ~start ~stop;
+              Timeline.insert in_tl ~start ~stop;
+              let energy =
+                Agrid_platform.Comm.transfer_energy grid ~src ~dst:machine ~bits
               in
-              let nb = max pp.Schedule.stop not_before in
-              if duration = 0 then ready := max !ready nb
-              else begin
-                let out_tl = get (Schedule.ch_out_timeline sched src) in
-                let in_tl = get (Schedule.ch_in_timeline sched machine) in
-                let start =
-                  Testlib.first_fit_joint out_tl in_tl ~not_before:nb ~duration
-                in
-                let stop = start + duration in
-                Timeline.insert out_tl ~start ~stop;
-                Timeline.insert in_tl ~start ~stop;
-                let energy =
-                  Agrid_platform.Comm.transfer_energy grid ~src ~dst:machine ~bits
-                in
-                planned :=
-                  {
-                    Schedule.p_edge = edge;
-                    p_src_task = p;
-                    p_src = src;
-                    p_start = start;
-                    p_stop = stop;
-                    p_bits = bits;
-                    p_energy = energy;
-                  }
-                  :: !planned;
-                comm_energy := !comm_energy +. energy;
-                ready := max !ready stop
-              end
-            end)
-      (Agrid_dag.Dag.parent_edges (Workload.dag wl) task);
+              planned :=
+                {
+                  Schedule.p_edge = edge;
+                  p_src_task = p;
+                  p_src = src;
+                  p_start = start;
+                  p_stop = stop;
+                  p_bits = bits;
+                  p_energy = energy;
+                }
+                :: !planned;
+              comm_energy := !comm_energy +. energy;
+              ready := max !ready stop
+            end
+          end
+    done;
     let duration = Workload.exec_cycles wl ~task ~machine ~version in
     let start =
       Timeline.first_fit (Schedule.exec_timeline sched machine) ~not_before:!ready
@@ -726,11 +728,11 @@ let test_qcheck_frontier_matches_list_model () =
     let model_view () = List.filter (fun i -> not mapped.(i)) !model in
     let model_mapped task =
       mapped.(task) <- true;
-      Array.iter
-        (fun (c, _) ->
-          pending.(c) <- pending.(c) - 1;
-          if pending.(c) = 0 then model := c :: !model)
-        (Agrid_dag.Dag.child_edges dag task)
+      for k = 0 to Agrid_dag.Dag.out_degree dag task - 1 do
+        let c = Agrid_dag.Dag.child dag task k in
+        pending.(c) <- pending.(c) - 1;
+        if pending.(c) = 0 then model := c :: !model
+      done
     in
     let check step =
       let want = model_view () in
@@ -943,14 +945,6 @@ let test_metrics_comm_share () =
   in
   Testlib.close "energy ledger adds up" m.Metrics.tec exec_energy ~eps:1e-9
 
-let test_latest_parent_finish () =
-  let s = sched () in
-  let _ = commit_plan s ~task:0 ~version:Version.Primary ~machine:0 ~not_before:0 in
-  let _ = commit_plan s ~task:1 ~version:Version.Primary ~machine:0 ~not_before:0 in
-  let _ = commit_plan s ~task:2 ~version:Version.Primary ~machine:1 ~not_before:0 in
-  (* t1 finishes at 300 on m0; t2: transfer 100..102, exec 102..432 on m1 *)
-  Alcotest.(check int) "latest parent" 432 (Schedule.latest_parent_finish s 3)
-
 let suites =
   [
     ( "schedule",
@@ -1005,6 +999,5 @@ let suites =
         Alcotest.test_case "metrics consistency" `Quick test_metrics_consistency;
         Alcotest.test_case "metrics comm share" `Quick test_metrics_comm_share;
         Alcotest.test_case "frontier progression" `Quick test_frontier_progression;
-        Alcotest.test_case "latest parent finish" `Quick test_latest_parent_finish;
       ] );
   ]

@@ -28,10 +28,7 @@ let test_spec_validate_catches_mismatch () =
 let test_build_deterministic () =
   let w1 = Testlib.small_workload () and w2 = Testlib.small_workload () in
   Alcotest.(check int) "same tasks" (Workload.n_tasks w1) (Workload.n_tasks w2);
-  Alcotest.(check (array (pair int int)))
-    "same dag"
-    (Agrid_dag.Dag.edges (Workload.dag w1))
-    (Agrid_dag.Dag.edges (Workload.dag w2));
+  Testlib.check_same_dag "same dag" (Workload.dag w1) (Workload.dag w2);
   for i = 0 to Workload.n_tasks w1 - 1 do
     for j = 0 to Workload.n_machines w1 - 1 do
       Alcotest.(check int) "same cycles"
@@ -147,10 +144,7 @@ let test_serialize_roundtrip_exact () =
   let loaded, direct = roundtrip spec ~etc_index:1 ~dag_index:2 in
   Alcotest.(check int) "tasks" (Workload.n_tasks direct) (Workload.n_tasks loaded);
   Alcotest.(check int) "tau" (Workload.tau direct) (Workload.tau loaded);
-  Alcotest.(check (array (pair int int)))
-    "dag edges"
-    (Agrid_dag.Dag.edges (Workload.dag direct))
-    (Agrid_dag.Dag.edges (Workload.dag loaded));
+  Testlib.check_same_dag "dag edges" (Workload.dag direct) (Workload.dag loaded);
   for i = 0 to Workload.n_tasks direct - 1 do
     for j = 0 to Workload.n_machines direct - 1 do
       Testlib.close "etc entry"

@@ -65,6 +65,16 @@ let contains s sub =
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   m = 0 || at 0
 
+(* Same task count and the same (src, dst) at every edge id: the parent
+   and child orders follow from those. *)
+let check_same_dag msg a b =
+  let module Dag = Agrid_dag.Dag in
+  Alcotest.(check int) (msg ^ ": tasks") (Dag.n_tasks a) (Dag.n_tasks b);
+  Alcotest.(check int) (msg ^ ": edges") (Dag.n_edges a) (Dag.n_edges b);
+  for e = 0 to Dag.n_edges a - 1 do
+    Alcotest.(check (pair int int)) (Fmt.str "%s: edge %d" msg e) (Dag.edge a e) (Dag.edge b e)
+  done
+
 (* Reference timeline primitives for the planner oracle in test_schedule:
    the copy-on-write planner Schedule.plan used before its overlay rewrite
    fitted each transfer with [first_fit_joint] on private copies of the
@@ -113,25 +123,24 @@ let digest_workload buf wl =
       add_float (Agrid_etc.Etc.seconds etc ~task:i ~machine:j)
     done
   done;
+  let module Dag = Agrid_dag.Dag in
   let dag = Agrid_workload.Workload.dag wl in
-  Array.iter
-    (fun (s, d) ->
-      add_int s;
-      add_int d)
-    (Agrid_dag.Dag.edges dag);
+  Dag.iter_edges
+    (fun _ ~src ~dst ->
+      add_int src;
+      add_int dst)
+    dag;
   for i = 0 to n - 1 do
     Buffer.add_char buf 'p';
-    Array.iter
-      (fun (p, e) ->
-        add_int p;
-        add_int e)
-      (Agrid_dag.Dag.parent_edges dag i);
+    for k = 0 to Dag.in_degree dag i - 1 do
+      add_int (Dag.parent dag i k);
+      add_int (Dag.parent_edge dag i k)
+    done;
     Buffer.add_char buf 'c';
-    Array.iter
-      (fun (c, e) ->
-        add_int c;
-        add_int e)
-      (Agrid_dag.Dag.child_edges dag i)
+    for k = 0 to Dag.out_degree dag i - 1 do
+      add_int (Dag.child dag i k);
+      add_int (Dag.child_edge dag i k)
+    done
   done;
   for e = 0 to Agrid_dag.Dag.n_edges dag - 1 do
     add_float (Agrid_workload.Workload.edge_bits wl ~edge:e ~parent_version:Agrid_workload.Version.Primary)
