@@ -203,10 +203,9 @@ let ledger_t =
 
 (* An active sink when telemetry or a decision ledger was requested, the
    inert no-op otherwise. *)
-let sink_for ?(stride = 1) ?(ledger = None) obs_file =
-  match (obs_file, ledger) with
-  | None, None -> Agrid_obs.Sink.noop
-  | _ -> Agrid_obs.Sink.create ~stride ~ledger:(ledger <> None) ()
+let sink_for ?(stride = 1) ?(ledger = false) obs_file =
+  if obs_file = None && not ledger then Agrid_obs.Sink.noop
+  else Agrid_obs.Sink.create ~stride ~ledger ()
 
 (* Artefact writes fail on user-supplied paths (unwritable directory,
    ENOSPC); report one line on stderr and exit 2 instead of dying with a
@@ -283,18 +282,21 @@ let print_gantt schedule =
 let run_cmd =
   let action seed scale case etc dag heuristic alpha beta delta_t horizon mode adapt_opts gantt trace_file obs_file ledger_file =
     let adapt_spec = adapt_spec_or_die ~cmd:"run" adapt_opts in
-    (match (adapt_spec, heuristic) with
-    | Some _, (`Maxmax | `Minmin | `Lrnn | `Greedy | `Random) ->
-        Fmt.epr "agrid run: --scheduler adaptive-lagrange applies to the SLRH variants only@.";
-        exit 2
-    | _ -> ());
+    let slrh_only what =
+      Fmt.epr "agrid run: %s applies to the SLRH variants only@." what;
+      exit 2
+    in
+    (match heuristic with
+    | `Slrh1 | `Slrh2 | `Slrh3 -> ()
+    | `Maxmax | `Minmin | `Lrnn | `Greedy | `Random ->
+        if adapt_spec <> None then slrh_only "--scheduler adaptive-lagrange";
+        if trace_file <> None then slrh_only "--trace";
+        if ledger_file <> None then slrh_only "--ledger");
     let workload = workload_of ~seed ~scale ~etc ~dag ~case in
     let weights = Objective.make_weights ~alpha ~beta in
     Fmt.pr "%a@." Workload.pp workload;
-    let tracer =
-      match trace_file with None -> None | Some _ -> Some (Trace.create ())
-    in
-    let sink = sink_for ~ledger:ledger_file obs_file in
+    (* the trace is a view of the ledger, so --trace attaches one too *)
+    let sink = sink_for ~ledger:(ledger_file <> None || trace_file <> None) obs_file in
     let schedule, wall =
       match heuristic with
       | (`Slrh1 | `Slrh2 | `Slrh3) as h ->
@@ -308,7 +310,6 @@ let run_cmd =
                 Slrh.delta_t;
                 horizon;
                 mode;
-                tracer;
                 obs = sink;
               }
               adapt_spec
@@ -344,8 +345,9 @@ let run_cmd =
     Fmt.pr "validation: %a@." Validate.pp_report r;
     Fmt.pr "wall: %.4f s@." wall;
     if gantt then print_gantt schedule;
-    (match (trace_file, tracer) with
-    | Some path, Some t ->
+    (match (trace_file, Agrid_obs.Sink.ledger sink) with
+    | Some path, Some led ->
+        let t = Trace.of_ledger led in
         write_or_die ~what:"trace CSV" (fun () ->
             Agrid_report.Csv.write_file path ~header:Trace.csv_header (Trace.csv_rows t));
         Fmt.pr "trace: %a -> %s@." Trace.pp_summary (Trace.summarize t) path
@@ -359,7 +361,7 @@ let run_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE" ~doc:"Write the SLRH decision trace as CSV (SLRH variants only).")
+      & info [ "trace" ] ~docv:"FILE" ~doc:"Write the SLRH decision trace as CSV (SLRH variants only). The trace is a view of the decision ledger, so this attaches one and costs what --ledger costs.")
   in
   let term =
     Term.(
@@ -581,7 +583,7 @@ let churn_cmd =
     | Some trace, None ->
         let workload = workload_of ~seed ~scale ~etc ~dag ~case in
         let events = Agrid_churn.Event.parse_trace trace in
-        let sink = sink_for ~ledger:ledger_file obs_file in
+        let sink = sink_for ~ledger:(ledger_file <> None) obs_file in
         let params =
           with_adapt
             { (Slrh.default_params weights) with Slrh.mode; obs = sink }

@@ -1,7 +1,7 @@
-(* Instrumentation walkthrough: attach a tracer to SLRH-1 (the paper's
-   "historical record of all critical parameters", Section IV), summarise
-   the decision stream, export it as CSV, and render the resulting
-   schedule as an ASCII Gantt chart.
+(* Instrumentation walkthrough: attach a decision ledger to SLRH-1 (the
+   paper's "historical record of all critical parameters", Section IV),
+   read its per-decision trace view, summarise the decision stream, export
+   it as CSV, and render the resulting schedule as an ASCII Gantt chart.
 
      dune exec examples/trace_analysis.exe *)
 
@@ -13,10 +13,10 @@ let () =
   let spec = Spec.scaled ~seed:42 ~factor:(64. /. 1024.) () in
   let workload = Workload.build spec ~etc_index:0 ~dag_index:0 ~case:Agrid_platform.Grid.A in
   let weights = Objective.make_weights ~alpha:0.4 ~beta:0.3 in
-  let tracer = Trace.create () in
-  let params = { (Slrh.default_params weights) with Slrh.tracer = Some tracer } in
-  let outcome = Slrh.run params workload in
+  let obs = Agrid_obs.Sink.create ~ledger:true () in
+  let outcome = Slrh.run { (Slrh.default_params weights) with Slrh.obs } workload in
   Fmt.pr "%a@.@." Slrh.pp_outcome outcome;
+  let tracer = Trace.of_ledger (Option.get (Agrid_obs.Sink.ledger obs)) in
 
   (* 1. decision-stream summary: how often was a free machine starved
      (empty pool) or blocked by the horizon? *)

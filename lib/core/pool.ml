@@ -55,7 +55,6 @@ module Flat = struct
     bound_known : Bytes.t;  (* '\001' once the slot above is priced *)
     order : int array;  (* shared walk permutation, length n_tasks *)
     mutable selected : int;  (* order.(0 .. selected - 1) is final *)
-    reuse_pools : bool;  (* false while a decision ledger is attached *)
     mutable capacity : int;  (* largest row capacity *)
     mutable hwm : int;  (* largest pool ever held *)
     mutable regrown : int;  (* row regrowth events (fresh arrays, no copy) *)
@@ -63,8 +62,7 @@ module Flat = struct
 
   let default_capacity = 16
 
-  let create ?(initial_capacity = default_capacity) ~feas_mode ~reuse_pools
-      workload =
+  let create ?(initial_capacity = default_capacity) ~feas_mode workload =
     if initial_capacity <= 0 then
       invalid_arg "Pool.Flat.create: initial capacity must be positive";
     let n_tasks = Workload.n_tasks workload in
@@ -89,7 +87,6 @@ module Flat = struct
       bound_known = Bytes.make (n_tasks * n_machines) '\000';
       order = Array.init (max 1 n_tasks) (fun i -> i);
       selected = 0;
-      reuse_pools;
       capacity = cap;
       hwm = 0;
       regrown = 0;

@@ -37,7 +37,6 @@ module Flat : sig
     order : int array;  (** shared walk permutation, length [n_tasks] *)
     mutable selected : int;
         (** [order.(0 .. selected - 1)] is final for the pool last reset *)
-    reuse_pools : bool;  (** false while a decision ledger is attached *)
     mutable capacity : int;  (** largest row capacity *)
     mutable hwm : int;  (** largest pool ever held *)
     mutable regrown : int;  (** row regrowth events *)
@@ -47,16 +46,9 @@ module Flat : sig
   (** Initial row capacity (16): small enough that realistic workloads
       exercise regrowth, so the gauges below are live. *)
 
-  val create :
-    ?initial_capacity:int ->
-    feas_mode:Feasibility.mode ->
-    reuse_pools:bool ->
-    Workload.t ->
-    t
-  (** Build an arena for one run. [reuse_pools] must be false when a
-      decision ledger is attached (rebuilds emit rejection entries reuse
-      cannot replay). @raise Invalid_argument on a non-positive
-      [initial_capacity]. *)
+  val create : ?initial_capacity:int -> feas_mode:Feasibility.mode -> Workload.t -> t
+  (** Build an arena for one run. @raise Invalid_argument on a
+      non-positive [initial_capacity]. *)
 
   val capacity : t -> int
   (** Largest row capacity reached — the ["slrh/pool_capacity"] gauge. *)

@@ -40,18 +40,18 @@ type mode = [ `Rescan | `Soa ]
     ({!Pool.Flat}): batch admission ({!Feasibility.filter_into}) and
     batch scoring ({!Objective.score_into}) write into caller-owned
     buffers and the walk commits straight off the arena, recording the
-    decision ledger and tracer events in place, so steady-state
-    timesteps with no recorder attached perform zero heap allocation
-    (pinned by the allocation-budget suite).
+    decision ledger in place, so steady-state timesteps with no ledger
+    attached perform zero heap allocation (pinned by the
+    allocation-budget suite).
 
     [`Soa] also skips work whose result is already known. Without a
     ledger it does not plan a candidate whose parent-ready bound lies
-    past [now + horizon] (the plan could only start later still), and
-    without a ledger or tracer it jumps the clock over timesteps that
-    provably cannot plan or commit anything (DESIGN.md section 13). The
-    telemetry sink never changes either decision.
+    past [now + horizon] (the plan could only start later still), and it
+    jumps the clock over timesteps that provably cannot plan or commit
+    anything (DESIGN.md section 13). The telemetry sink never changes
+    either decision.
 
-    Both modes produce bit-identical schedules, traces, ledger records,
+    Both modes produce bit-identical schedules, ledger records,
     [clock_steps], [assignments] and final clocks — pinned by the
     differential suite. [`Soa]'s work counts (pools built, candidates
     scored, plans attempted, horizon misses and their spans and
@@ -78,7 +78,6 @@ type params = {
   feas_mode : Feasibility.mode;
   mode : mode;  (** pool maintenance strategy; see {!mode} *)
   machine_order : machine_order;
-  tracer : Trace.t option;  (** record one event per decision point *)
   obs : Agrid_obs.Sink.t;
       (** telemetry sink — spans over the hot paths ([slrh/run],
           [slrh/pool_build], [slrh/score], [slrh/plan],
@@ -88,9 +87,9 @@ type params = {
           A sink created with [~ledger:true] additionally records the
           decision ledger: typed per-candidate rejections, commit score
           decompositions with the runner-up margin, and per-machine idle
-          causes. The default
-          no-op sink is inert: scheduler output is bit-identical with or
-          without it (ledger on or off). *)
+          causes, from which {!Trace.of_ledger} reads the per-decision
+          trace. The default no-op sink is inert: scheduler output is
+          bit-identical with or without it (ledger on or off). *)
   cancel : unit -> bool;
       (** cooperative cancellation, polled once per swept timestep
           before any work for that step: returning [true] ends the run

@@ -1,6 +1,8 @@
 (** Execution tracing: the paper's "historical record of all critical
-    parameters" (Section IV). Attach a tracer via {!Slrh.params} to record
-    one event per mapping decision point. *)
+    parameters" (Section IV), as a view of the decision ledger — one event
+    per mapping decision point. Attach a ledger through {!Slrh.params}'s
+    [obs] sink ([Agrid_obs.Sink.create ~ledger:true]) and read the trace
+    with {!of_ledger}. *)
 
 open Agrid_workload
 
@@ -21,11 +23,16 @@ type event = { clock : int; machine : int; kind : kind }
 
 type t
 
-val create : unit -> t
-val record : t -> clock:int -> machine:int -> kind -> unit
+val of_ledger : Agrid_obs.Ledger.t -> t
+(** One event per [Commit] ([Assigned], scored by the pool score the walk
+    ranked it by) and per [Exhausted] ([Pool_empty] for an empty pool,
+    [Horizon_miss] otherwise) entry, in ledger order; every other entry is
+    context the trace leaves out.
+    @raise Invalid_argument on a commit whose version name is unknown. *)
+
 val length : t -> int
 val events : t -> event array
-(** Chronological (recording) order. *)
+(** Chronological (ledger) order. *)
 
 type summary = {
   n_assigned : int;

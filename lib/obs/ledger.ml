@@ -13,13 +13,15 @@
      beat and the margin over the runner-up;
    - [Idle]: a machine that assigned nothing this step, and why (busy,
      masked out by churn, empty pool, or nothing inside the horizon);
+   - [Exhausted]: a walk that found nothing to commit, with the size of
+     the pool it walked (0: empty pool; SLRH-2 ends every drain this way);
    - [Churn]: a grid transition applied by the churn engine.
 
    Entries reference versions by their string names and machines/tasks by
    index, so the type is self-contained at the observability layer — the
    scheduler core (which depends on this library) fills it in.
 
-   The ledger serialises as JSONL, schema [agrid-ledger/1]: a meta line
+   The ledger serialises as JSONL, schema [agrid-ledger/2]: a meta line
    followed by one flat JSON object per entry, so the file both streams
    and diffs line-by-line. [of_jsonl] inverts [to_jsonl]; floats pass
    through ["%.9g"], so scores are recovered to 9 significant digits, not
@@ -54,9 +56,12 @@ type entry =
       beta_term : float;
       gamma_term : float;
       pool_size : int;
+      pool_score : float;
+      energy_remaining : float;
       runner_up : (int * float) option;  (** (task, score) of the second-best *)
     }
   | Idle of { clock : int; machine : int; cause : idle_cause }
+  | Exhausted of { clock : int; machine : int; pool_size : int }
   | Churn of { clock : int; machine : int; event : string; detail : float }
   | Multiplier of {
       clock : int;
@@ -121,7 +126,7 @@ let pp_entry ppf = function
   | Candidate { clock; machine; task; fate } ->
       Fmt.pf ppf "clock %d machine %d: subtask %d %a" clock machine task pp_fate fate
   | Commit { clock; machine; task; version; start; stop; score; alpha_term;
-             beta_term; gamma_term; pool_size; runner_up } ->
+             beta_term; gamma_term; pool_size; runner_up; _ } ->
       Fmt.pf ppf
         "clock %d machine %d: COMMIT subtask %d as %s [%d, %d) score %.6f = \
          alpha %.6f - beta %.6f + gamma %.6f (pool %d%a)"
@@ -136,6 +141,9 @@ let pp_entry ppf = function
   | Idle { clock; machine; cause } ->
       Fmt.pf ppf "clock %d machine %d: idle (%s)" clock machine
         (idle_cause_to_string cause)
+  | Exhausted { clock; machine; pool_size } ->
+      Fmt.pf ppf "clock %d machine %d: walk exhausted a pool of %d" clock machine
+        pool_size
   | Churn { clock; machine; event; detail } ->
       Fmt.pf ppf "clock %d machine %d: churn %s (%.3f)" clock machine event detail
   | Multiplier { clock; epoch; round; trigger; step; g_energy; g_aet;
@@ -150,7 +158,7 @@ let pp_entry ppf = function
 
 (* ---- JSONL ---- *)
 
-let schema = "agrid-ledger/1"
+let schema = "agrid-ledger/2"
 
 let json_of_entry e =
   let open Json in
@@ -187,14 +195,16 @@ let json_of_entry e =
       in
       Obj (base @ rest)
   | Commit { clock; machine; task; version; start; stop; score; alpha_term;
-             beta_term; gamma_term; pool_size; runner_up } ->
+             beta_term; gamma_term; pool_size; pool_score; energy_remaining;
+             runner_up } ->
       Obj
         ([
            ("type", Str "commit"); ("clock", Int clock); ("machine", Int machine);
            ("task", Int task); ("version", Str version); ("start", Int start);
            ("stop", Int stop); ("score", Flt score); ("alpha_term", Flt alpha_term);
            ("beta_term", Flt beta_term); ("gamma_term", Flt gamma_term);
-           ("pool_size", Int pool_size);
+           ("pool_size", Int pool_size); ("pool_score", Flt pool_score);
+           ("energy_remaining", Flt energy_remaining);
          ]
         @
         match runner_up with
@@ -208,6 +218,10 @@ let json_of_entry e =
       Obj
         [ ("type", Str "idle"); ("clock", Int clock); ("machine", Int machine);
           ("cause", Str (idle_cause_to_string cause)) ]
+  | Exhausted { clock; machine; pool_size } ->
+      Obj
+        [ ("type", Str "exhausted"); ("clock", Int clock); ("machine", Int machine);
+          ("pool_size", Int pool_size) ]
   | Churn { clock; machine; event; detail } ->
       Obj
         [ ("type", Str "churn"); ("clock", Int clock); ("machine", Int machine);
@@ -340,6 +354,8 @@ let of_jsonl s =
                    beta_term = req_float lineno v "beta_term";
                    gamma_term = req_float lineno v "gamma_term";
                    pool_size = req_int lineno v "pool_size";
+                   pool_score = req_float lineno v "pool_score";
+                   energy_remaining = req_float lineno v "energy_remaining";
                    runner_up =
                      (match (Json.get_int "runner_up_task" v,
                              Json.get_float "runner_up_score" v) with
@@ -362,6 +378,10 @@ let of_jsonl s =
                    machine = req_int lineno v "machine";
                    cause;
                  })
+        | Some "exhausted" ->
+            let int = req_int lineno v in
+            let clock = int "clock" and machine = int "machine" in
+            record t (Exhausted { clock; machine; pool_size = int "pool_size" })
         | Some "churn" ->
             record t
               (Churn
@@ -492,13 +512,14 @@ let explain_multiplier t ~round =
 (* ---- diff ---- *)
 
 (* The DECISION stream of a ledger: commits and idles, in order. Candidate
-   entries are context (they explain a decision); churn entries are inputs
+   and exhausted entries are context (they explain a decision); churn entries are inputs
    rather than scheduler choices; multiplier entries are controller state,
    whose mapping consequences show up as later commits anyway. *)
 let decisions t =
   List.filter
     (function
-      | Commit _ | Idle _ -> true | Candidate _ | Churn _ | Multiplier _ -> false)
+      | Commit _ | Idle _ -> true
+      | Candidate _ | Exhausted _ | Churn _ | Multiplier _ -> false)
     (Array.to_list (entries t))
 
 (* Two decisions are the SAME decision iff their structural fields agree —

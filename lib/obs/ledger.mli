@@ -7,7 +7,7 @@
     is ever built and scheduler output is bit-identical (pinned by
     regression tests).
 
-    Serialises as JSONL (schema ["agrid-ledger/1"]): a meta line, then one
+    Serialises as JSONL (schema ["agrid-ledger/2"]): a meta line, then one
     flat JSON object per entry. {!of_jsonl} inverts {!to_jsonl} (floats to
     9 significant digits). {!explain_task} / {!explain_idle} answer the
     "why did subtask N map there?" / "why was machine J idle at step K?"
@@ -53,9 +53,16 @@ type entry =
       beta_term : float;  (** beta * TEC/TSE (subtracted) *)
       gamma_term : float;  (** gamma * AET/tau (sign per the weights) *)
       pool_size : int;
+      pool_score : float;
+          (** the score the walk ranked the pool by — stale under SLRH-2,
+              where [score] is the fresh pre-commit decomposition *)
+      energy_remaining : float;  (** the machine's battery after the commit *)
       runner_up : (int * float) option;  (** (task, score) of the second-best *)
     }
   | Idle of { clock : int; machine : int; cause : idle_cause }
+  | Exhausted of { clock : int; machine : int; pool_size : int }
+      (** a walk committed nothing from a pool of [pool_size] (0: empty);
+          every SLRH-2 drain and SLRH-3 rebuild loop ends with one *)
   | Churn of { clock : int; machine : int; event : string; detail : float }
   | Multiplier of {
       clock : int;
@@ -130,8 +137,8 @@ val explain_multiplier : t -> round:int -> string option
 
 val decisions : t -> entry list
 (** The decision stream: {!Commit} and {!Idle} entries, in order.
-    {!Candidate}, {!Churn} and {!Multiplier} entries are context, not
-    scheduler choices. *)
+    {!Candidate}, {!Exhausted}, {!Churn} and {!Multiplier} entries are
+    context, not scheduler choices. *)
 
 type divergence = {
   div_index : int;  (** position in the decision stream *)

@@ -358,7 +358,7 @@ let test_qcheck_random_scenarios_sound () =
 let test_flat_create () =
   let wl = Testlib.small_workload () in
   let a =
-    Pool.Flat.create ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl
+    Pool.Flat.create ~feas_mode:Feasibility.Conservative wl
   in
   Alcotest.(check int) "one row per machine" (Workload.n_machines wl)
     (Array.length a.Pool.Flat.rows);
@@ -376,7 +376,7 @@ let test_flat_create () =
     (fun () ->
       ignore
         (Pool.Flat.create ~initial_capacity:0
-           ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl))
+           ~feas_mode:Feasibility.Conservative wl))
 
 (* The regrowth contract the SoA hot path leans on: growth is geometric,
    allocates FRESH arrays (never a copy of stale slots), resets the live
@@ -385,8 +385,7 @@ let test_flat_create () =
 let test_flat_regrowth () =
   let wl = Testlib.small_workload () in
   let a =
-    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative
-      ~reuse_pools:true wl
+    Pool.Flat.create ~initial_capacity:2 ~feas_mode:Feasibility.Conservative wl
   in
   let row = a.Pool.Flat.rows.(0) in
   let buf0 = Pool.Flat.ensure a row 2 in
@@ -416,8 +415,7 @@ let test_flat_regrowth () =
 let test_flat_occupancy_and_filter_fill () =
   let wl = Testlib.small_workload () in
   let a =
-    Pool.Flat.create ~initial_capacity:1 ~feas_mode:Feasibility.Conservative
-      ~reuse_pools:false wl
+    Pool.Flat.create ~initial_capacity:1 ~feas_mode:Feasibility.Conservative wl
   in
   Pool.Flat.note_occupancy a 7;
   Pool.Flat.note_occupancy a 3;
@@ -477,7 +475,7 @@ let flat_selection_matches_list_sort =
     Workload.build (Spec.scaled ~seed:7 ~factor:0.125 ()) ~etc_index:0 ~dag_index:0
       ~case:Agrid_platform.Grid.A
   in
-  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl in
+  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative wl in
   let row = a.Pool.Flat.rows.(0) in
   Testlib.qcheck_case ~count:300 "flat selection = List.sort prefix (qcheck)"
     pool_gen (fun (tasks, scores) ->
@@ -499,7 +497,7 @@ let flat_selection_matches_list_sort =
    rescan path's [List.sort] order. *)
 let test_flat_sort_matches_list_sort () =
   let wl = Testlib.small_workload () in
-  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl in
+  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative wl in
   let row = a.Pool.Flat.rows.(0) in
   let tasks = [| 5; 2; 9; 7; 3; 8 |] in
   let scores = [| 0.25; 0.5; 0.25; -0.125; 0.5; 0.25 |] in
@@ -517,7 +515,7 @@ let test_flat_sort_matches_list_sort () =
    order. *)
 let test_flat_selection_walked_twice () =
   let wl = Testlib.small_workload () in
-  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative ~reuse_pools:true wl in
+  let a = Pool.Flat.create ~feas_mode:Feasibility.Conservative wl in
   let row = a.Pool.Flat.rows.(0) in
   let tasks = [| 5; 2; 9; 7; 3; 8; 11; 0 |] in
   let scores = [| 0.25; 0.5; 0.25; -0.125; 0.5; 0.25; Float.nan; -0. |] in

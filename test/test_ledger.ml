@@ -119,7 +119,24 @@ let test_jsonl_round_trip () =
   Alcotest.(check bool) "serialisation is stable" true (Ledger.to_jsonl back = text);
   (* the decision stream survives exactly (it holds no floats) *)
   Alcotest.(check (option int)) "no divergence against itself" None
-    (Option.map (fun d -> d.Ledger.div_index) (Ledger.first_divergence led back))
+    (Option.map (fun d -> d.Ledger.div_index) (Ledger.first_divergence led back));
+  (* exhausted walks survive exactly, and the commit fields the trace view
+     reads (pool score, remaining battery) to 9 significant digits *)
+  let exhausted = count_entries (function Ledger.Exhausted _ -> true | _ -> false) in
+  Alcotest.(check bool) "the run exhausted some walk" true (exhausted led > 0);
+  Alcotest.(check int) "exhausted entries survive" (exhausted led) (exhausted back);
+  Array.iter2
+    (fun a b ->
+      match (a, b) with
+      | Ledger.Exhausted x, Ledger.Exhausted y ->
+          Alcotest.(check (triple int int int)) "exhausted fields"
+            (x.clock, x.machine, x.pool_size) (y.clock, y.machine, y.pool_size)
+      | Ledger.Commit x, Ledger.Commit y ->
+          Testlib.close_rel ~rel:1e-8 "pool score" x.pool_score y.pool_score;
+          Testlib.close_rel ~rel:1e-8 "energy remaining" x.energy_remaining
+            y.energy_remaining
+      | _ -> ())
+    (Ledger.entries led) (Ledger.entries back)
 
 let test_of_jsonl_malformed () =
   Alcotest.(check bool) "malformed line is reported with its number" true
