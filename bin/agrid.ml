@@ -96,7 +96,7 @@ let mode_t =
     value
     & opt (conv (parse, print)) `Soa
     & info [ "mode" ] ~docv:"MODE"
-        ~doc:"SLRH pool maintenance: 'soa' (default: flat preallocated arena with batch admission and scoring, walked in place; zero steady-state allocation) or 'rescan' (rebuild and re-score every pool every timestep into boxed lists — the differential oracle). Both modes are output bit-identical, ledger and trace included.")
+        ~doc:"SLRH pool maintenance: 'soa' (default: flat preallocated arena with batch admission and scoring, walked in place; zero steady-state allocation) or 'rescan' (rebuild and re-score every pool every timestep into boxed lists — the differential oracle). Both modes make bit-identical decisions. A --ledger or --trace run takes the rescan walk whatever --mode says: it is the only walk that records decisions.")
 
 let spec_of ~seed ~scale =
   if scale >= 1. then Spec.paper_scale ~seed () else Spec.scaled ~seed ~factor:scale ()
@@ -199,7 +199,7 @@ let ledger_t =
     value
     & opt (some string) None
     & info [ "ledger" ] ~docv:"FILE"
-        ~doc:"Write the decision ledger (per-candidate rejection reasons, commit score decompositions, idle causes) as JSONL, for `agrid explain` and `agrid ledger-diff` (SLRH paths only).")
+        ~doc:"Write the decision ledger (per-candidate rejection reasons, commit score decompositions, idle causes) as JSONL, for `agrid explain` and `agrid ledger-diff` (SLRH paths only). A ledger run takes the rescan walk whatever --mode says.")
 
 (* An active sink when telemetry or a decision ledger was requested, the
    inert no-op otherwise. *)
@@ -291,7 +291,8 @@ let run_cmd =
     | `Maxmax | `Minmin | `Lrnn | `Greedy | `Random ->
         if adapt_spec <> None then slrh_only "--scheduler adaptive-lagrange";
         if trace_file <> None then slrh_only "--trace";
-        if ledger_file <> None then slrh_only "--ledger");
+        if ledger_file <> None then slrh_only "--ledger";
+        if obs_file <> None then slrh_only "--obs");
     let workload = workload_of ~seed ~scale ~etc ~dag ~case in
     let weights = Objective.make_weights ~alpha ~beta in
     Fmt.pr "%a@." Workload.pp workload;
@@ -361,7 +362,7 @@ let run_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE" ~doc:"Write the SLRH decision trace as CSV (SLRH variants only). The trace is a view of the decision ledger, so this attaches one and costs what --ledger costs.")
+      & info [ "trace" ] ~docv:"FILE" ~doc:"Write the SLRH decision trace as CSV (SLRH variants only). The trace is a view of the decision ledger, so this attaches one and costs what --ledger costs: the run takes the rescan walk whatever --mode says.")
   in
   let term =
     Term.(
@@ -600,6 +601,10 @@ let churn_cmd =
         write_obs obs_file sink;
         write_ledger ledger_file sink;
         if audit = [] && o.Agrid_churn.Engine.ledger_energy_ok then 0 else 1
+    | None, Some _ when ledger_file <> None ->
+        (* a campaign runs many replicates and keeps no decision ledger *)
+        Fmt.epr "agrid churn: --ledger applies to a scripted trace (--events) only@.";
+        2
     | None, Some n ->
         let open Agrid_exper in
         let config = config_of_options seed scale 1 1 in

@@ -239,8 +239,7 @@ let filter_pass memo sched ~machine ~eligible ~dst counts =
    and leaves in [counts] the energy-admissible tasks BEFORE the
    [eligible] filter and the frontier length — the values
    [candidate_pool]'s counters report and the pool-reuse path replays.
-   [eligible] is called once per admitted task, in ready-list order (the
-   scheduler's ledger hooks its Ineligible entries there). Span and
+   [eligible] is called once per admitted task, in ready-list order. Span and
    counter telemetry shape is identical to [candidate_pool]; the span's
    closure is only built when the sink is enabled.
 
@@ -263,7 +262,7 @@ let filter_into ~obs memo sched ~machine ~eligible ~dst counts =
    verdict — the decision ledger's per-candidate rejection record. This
    walks the whole task set and re-prices energies, so callers only run it
    when a ledger is attached; the pool itself is computed by
-   [candidate_pool] or [filter_into] exactly as before. *)
+   [candidate_pool] exactly as before. *)
 let explain_rejections ?mode sched ~machine =
   let wl = Schedule.workload sched in
   let n = Workload.n_tasks wl in

@@ -104,8 +104,7 @@ val filter_into :
     energy-admitted count (before the eligibility filter) and the
     frontier length. [dst] must hold the whole frontier
     ({!Schedule.n_ready}). [eligible] is called exactly once per
-    energy-admitted task, in ready-list order, so a caller may record the
-    tasks it turns away. Same telemetry shape, same admission as
+    energy-admitted task, in ready-list order. Same telemetry shape, same admission as
     {!candidate_pool}, bit-identical decisions. With a noop [obs] the pass
     builds no closure and allocates nothing beyond first-use pricing.
     @raise Invalid_argument if the memo was priced for another workload

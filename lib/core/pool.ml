@@ -21,9 +21,9 @@
    Epoch discipline (DESIGN.md section 13): a row stamped with the
    commit epoch ([Schedule.n_mapped]) at build time is reused while the
    epoch is unchanged, because commits are the only intra-run mutation
-   of the ready set, the mapped set and the batteries. Reuse is disabled
-   while a decision ledger is attached: each rebuild emits rejection
-   entries that reuse cannot replay.
+   of the ready set, the mapped set and the batteries. The arena records
+   no decision ledger: a ledger run takes the rescan walk and never
+   builds one.
 
    Rows start small and regrow geometrically, and regrowth allocates
    FRESH arrays — never [Array.blit] — because it only ever happens at

@@ -55,7 +55,9 @@ let machine_order_to_string = function
    horizon are not planned, and timesteps on which nothing can change are
    jumped over (DESIGN.md section 13). The differential test suite pins
    its schedules bit-identical to [`Rescan], and its work counts no
-   larger. *)
+   larger.
+   A run whose sink carries a decision ledger takes the [`Rescan] walk
+   whatever [mode] says: it is the only walk that records decisions. *)
 type mode = [ `Rescan | `Soa ]
 
 let mode_to_string = function `Rescan -> "rescan" | `Soa -> "soa"
@@ -73,8 +75,8 @@ type params = {
   feas_mode : Feasibility.mode;
   mode : mode;
       (** [`Soa] (the default) runs pools on the flat preallocated arena;
-          [`Rescan] is the naive rebuild kept as the differential oracle.
-          Output is bit-identical in both. *)
+          [`Rescan] is the naive rebuild kept as the differential oracle
+          and taken by every ledger run. Output is bit-identical in both. *)
   machine_order : machine_order;
   obs : Agrid_obs.Sink.t;
       (** telemetry sink for spans, counters and per-timestep snapshots;
@@ -173,11 +175,7 @@ let reject_of_infeasibility = function
       Agrid_obs.Ledger.Comm_energy
         { version = Version.to_string version; exec; comm; available }
 
-(* ---- decision-ledger records, shared by both walks ----
-
-   Only the record layout is shared: each walk decides on its own which
-   fate every candidate gets, so the rescan oracle still checks the SoA
-   walk's accounting independently. *)
+(* ---- decision-ledger records, written by the rescan walk only ---- *)
 
 let record_candidate led ~clock ~machine ~task fate =
   Agrid_obs.Ledger.record led
@@ -221,15 +219,10 @@ let record_commit sched led ~parts ~machine ~now ~task ~version ~pool_size
        })
 
 (* The walk's verdict when nothing fit: counted as an empty pool or a
-   horizon miss, and recorded with the size of the pool walked. *)
-let walk_exhausted params ledger ~machine ~now ~pool_size =
+   horizon miss. *)
+let walk_exhausted params ~pool_size =
   Agrid_obs.Sink.incr params.obs
-    (if pool_size = 0 then "slrh/pool_empty" else "slrh/horizon_miss");
-  match ledger with
-  | None -> ()
-  | Some led ->
-      Agrid_obs.Ledger.record led
-        (Agrid_obs.Ledger.Exhausted { clock = now; machine; pool_size })
+    (if pool_size = 0 then "slrh/pool_empty" else "slrh/horizon_miss")
 
 (* Ledger idle entries answer "why did machine J sit idle at step K?":
    one per swept machine per timestep that ends with no assignment.
@@ -317,7 +310,12 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
   in
   let rec walk rank = function
     | [] ->
-        walk_exhausted params ledger ~machine ~now ~pool_size;
+        walk_exhausted params ~pool_size;
+        (match ledger with
+        | None -> ()
+        | Some led ->
+            Agrid_obs.Ledger.record led
+              (Agrid_obs.Ledger.Exhausted { clock = now; machine; pool_size }));
         None
     | (task, version, score) :: rest ->
         if Schedule.is_mapped sched task then begin
@@ -386,63 +384,36 @@ let try_assign params sched ~machine ~now ~scored plans_attempted =
    epoch ([Schedule.n_mapped]) is reused while the epoch is unchanged
    (DESIGN.md section 13). Telemetry, when the sink is enabled, replays
    the rescan path's span/counter/histogram sequence verbatim (fill order
-   IS the boxed pool order, and observation loops run before selecting),
-   and the decision ledger is recorded here too, so the differential
-   suite compares every artefact of this walk against the oracle
-   directly.
+   IS the boxed pool order, and observation loops run before selecting).
+   It records no decision ledger: a ledger run takes the rescan walk.
 
-   Without a ledger the walk does not plan a candidate whose parent-ready
-   bound ([Pool.Flat.bound_ready], priced by [score_into]) already lies
-   past [now + horizon]: [Schedule.plan] can only start it later still,
-   so it would miss. Walk order and the committed candidate are
-   unchanged. The smallest [bound - horizon] over such candidates is
-   folded into [wake], which the clock loop uses to jump idle timesteps.
+   The walk does not plan a candidate whose parent-ready bound
+   ([Pool.Flat.bound_ready], priced by [score_into]) already lies past
+   [now + horizon]: [Schedule.plan] can only start it later still, so it
+   would miss. Walk order and the committed candidate are unchanged. The
+   smallest [bound - horizon] over such candidates is folded into
+   [wake], which the clock loop uses to jump idle timesteps.
 
    Closure discipline: every function below that runs on the
    steady-state path is a top-level function, every telemetry closure is
-   built only under [Sink.enabled], the ledger is a [match] on an option
-   resolved once per run, and the walk recursions carry their
+   built only under [Sink.enabled], and the walk recursions carry their
    state in arguments — so a swept timestep whose pools are reused and
-   empty, and a jumped one, perform zero heap allocation when no ledger
-   is attached (pinned by test_alloc). *)
+   empty, and a jumped one, perform zero heap allocation (pinned by
+   test_alloc). *)
 
 type soa = {
   arena : Pool.Flat.t;
-  ledger : Agrid_obs.Ledger.t option;
-      (* [Sink.ledger params.obs], hoisted; [None] turns on pool reuse, the
-         bound skip and the jumps *)
   mutable bounded : int;  (* candidates the bound ruled out, whole run *)
   mutable wake : int;
       (* this sweep: earliest clock at which a bounded-out candidate could
          fit or a busy machine frees; [max_int] when none *)
 }
 
-(* Rebuild machine's pool into its arena row at [epoch]. With a ledger
-   attached, the typed rejections are recorded first and [eligible] is
-   wrapped to record admitted-but-ineligible tasks as [filter_into]
-   meets them — the rescan path's entry order; reuse is off in that case,
-   so every timestep rebuilds and re-records. *)
-let soa_rebuild params (s : soa) ~eligible sched ~machine ~now ~epoch =
+(* Rebuild machine's pool into its arena row at [epoch]. *)
+let soa_rebuild params (s : soa) ~eligible sched ~machine ~epoch =
   let obs = params.obs in
   let arena = s.arena in
   let row = arena.Pool.Flat.rows.(machine) in
-  let eligible =
-    match s.ledger with
-    | None -> eligible
-    | Some led ->
-        List.iter
-          (fun (task, why) ->
-            record_candidate led ~clock:now ~machine ~task
-              (Agrid_obs.Ledger.Rejected (reject_of_infeasibility why)))
-          (Feasibility.explain_rejections ~mode:params.feas_mode sched ~machine);
-        fun task ->
-          eligible task
-          || begin
-               record_candidate led ~clock:now ~machine ~task
-                 (Agrid_obs.Ledger.Rejected Agrid_obs.Ledger.Ineligible);
-               false
-             end
-  in
   let n =
     Feasibility.filter_into ~obs arena.Pool.Flat.memo sched ~machine ~eligible
       ~dst:(Pool.Flat.ensure arena row (Schedule.n_ready sched))
@@ -464,7 +435,7 @@ let soa_scored_pool params (s : soa) ~eligible sched ~machine ~now stats_candida
   let enabled = Agrid_obs.Sink.enabled obs in
   let epoch = Schedule.n_mapped sched in
   let row = arena.Pool.Flat.rows.(machine) in
-  if Option.is_none s.ledger && row.Pool.Flat.epoch = epoch then begin
+  if row.Pool.Flat.epoch = epoch then begin
     (* unchanged inputs: replay the build's telemetry, keep the row *)
     if enabled then
       Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
@@ -476,8 +447,8 @@ let soa_scored_pool params (s : soa) ~eligible sched ~machine ~now stats_candida
   end
   else if enabled then
     Agrid_obs.Sink.span obs "slrh/pool_build" (fun () ->
-        soa_rebuild params s ~eligible sched ~machine ~now ~epoch)
-  else soa_rebuild params s ~eligible sched ~machine ~now ~epoch;
+        soa_rebuild params s ~eligible sched ~machine ~epoch)
+  else soa_rebuild params s ~eligible sched ~machine ~epoch;
   let n = row.Pool.Flat.count in
   stats_candidates := !stats_candidates + n;
   let w = live_weights params in
@@ -512,57 +483,18 @@ let soa_scored_pool params (s : soa) ~eligible sched ~machine ~now stats_candida
   Pool.Flat.reset_order arena n;
   n
 
-(* The ledger fates of a flat commit at walk position [i], recorded after
-   the commit: the [Commit] entry (runner-up = best other unmapped
-   candidate, wherever it ranks), then [Outscored] for every unmapped
-   candidate after it — so this path selects the pool through its last
-   position. Mapped slots are
-   stragglers an SLRH-2 drain already committed; the rescan path filters
-   them out of its list, so they take no rank here either. *)
-let record_flat_commit (s : soa) sched led ~parts ~machine ~now ~n ~i ~rank
-    ~pool_size ~pool_score ~task ~version ~start ~stop =
-  let arena = s.arena in
-  let row = arena.Pool.Flat.rows.(machine) in
-  let runner_up = ref None in
-  let j = ref 0 in
-  while Option.is_none !runner_up && !j < n do
-    let k = Pool.Flat.nth arena row ~n !j in
-    let t = row.Pool.Flat.tasks.(k) in
-    if t <> task && not (Schedule.is_mapped sched t) then
-      runner_up := Some (t, row.Pool.Flat.scores.(k));
-    incr j
-  done;
-  record_commit sched led ~parts ~machine ~now ~task ~version ~pool_size
-    ~pool_score ~runner_up:!runner_up ~start ~stop;
-  let r = ref rank in
-  for j = i + 1 to n - 1 do
-    let k = Pool.Flat.nth arena row ~n j in
-    let t = row.Pool.Flat.tasks.(k) in
-    if not (Schedule.is_mapped sched t) then begin
-      incr r;
-      record_candidate led ~clock:now ~machine ~task:t
-        (Agrid_obs.Ledger.Outscored
-           {
-             version = Version.to_string row.Pool.Flat.versions.(k);
-             score = row.Pool.Flat.scores.(k);
-             rank = !r;
-           })
-    end
-  done
-
 (* [try_assign] on the arena: walk the pool's order from position [i],
    plan each unmapped candidate the bound does not rule out, commit the
    first whose start fits the horizon; returns the committed task id or
-   -1. [skipped] counts the already-mapped stragglers passed so far and
-   [drained] those in the whole pool (SLRH-2's commits from this same pool), so ranks and pool
-   sizes leave them out exactly as the rescan path's filtered list does.
+   -1. [drained] counts the already-mapped stragglers in the pool
+   (SLRH-2's commits from this same pool), so the exhausted pool's size
+   leaves them out exactly as the rescan path's filtered list does.
    Top-level recursion, state in arguments: an exhausting walk over an
    empty reused pool allocates nothing. *)
-let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
-    plans_attempted =
+let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i plans_attempted =
   let obs = params.obs in
   if i >= n then begin
-    walk_exhausted params s.ledger ~machine ~now ~pool_size:(n - drained);
+    walk_exhausted params ~pool_size:(n - drained);
     -1
   end
   else begin
@@ -572,14 +504,12 @@ let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
     let task = row.Pool.Flat.tasks.(k) in
     let bound = arena.Pool.Flat.bound_ready.((task * arena.Pool.Flat.n_machines) + machine) in
     if Schedule.is_mapped sched task then
-      flat_walk params s sched ~machine ~now ~drained n (i + 1) (skipped + 1)
-        plans_attempted
-    else if Option.is_none s.ledger && bound > now + params.horizon then begin
+      flat_walk params s sched ~machine ~now ~drained n (i + 1) plans_attempted
+    else if bound > now + params.horizon then begin
       (* ruled out without planning: [plan] cannot start before [bound] *)
       s.bounded <- s.bounded + 1;
       if bound - params.horizon < s.wake then s.wake <- bound - params.horizon;
-      flat_walk params s sched ~machine ~now ~drained n (i + 1) skipped
-        plans_attempted
+      flat_walk params s sched ~machine ~now ~drained n (i + 1) plans_attempted
     end
     else begin
       incr plans_attempted;
@@ -591,32 +521,10 @@ let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
         else Schedule.plan_into sched ~task ~version ~machine ~not_before:now
       in
       if start <= now + params.horizon then begin
-        (match s.ledger with
-        | None -> Schedule.commit_planned sched
-        | Some led ->
-            let stop = Schedule.planned_stop sched in
-            let parts = commit_parts params sched ~machine ~now ~task ~version in
-            Schedule.commit_planned sched;
-            record_flat_commit s sched led ~parts ~machine ~now ~n ~i
-              ~rank:(i - skipped) ~pool_size:(n - drained)
-              ~pool_score:row.Pool.Flat.scores.(k) ~task ~version ~start ~stop);
+        Schedule.commit_planned sched;
         task
       end
-      else begin
-        (match s.ledger with
-        | None -> ()
-        | Some led ->
-            record_candidate led ~clock:now ~machine ~task
-              (Agrid_obs.Ledger.Horizon_missed
-                 {
-                   version = Version.to_string version;
-                   score = row.Pool.Flat.scores.(k);
-                   rank = i - skipped;
-                   planned_start = start;
-                 }));
-        flat_walk params s sched ~machine ~now ~drained n (i + 1) skipped
-          plans_attempted
-      end
+      else flat_walk params s sched ~machine ~now ~drained n (i + 1) plans_attempted
     end
   end
 
@@ -625,27 +533,22 @@ let rec flat_walk params (s : soa) sched ~machine ~now ~drained n i skipped
    final, later ones are selected as this walk reaches them) until a
    walk commits nothing. *)
 let rec flat_drain params s sched ~machine ~now n drained plans_attempted assignments =
-  if flat_walk params s sched ~machine ~now ~drained n 0 0 plans_attempted >= 0 then begin
+  if flat_walk params s sched ~machine ~now ~drained n 0 plans_attempted >= 0 then begin
     incr assignments;
     flat_drain params s sched ~machine ~now n (drained + 1) plans_attempted assignments
   end
-  else if drained = 0 then
-    record_idle s.ledger ~clock:now ~machine (idle_cause ~pool_size:n)
 
 (* SLRH-3 on the flat path: rebuild (epoch moved) and re-score after
    every commit. *)
-let rec flat_v3 params s ~eligible sched ~machine ~now committed pools_built
-    stats_candidates plans_attempted assignments =
+let rec flat_v3 params s ~eligible sched ~machine ~now pools_built stats_candidates
+    plans_attempted assignments =
   incr pools_built;
   let n = soa_scored_pool params s ~eligible sched ~machine ~now stats_candidates in
-  if flat_walk params s sched ~machine ~now ~drained:0 n 0 0 plans_attempted >= 0
-  then begin
+  if flat_walk params s sched ~machine ~now ~drained:0 n 0 plans_attempted >= 0 then begin
     incr assignments;
-    flat_v3 params s ~eligible sched ~machine ~now (committed + 1) pools_built
-      stats_candidates plans_attempted assignments
+    flat_v3 params s ~eligible sched ~machine ~now pools_built stats_candidates
+      plans_attempted assignments
   end
-  else if committed = 0 then
-    record_idle s.ledger ~clock:now ~machine (idle_cause ~pool_size:n)
 
 (* Where the clock goes after a sweep at [now] that planned nothing: the
    first grid point [now + k * delta_t] (k >= 1) at or after [wake], but
@@ -685,27 +588,27 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
   let tau = match until with Some u -> u | None -> Workload.tau workload in
   let obs = params.obs in
   let ledger = Agrid_obs.Sink.ledger obs in
+  (* The flat walk records no decisions, so a ledger run takes the
+     rescan walk whatever [mode] says: the same ledger bytes, from the
+     one walk that writes them. *)
   let soa =
-    match params.mode with
-    | `Rescan -> None
-    | `Soa ->
+    match (params.mode, ledger) with
+    | `Rescan, _ | `Soa, Some _ -> None
+    | `Soa, None ->
         Some
           {
             arena = Pool.Flat.create ~feas_mode:params.feas_mode workload;
-            ledger;
             bounded = 0;
             wake = max_int;
           }
   in
-  (* Idle-step jumps (DESIGN.md section 13): after a sweep that planned
-     nothing, no timestep before the sweep's [wake] can plan or commit
-     either — pools, feasibility and bounds only change at a commit, the
-     mask and [eligible] are fixed for the run, and [Adapt] idles on a
-     commit-free step — so the clock jumps to the first grid point at or
-     after it. Off whenever a ledger wants its per-step entries. The
-     telemetry sink never changes control flow: sink on and sink off take
-     the same jumps. *)
-  let jumps = Option.is_some soa && Option.is_none ledger in
+  (* Idle-step jumps (DESIGN.md section 13), on every flat run: after a
+     sweep that planned nothing, no timestep before the sweep's [wake]
+     can plan or commit either — pools, feasibility and bounds only
+     change at a commit, the mask and [eligible] are fixed for the run,
+     and [Adapt] idles on a commit-free step — so the clock jumps to the
+     first grid point at or after it. The telemetry sink never changes
+     control flow: sink on and sink off take the same jumps. *)
   let clock_steps = ref 0 in
   let steps_jumped = ref 0 in
   let pools_built = ref 0 in
@@ -777,12 +680,10 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
                     candidates_scored
                 in
                 if
-                  flat_walk params s sched ~machine:j ~now:!now ~drained:0 n 0 0
+                  flat_walk params s sched ~machine:j ~now:!now ~drained:0 n 0
                     plans_attempted
                   >= 0
                 then incr assignments
-                else
-                  record_idle ledger ~clock:!now ~machine:j (idle_cause ~pool_size:n)
             | V2 ->
                 incr pools_built;
                 let n =
@@ -792,7 +693,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
                 flat_drain params s sched ~machine:j ~now:!now n 0 plans_attempted
                   assignments
             | V3 ->
-                flat_v3 params s ~eligible sched ~machine:j ~now:!now 0 pools_built
+                flat_v3 params s ~eligible sched ~machine:j ~now:!now pools_built
                   candidates_scored plans_attempted assignments)
         | None -> (
             match params.variant with
@@ -837,10 +738,10 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
       else begin
         record_idle ledger ~clock:!now ~machine:j Agrid_obs.Ledger.Busy;
         match soa with
-        | Some s when jumps ->
+        | Some s ->
             let free = Schedule.machine_free_from sched ~machine:j ~time:!now in
             if free < s.wake then s.wake <- free
-        | _ -> ()
+        | None -> ()
       end;
       incr machine
     done;
@@ -870,7 +771,7 @@ let continue_run ?until ?(start_clock = 0) ?mask ?(eligible = fun _ -> true) par
     end;
     if not (Schedule.all_mapped sched) then
       match soa with
-      | Some s when jumps && !plans_attempted = plans_before ->
+      | Some s when !plans_attempted = plans_before ->
           let target =
             jump_target ~now:!now ~delta_t:params.delta_t ~tau ~wake:s.wake
           in

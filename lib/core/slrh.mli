@@ -39,31 +39,30 @@ type mode = [ `Rescan | `Soa ]
     live on a flat preallocated structure-of-arrays arena
     ({!Pool.Flat}): batch admission ({!Feasibility.filter_into}) and
     batch scoring ({!Objective.score_into}) write into caller-owned
-    buffers and the walk commits straight off the arena, recording the
-    decision ledger in place, so steady-state timesteps with no ledger
-    attached perform zero heap allocation (pinned by the
+    buffers and the walk commits straight off the arena, so steady-state
+    timesteps perform zero heap allocation (pinned by the
     allocation-budget suite).
 
-    [`Soa] also skips work whose result is already known. Without a
-    ledger it does not plan a candidate whose parent-ready bound lies
-    past [now + horizon] (the plan could only start later still), and it
+    [`Soa] also skips work whose result is already known. It does not
+    plan a candidate whose parent-ready bound lies past
+    [now + horizon] (the plan could only start later still), and it
     jumps the clock over timesteps that provably cannot plan or commit
     anything (DESIGN.md section 13). The telemetry sink never changes
     either decision.
 
-    Both modes produce bit-identical schedules, ledger records,
-    [clock_steps], [assignments] and final clocks — pinned by the
-    differential suite. [`Soa]'s work counts (pools built, candidates
-    scored, plans attempted, horizon misses and their spans and
-    histograms) are never larger than [`Rescan]'s, and equal when a ledger
-    is attached. [`Soa] alone emits the maintenance counters
+    Only [`Rescan] records a decision ledger: a run whose [obs] sink
+    carries one takes the [`Rescan] walk whatever [mode] says.
+
+    Both modes produce bit-identical schedules, [clock_steps],
+    [assignments] and final clocks — pinned by the differential suite.
+    [`Soa]'s work counts (pools built, candidates scored, plans
+    attempted, horizon misses and their spans and histograms) are never
+    larger than [`Rescan]'s. [`Soa] alone emits the maintenance counters
     ["slrh/pool_reused"] / ["slrh/pool_rebuilt"] /
     ["slrh/plans_bounded"] / ["slrh/steps_jumped"] and arena gauges
-    ["slrh/pool_capacity"] / ["slrh/pool_regrown"]. Whole-pool reuse is
-    disabled while a decision ledger is attached (each rebuild emits
-    rejection entries reuse cannot replay) and assumes [eligible] is
-    stable for the duration of the run, as both the plain loop and the
-    churn engine guarantee. *)
+    ["slrh/pool_capacity"] / ["slrh/pool_regrown"]. Whole-pool reuse
+    assumes [eligible] is stable for the duration of the run, as both
+    the plain loop and the churn engine guarantee. *)
 
 val mode_to_string : mode -> string
 
@@ -76,7 +75,9 @@ type params = {
   horizon : int;  (** receding horizon H in clock cycles (paper: 100) *)
   weights : Objective.weights;
   feas_mode : Feasibility.mode;
-  mode : mode;  (** pool maintenance strategy; see {!mode} *)
+  mode : mode;
+      (** pool maintenance strategy; see {!mode}. Ignored when [obs]
+          carries a decision ledger: that run takes [`Rescan]. *)
   machine_order : machine_order;
   obs : Agrid_obs.Sink.t;
       (** telemetry sink — spans over the hot paths ([slrh/run],
@@ -88,8 +89,10 @@ type params = {
           decision ledger: typed per-candidate rejections, commit score
           decompositions with the runner-up margin, and per-machine idle
           causes, from which {!Trace.of_ledger} reads the per-decision
-          trace. The default no-op sink is inert: scheduler output is
-          bit-identical with or without it (ledger on or off). *)
+          trace; such a run takes the [`Rescan] walk, the only one that
+          records decisions. The default no-op sink is inert: scheduler
+          output is bit-identical with or without it (ledger on or
+          off). *)
   cancel : unit -> bool;
       (** cooperative cancellation, polled once per swept timestep
           before any work for that step: returning [true] ends the run

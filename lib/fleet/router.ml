@@ -550,6 +550,10 @@ let read_line_deadline fd ~timeout_s =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0. with Unix.Unix_error _ -> ());
   r
 
+(* A probe answer that is not a health line is reported with its first
+   80 bytes, so the failure says what the backend actually sent. *)
+let probe_excerpt line = String.sub line 0 (min 80 (String.length line))
+
 let probe_handshake fd ~timeout_s =
   let req = "{\"schema\":\"agrid-job/1\",\"kind\":\"health\"}\n" in
   let t0 = now () in
@@ -561,8 +565,13 @@ let probe_handshake fd ~timeout_s =
       | Ok line -> (
           match Codec.parse_response line with
           | Ok { Codec.r_type = `Health; _ } -> Ok (now () -. t0)
-          | Ok _ -> Error "probe answered with a non-health line"
-          | Error msg -> Error (Fmt.str "probe answer unparseable: %s" msg)))
+          | Ok r ->
+              Error
+                (Fmt.str "probe answered with a non-health line (type %s): %S"
+                   (Option.value ~default:"" (Json.get_string "type" r.Codec.r_json))
+                   (probe_excerpt line))
+          | Error msg ->
+              Error (Fmt.str "probe answer unparseable: %s: %S" msg (probe_excerpt line))))
 
 (* Connect + handshake run OUTSIDE the lock (they block up to the probe
    timeout); [b_connecting] keeps attempts from stacking up. Returns the

@@ -289,8 +289,6 @@ let plan_into t ~task ~version ~machine ~not_before =
   b.b_stop <- start + duration;
   start
 
-let planned_stop t = t.buf.b_stop
-
 (* [plan_into], copied out of the buffer into a record the caller keeps. *)
 let plan t ~task ~version ~machine ~not_before =
   let start = plan_into t ~task ~version ~machine ~not_before in

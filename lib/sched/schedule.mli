@@ -126,9 +126,6 @@ val plan_into :
     @raise Unmapped_parent if a parent is unmapped.
     @raise Invalid_argument if [task] is already mapped. *)
 
-val planned_stop : t -> int
-(** The execution stop of the buffered plan. *)
-
 val commit_planned : t -> unit
 (** Apply the buffered plan. It must be the latest {!plan_into} and no
     commit may have happened since.

@@ -1,26 +1,24 @@
 (* Differential oracle suite: [`Rescan] (the naive rebuild-everything
    loop with its boxed scored lists, kept as the reference semantics)
    versus [`Soa] (the flat preallocated arena, the default) must be
-   bit-identical on every decision: schedules, decision-ledger JSONL (and
-   the trace read from it), clock steps, assignments, final clocks and
-   every telemetry metric outside the work family. [`Soa] skips work
-   whose result is already known — plans the parent-ready bound rules
-   out, and (with no ledger) whole timesteps that cannot plan — so the work
-   family (pools built, candidates scored, plans, horizon misses, their
-   spans and histograms) may only be smaller; with a ledger attached
-   both skips are off and telemetry must match exactly. Snapshots of a
-   jumping run are a subset of the swept steps, so each one is checked
+   bit-identical on every decision: schedules, clock steps, assignments,
+   final clocks and every telemetry metric outside the work family.
+   [`Soa] skips work whose result is already known — plans the
+   parent-ready bound rules out, and whole timesteps that cannot plan —
+   so the work family (pools built, candidates scored, plans, horizon
+   misses, their spans and histograms) may only be smaller. Snapshots of
+   a jumping run are a subset of the swept steps, so each one is checked
    against the stride-1 rescan snapshot at the same clock. The only
    other permitted divergence is the [`Soa]-only maintenance family
    ["slrh/pool_reused"] / ["slrh/pool_rebuilt"] / ["slrh/pool_capacity"]
    / ["slrh/pool_regrown"] / ["slrh/plans_bounded"] /
    ["slrh/steps_jumped"] (and span durations, which are wall time).
 
-   [`Soa] has one walk and two shapes. The ledger pairs attach a decision
-   ledger, so they compare the fates that walk records in place; the
-   static and churn pairs attach none, which is the shape whose
-   steady-state allocation test_alloc pins at zero and the only shape
-   that skips work. A QCheck property additionally
+   A run whose sink carries a decision ledger takes the rescan walk
+   whatever [mode] says, so the ledger bytes are pinned by the digest
+   oracle in test_report; the ledger pairs here check that a ledger run
+   commits what the recorder-free [`Soa] run commits, and that it never
+   touched the arena. A QCheck property additionally
    pins the batch scorer against the public per-candidate
    [Objective.best_version], bit for bit, on partially built schedules.
 
@@ -31,7 +29,6 @@ open Agrid_core
 open Agrid_sched
 open Agrid_workload
 open Agrid_obs
-module Trace = Agrid_core.Trace  (* the ledger's trace view, not Agrid_obs.Trace *)
 module Rng = Agrid_prng.Splitmix64
 
 (* Pool-maintenance metrics, all [`Soa]-only: the first two count pool
@@ -129,36 +126,28 @@ let counter_of sink name =
   | _ -> 0
 
 (* Telemetry equality, modulo the maintenance family and durations.
-   [~exact:true] (a ledger is attached, so neither skip is on) demands
-   equality on the work family and identical snapshot streams too;
-   otherwise work may only shrink, and the rescan sink must have sampled
-   every step (stride 1) for the snapshot check. *)
-let check_sinks ?(exact = false) msg rescan incr =
-  let drop = if exact then [] else work_metrics in
+   Work may only shrink, and the rescan sink must have sampled every step
+   (stride 1) for the snapshot check. *)
+let check_sinks msg rescan incr =
   Alcotest.(check (list string))
     (msg ^ ": metrics")
-    (comparable_metrics ~drop rescan)
-    (comparable_metrics ~drop incr);
-  let drop = if exact then [] else work_spans in
+    (comparable_metrics ~drop:work_metrics rescan)
+    (comparable_metrics ~drop:work_metrics incr);
   Alcotest.(check (list (pair string int)))
-    (msg ^ ": span counts") (span_counts ~drop rescan) (span_counts ~drop incr);
-  if exact then begin
-    if Sink.snapshots rescan <> Sink.snapshots incr then
-      Alcotest.failf "%s: snapshot streams diverge" msg
-  end
-  else begin
-    List.iter
-      (fun name ->
-        let r = work_amount rescan name and o = work_amount incr name in
-        if o > r then Alcotest.failf "%s: soa did more %s work (%d > %d)" msg name o r)
-      work_metrics;
-    List.iter
-      (fun name ->
-        let r = span_count rescan name and o = span_count incr name in
-        if o > r then Alcotest.failf "%s: soa ran more %s spans (%d > %d)" msg name o r)
-      work_spans;
-    check_snapshot_subsequence msg rescan incr
-  end;
+    (msg ^ ": span counts")
+    (span_counts ~drop:work_spans rescan)
+    (span_counts ~drop:work_spans incr);
+  List.iter
+    (fun name ->
+      let r = work_amount rescan name and o = work_amount incr name in
+      if o > r then Alcotest.failf "%s: soa did more %s work (%d > %d)" msg name o r)
+    work_metrics;
+  List.iter
+    (fun name ->
+      let r = span_count rescan name and o = span_count incr name in
+      if o > r then Alcotest.failf "%s: soa ran more %s spans (%d > %d)" msg name o r)
+    work_spans;
+  check_snapshot_subsequence msg rescan incr;
   (* the optimised mode's sink may only add the pool-maintenance family *)
   let names s = List.map fst (Sink.metrics s) in
   let base = names rescan in
@@ -169,27 +158,22 @@ let check_sinks ?(exact = false) msg rescan incr =
     (names incr)
 
 (* Stats: clock steps and assignments are decisions, so they match
-   exactly; the work counters may only shrink unless [~exact]. *)
-let check_stats ?(exact = false) msg (a : Slrh.stats) (b : Slrh.stats) =
-  if exact then begin
-    if a <> b then Alcotest.failf "%s: stats counters diverge" msg
-  end
-  else begin
-    Alcotest.(check int) (msg ^ ": clock steps") a.Slrh.clock_steps b.Slrh.clock_steps;
-    Alcotest.(check int) (msg ^ ": assignments") a.Slrh.assignments b.Slrh.assignments;
-    List.iter
-      (fun (name, r, o) ->
-        if o > r then Alcotest.failf "%s: soa did more %s (%d > %d)" msg name o r)
-      [
-        ("pools built", a.Slrh.pools_built, b.Slrh.pools_built);
-        ("candidates scored", a.Slrh.candidates_scored, b.Slrh.candidates_scored);
-        ("plans attempted", a.Slrh.plans_attempted, b.Slrh.plans_attempted);
-      ]
-  end
+   exactly; the work counters may only shrink. *)
+let check_stats msg (a : Slrh.stats) (b : Slrh.stats) =
+  Alcotest.(check int) (msg ^ ": clock steps") a.Slrh.clock_steps b.Slrh.clock_steps;
+  Alcotest.(check int) (msg ^ ": assignments") a.Slrh.assignments b.Slrh.assignments;
+  List.iter
+    (fun (name, r, o) ->
+      if o > r then Alcotest.failf "%s: soa did more %s (%d > %d)" msg name o r)
+    [
+      ("pools built", a.Slrh.pools_built, b.Slrh.pools_built);
+      ("candidates scored", a.Slrh.candidates_scored, b.Slrh.candidates_scored);
+      ("plans attempted", a.Slrh.plans_attempted, b.Slrh.plans_attempted);
+    ]
 
 (* Scheduler-outcome equality, field by field (wall_seconds excluded:
    it is measured, not computed). *)
-let check_outcomes ?exact msg (a : Slrh.outcome) (b : Slrh.outcome) =
+let check_outcomes msg (a : Slrh.outcome) (b : Slrh.outcome) =
   if Schedule.placements a.Slrh.schedule <> Schedule.placements b.Slrh.schedule
   then Alcotest.failf "%s: placements diverge" msg;
   if Schedule.transfers a.Slrh.schedule <> Schedule.transfers b.Slrh.schedule
@@ -204,7 +188,7 @@ let check_outcomes ?exact msg (a : Slrh.outcome) (b : Slrh.outcome) =
   Alcotest.(check bool) (msg ^ ": completed") a.Slrh.completed b.Slrh.completed;
   Alcotest.(check int) (msg ^ ": final clock") a.Slrh.final_clock
     b.Slrh.final_clock;
-  check_stats ?exact msg a.Slrh.stats b.Slrh.stats
+  check_stats msg a.Slrh.stats b.Slrh.stats
 
 (* The sink a run reports into. A ledger-free rescan run is the snapshot
    reference for a run that may jump, so it samples every step. *)
@@ -296,7 +280,7 @@ let run_churn ~mode ~ledger sc wl events =
   let p = { (Test_props.params sc) with Slrh.mode; obs = sink } in
   (Dynamic.run_churn p wl events, sink)
 
-let check_engine ?exact msg (a : _ Agrid_churn.Engine.outcome)
+let check_engine msg (a : _ Agrid_churn.Engine.outcome)
     (b : _ Agrid_churn.Engine.outcome) =
   if Schedule.placements a.Agrid_churn.Engine.schedule
      <> Schedule.placements b.Agrid_churn.Engine.schedule
@@ -319,7 +303,7 @@ let check_engine ?exact msg (a : _ Agrid_churn.Engine.outcome)
     Alcotest.failf "%s: phase boundaries diverge" msg;
   List.iteri
     (fun k ((pa : Slrh.outcome Agrid_churn.Engine.phase), pb) ->
-      check_stats ?exact
+      check_stats
         (Fmt.str "%s: phase %d" msg k)
         pa.Agrid_churn.Engine.ph_outcome.Slrh.stats
         pb.Agrid_churn.Engine.ph_outcome.Slrh.stats)
@@ -386,17 +370,12 @@ let test_battery_shock_mid_epoch mode () =
     Alcotest.failf "%s mode never reused a pool around the shock"
       (mode_name mode)
 
-(* Decision ledgers: the full JSONL artefact must match byte for byte
-   (soa mode turns whole-pool reuse off while a ledger is attached
-   precisely so every rejection entry is re-derived), and so must the
-   trace read from it. Every variant is
-   covered, the SLRH-2 drain hardest: its ranks and pool sizes must
-   leave out the stragglers the drain already committed. *)
-let ledger_jsonl sink =
-  match Sink.ledger sink with
-  | Some l -> Ledger.to_jsonl l
-  | None -> Alcotest.fail "sink created with ~ledger:true has no ledger"
-
+(* Decision ledgers: a ledger run takes the rescan walk, whose bytes
+   the digest oracle pins. It must commit what the recorder-free run of
+   the same [mode] commits — schedule, clock steps, assignments, final
+   clock; work may only shrink on the recorder-free side — and, asked
+   for [`Soa], must not build a single arena pool. Every variant is
+   covered, the SLRH-2 drain hardest. *)
 (* Ledger pairs cycle the variant so every one is compared. *)
 let ledger_scenario i =
   {
@@ -420,39 +399,35 @@ let drained_twice sink =
           | _ -> false)
         (Ledger.entries l)
 
-(* A ledger turns both skips off, so these pairs also demand exact
-   stats and telemetry, work family included. *)
+(* The sink of a ledger run: a ledger, and no arena pool ever built. *)
+let check_ledger_routed msg sink =
+  if Sink.ledger sink = None then Alcotest.failf "%s: the sink has no ledger" msg;
+  if counter_of sink "slrh/pool_rebuilt" <> 0 then
+    Alcotest.failf "%s: the ledger run built arena pools" msg
+
 let test_ledger mode () =
   let drains = ref 0 in
-  let check_pair msg sc s1 s2 =
-    if ledger_jsonl s1 <> ledger_jsonl s2 then
-      Alcotest.failf "%s: %s ledger JSONL diverges vs %s" (Test_props.describe sc)
-        msg (mode_name mode);
-    let trace s = Trace.csv_rows (Trace.of_ledger (Option.get (Sink.ledger s))) in
-    if trace s1 <> trace s2 then
-      Alcotest.failf "%s: %s trace rows diverge vs %s" (Test_props.describe sc) msg
-        (mode_name mode);
-    check_sinks ~exact:true
-      (Fmt.str "%s: %s ledger pair" (Test_props.describe sc) msg)
-      s1 s2;
-    if sc.Test_props.sc_variant = Slrh.V2 && drained_twice s2 then incr drains
+  let msg shape sc =
+    Fmt.str "%s: %s ledger run vs %s" (Test_props.describe sc) shape (mode_name mode)
   in
   for i = 0 to 9 do
     let sc = ledger_scenario i in
     let wl = Test_props.workload sc in
-    let o1, s1 = run_static ~mode:`Rescan ~ledger:true sc wl in
-    let o2, s2 = run_static ~mode ~ledger:true sc wl in
-    check_outcomes ~exact:true (Test_props.describe sc) o1 o2;
-    check_pair "static" sc s1 s2
+    let o1, s1 = run_static ~mode ~ledger:true sc wl in
+    let o2, _ = run_static ~mode ~ledger:false sc wl in
+    check_outcomes (msg "static" sc) o1 o2;
+    check_ledger_routed (msg "static" sc) s1;
+    if sc.Test_props.sc_variant = Slrh.V2 && drained_twice s1 then incr drains
   done;
   for i = 0 to 9 do
     let sc = ledger_scenario (60 + i) in
     let wl = Test_props.workload sc in
     let events = sample_events (60 + i) wl in
-    let o1, s1 = run_churn ~mode:`Rescan ~ledger:true sc wl events in
-    let o2, s2 = run_churn ~mode ~ledger:true sc wl events in
-    check_engine ~exact:true (Test_props.describe sc) o1 o2;
-    check_pair "churn" sc s1 s2
+    let o1, s1 = run_churn ~mode ~ledger:true sc wl events in
+    let o2, _ = run_churn ~mode ~ledger:false sc wl events in
+    check_engine (msg "churn" sc) o1 o2;
+    check_ledger_routed (msg "churn" sc) s1;
+    if sc.Test_props.sc_variant = Slrh.V2 && drained_twice s1 then incr drains
   done;
   if !drains = 0 then
     Alcotest.fail "no SLRH-2 ledger pair drained two commits from one pool"
@@ -515,20 +490,20 @@ let test_adaptive_churn mode () =
     check_sinks msg s1 s2
   done
 
-(* And the adaptive ledgers — the Multiplier entries serialise floats, so
-   byte equality of the JSONL pins the whole multiplier trajectory. *)
+(* And the adaptive ledger runs: a dual round reads only the commits, so
+   equal commit sequences pin equal multiplier trajectories (the digest
+   oracle pins the Multiplier entries' bytes). *)
 let test_adaptive_ledger mode () =
   for i = 0 to 9 do
     let sc = ledger_scenario (30 + i) in
     let wl = Test_props.workload sc in
-    let o1, s1 = run_adaptive_static ~mode:`Rescan ~ledger:true sc wl in
-    let o2, s2 = run_adaptive_static ~mode ~ledger:true sc wl in
-    if ledger_jsonl s1 <> ledger_jsonl s2 then
-      Alcotest.failf "%s: adaptive ledger JSONL diverges vs %s"
-        (Test_props.describe sc) (mode_name mode);
-    let msg = Fmt.str "%s + dual ascent, ledger" (Test_props.describe sc) in
-    check_outcomes ~exact:true msg o1 o2;
-    check_sinks ~exact:true msg s1 s2
+    let o1, s1 = run_adaptive_static ~mode ~ledger:true sc wl in
+    let o2, _ = run_adaptive_static ~mode ~ledger:false sc wl in
+    let msg =
+      Fmt.str "%s + dual ascent, ledger run vs %s" (Test_props.describe sc) (mode_name mode)
+    in
+    check_outcomes msg o1 o2;
+    check_ledger_routed msg s1
   done
 
 (* Campaign sharding: aggregates and counter totals are shard-count
@@ -764,7 +739,7 @@ let suites =
             `Slow
             (test_battery_shock_mid_epoch mode);
           Alcotest.test_case
-            (Fmt.str "ledger JSONL identical, rescan vs %s (20 runs)" m)
+            (Fmt.str "ledger run commits = %s (20 runs)" m)
             `Slow (test_ledger mode);
           Alcotest.test_case
             (Fmt.str "rescan = %s under dual ascent (40 static)" m)
@@ -775,7 +750,7 @@ let suites =
             `Slow
             (test_adaptive_churn mode);
           Alcotest.test_case
-            (Fmt.str "adaptive ledger JSONL identical, rescan vs %s" m)
+            (Fmt.str "adaptive ledger run commits = %s" m)
             `Slow
             (test_adaptive_ledger mode);
           Alcotest.test_case

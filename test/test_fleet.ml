@@ -611,6 +611,28 @@ let test_router_trace_timelines () =
         (String.concat " -> " (List.map Trace.kind_to_string kinds)));
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped tracer)
 
+(* A backend that answers the health probe with some other line fails
+   the handshake with a reason that names the answer's type and quotes
+   its first 80 bytes, and nothing past them. *)
+let test_router_probe_names_bad_answer () =
+  let line = Codec.dropped_line ~id:7 ~tag:(Some (String.make 100 'x')) in
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let payload = line ^ "\n" in
+  ignore (Unix.write_substring theirs payload 0 (String.length payload));
+  let r = Router.create quick_config [ { Router.name = "b0"; connect = (fun () -> ours) } ] in
+  let result = Router.start r in
+  ignore (Router.stop r);
+  Unix.close theirs;
+  match result with
+  | Ok () -> Alcotest.fail "router started over a backend that never answered health"
+  | Error msg ->
+      let has s = Testlib.contains msg s in
+      Alcotest.(check bool) ("names the type: " ^ msg) true (has "(type dropped)");
+      Alcotest.(check bool) ("quotes 80 bytes: " ^ msg) true
+        (has (String.escaped (String.sub line 0 80) ^ "\""));
+      Alcotest.(check bool) ("stops at 80 bytes: " ^ msg) false
+        (has (String.escaped (String.sub line 0 81)))
+
 let suites =
   [
     ( "fleet",
@@ -649,5 +671,7 @@ let suites =
           test_router_stats_request;
         Alcotest.test_case "router: trace timelines" `Quick
           test_router_trace_timelines;
+        Alcotest.test_case "router: probe names a non-health answer" `Quick
+          test_router_probe_names_bad_answer;
       ] );
   ]

@@ -41,8 +41,8 @@ let test_bit_identical_with_ledger () =
   let o, led = run_with_ledger workload in
   Alcotest.(check bool) "identical schedules" true
     (fingerprint plain.Slrh.schedule = fingerprint o.Slrh.schedule);
-  (* The ledger turns off the soa walk's bound skip and idle-step jumps,
-     so the ledger run may do more work than the plain one, never less;
+  (* A ledger run takes the rescan walk, which skips no plan and jumps no
+     step, so it may do more work than the plain soa run, never less;
      the decisions (steps passed, assignments) must match exactly. *)
   let ps = plain.Slrh.stats and ls = o.Slrh.stats in
   Alcotest.(check int) "identical clock steps" ps.Slrh.clock_steps ls.Slrh.clock_steps;

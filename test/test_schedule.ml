@@ -637,9 +637,9 @@ let test_qcheck_buffered_commit_matches_record () =
       let version = version () and machine = next m and not_before = next 400 in
       let p = Schedule.plan a ~task ~version ~machine ~not_before in
       let start = Schedule.plan_into b ~task ~version ~machine ~not_before in
-      if start <> p.Schedule.pl_start || Schedule.planned_stop b <> p.Schedule.pl_stop then
-        QCheck2.Test.fail_reportf "task %d: buffered plan [%d, %d) vs record [%d, %d)" task
-          start (Schedule.planned_stop b) p.Schedule.pl_start p.Schedule.pl_stop;
+      if start <> p.Schedule.pl_start then
+        QCheck2.Test.fail_reportf "task %d: buffered plan starts at %d vs record %d" task
+          start p.Schedule.pl_start;
       Schedule.commit a p;
       Schedule.commit_planned b;
       if schedule_fingerprint a <> schedule_fingerprint b then
