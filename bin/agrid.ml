@@ -1202,13 +1202,27 @@ let trace_out_t ~daemon =
               (convert with `agrid trace export`). %s"
              daemon))
 
+(* ", VmHWM N kB, VmRSS N kB" from the daemon's own /proc/self/status,
+   "" where that cannot be read *)
+let vm_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> ""
+  | text ->
+      String.split_on_char '\n' text
+      |> List.filter_map (fun line ->
+             match Scanf.sscanf line "%s@: %d kB" (fun key kb -> (key, kb)) with
+             | (("VmHWM" | "VmRSS") as key), kb -> Some (Fmt.str ", %s %d kB" key kb)
+             | _ -> None
+             | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
+      |> String.concat ""
+
 (* The daemon loop shared by serve/router, entered once the daemon runs.
    Requests come from stdin or, with --socket, one connection at a time
    (each connection's jobs are answered before it is closed). A signal
    requests a hard stop: in-flight jobs finish, still-queued ones are
    answered with "dropped" lines. EOF drains everything. *)
 let run_daemon ~cmd ~conn_errors ~listening ~submit ~quiesce ~stop ~drain ~pp_summary
-    ~socket ~sink ~obs_file ~tracer ~trace_out =
+    ~worker_heaps ~socket ~sink ~obs_file ~tracer ~trace_out =
   let module Transport = Agrid_serve.Transport in
   let stop_requested = Atomic.make false in
   let handler = Sys.Signal_handle (fun _ -> Atomic.set stop_requested true) in
@@ -1247,13 +1261,19 @@ let run_daemon ~cmd ~conn_errors ~listening ~submit ~quiesce ~stop ~drain ~pp_su
   in
   Fmt.epr "agrid %s: %t@." cmd pp_summary;
   (* where the resident set goes: each domain owns a minor heap of the
-     size below, beside the shared major heap *)
+     size it reports below (this reader domain, then each worker's),
+     beside the shared major heap *)
   let gc = Gc.quick_stat () in
+  let workers =
+    match worker_heaps () with
+    | [] -> ""
+    | ws -> " workers " ^ String.concat " " (List.map string_of_int ws)
+  in
   Fmt.epr
-    "agrid %s: gc: minor heap %d words per domain, heap_words %d, top_heap_words %d, \
-     %d major collections, %d minor collections@."
-    cmd (Gc.get ()).Gc.minor_heap_size gc.Gc.heap_words gc.Gc.top_heap_words
-    gc.Gc.major_collections gc.Gc.minor_collections;
+    "agrid %s: gc: minor heap words reader %d%s, heap_words %d, top_heap_words %d, \
+     %d major collections, %d minor collections%s@."
+    cmd (Gc.get ()).Gc.minor_heap_size workers gc.Gc.heap_words gc.Gc.top_heap_words
+    gc.Gc.major_collections gc.Gc.minor_collections (vm_kb ());
   if dropped > 0 then
     Fmt.epr "agrid %s: dropped %d queued job(s) on shutdown@." cmd dropped;
   write_obs obs_file sink;
@@ -1316,6 +1336,7 @@ let serve_cmd =
         ~stop:(fun () -> Server.stop server)
         ~drain:(fun () -> Server.drain server)
         ~pp_summary:(fun ppf -> Server.pp_stats ppf (Server.stats server))
+        ~worker_heaps:(fun () -> Server.worker_heap_words server)
         ~socket ~sink ~obs_file ~tracer ~trace_out
     end
   in
@@ -1419,6 +1440,7 @@ let router_cmd =
             ~stop:(fun () -> Router.stop router)
             ~drain:(fun () -> Router.drain router)
             ~pp_summary:(fun ppf -> Router.pp_stats ppf (Router.stats router))
+            ~worker_heaps:(fun () -> [])
             ~socket ~sink ~obs_file ~tracer ~trace_out
     end
   in

@@ -26,6 +26,17 @@ val create :
 val with_lock : Mutex.t -> (unit -> 'a) -> 'a
 (** Run [f] holding the mutex, releasing it on any exit. *)
 
+val minor_heap_words : int
+(** The minor heap size, in words, of every daemon domain: 32,768
+    (256 KiB) in place of OCaml's 262,144. *)
+
+val size_minor_heap : unit -> unit
+(** Resize the calling domain's minor heap to {!minor_heap_words}, once
+    per domain (later calls are a domain-local flag check). {!submit}
+    calls it on a domain's first job; worker domains call it on theirs.
+    The first call forces a minor collection, so it stays off the path
+    to a daemon's first health answer. *)
+
 val uptime_s : 'e t -> float
 (** Monotonic seconds since {!create}. *)
 
@@ -62,9 +73,10 @@ val submit :
 (** Feed one request line: take the next id, parse outside the lock, and
     answer a malformed line, a [health] request (the daemon's [health]
     line) or a [stats] request (window, trace ring, queue and [load ()])
-    at once. A job goes through [admit ~id spec] (outside the lock), then
-    its [claim] and the push; a full or closed queue answers a tagged
-    [queue_full] or [draining] rejection after [undo]. *)
+    at once. A job first sizes the calling domain's minor heap
+    ({!size_minor_heap}), then goes through [admit ~id spec] (outside the
+    lock), then its [claim] and the push; a full or closed queue answers
+    a tagged [queue_full] or [draining] rejection after [undo]. *)
 
 val send : 'e t -> (string -> unit) -> string -> unit
 (** Write one response line under the output lock; a [respond] that

@@ -1,10 +1,11 @@
-(* One scheduling job for the scenario service: realize a scenario
-   reference, run the SLRH loop (through the churn engine when the spec
-   carries an event timeline) and summarize the final schedule. The
-   deadline is cooperative: a cancel closure handed to the SLRH params is
-   polled once per timestep, so a fired deadline ends the run at a step
-   boundary with the schedule as built so far — no preemption, no torn
-   state. *)
+(* One scheduling job for the scenario service, in two stages: [prepare]
+   realizes the scenario reference, [execute] runs the SLRH loop (through
+   the churn engine when the spec carries an event timeline) and
+   summarizes the final schedule. The server runs the stages on different
+   domains; [run] chains them. The deadline is cooperative: a cancel
+   closure handed to the SLRH params is polled once per timestep, so a
+   fired deadline ends the run at a step boundary with the schedule as
+   built so far — no preemption, no torn state. *)
 
 module Serialize = Agrid_workload.Serialize
 module Workload = Agrid_workload.Workload
@@ -119,69 +120,95 @@ let summarize ~status ~completed ~final_clock ~n_discarded ~sunk_energy ~wall
     wall_seconds = wall;
   }
 
-let run ?(obs = Sink.noop) spec =
-  let t0 = Clock.monotonic_ns () in
-  let fired = ref false in
-  match
-    let workload = Serialize.realize spec.scenario in
-    let weights = Objective.make_weights ~alpha:spec.alpha ~beta:spec.beta in
-    let params =
-      {
-        (Slrh.default_params ~variant:spec.variant weights) with
-        Slrh.delta_t = spec.delta_t;
-        horizon = spec.horizon;
-        mode = spec.mode;
-        obs;
-        cancel = cancel_for ~t0 ~fired spec.deadline_ms;
-      }
-    in
-    (* a fresh controller per job: Adapt.t is mutable run state. An
-       invalid spec raises Invalid_argument, caught below as [Errored]
-       (the codec validates up front, so that path means a caller built
-       the spec by hand). *)
-    let params =
-      match spec.adapt with
-      | None -> params
-      | Some aspec ->
-          {
-            params with
-            Slrh.adapt = Some (Agrid_core.Adapt.create aspec weights);
-            feas_mode = Agrid_core.Adapt.feas_mode aspec;
-          }
-    in
-    match spec.events with
-    | [] ->
-        let out = Slrh.run params workload in
-        `Static out
-    | events -> `Churn (Dynamic.run_churn params workload events)
-  with
-  | exception Serialize.Parse_error { line; message } ->
-      errored (Fmt.str "scenario parse error at line %d: %s" line message)
-  | exception Agrid_dag.Dag.Cycle tasks ->
+type prepared = {
+  spec : spec;
+  workload : (Workload.t, string) Stdlib.result;
+  realize_ns : int64;
+}
+
+(* The exceptions a bad scenario or bad parameters raise, as [errored]
+   diagnostics. Anything else is a bug and propagates. *)
+let diagnose = function
+  | Serialize.Parse_error { line; message } ->
+      Some (Fmt.str "scenario parse error at line %d: %s" line message)
+  | Agrid_dag.Dag.Cycle tasks ->
       (* the tasks still locked in cycles, the first 16 of them by id *)
       let shown = List.filteri (fun i _ -> i < 16) tasks in
       let more = List.length tasks - List.length shown in
-      errored
+      Some
         (Fmt.str "scenario DAG has a cycle through tasks %a%s"
            Fmt.(list ~sep:(any ", ") int)
            shown
            (if more > 0 then Fmt.str " and %d more" more else ""))
-  | exception Invalid_argument msg -> errored msg
-  | exception Failure msg -> errored msg
-  | outcome -> (
-      let wall = Clock.elapsed_seconds ~since:t0 in
-      let status = if !fired then Deadline_missed else Ok_done in
-      match outcome with
-      | `Static (out : Slrh.outcome) ->
-          summarize ~status ~completed:out.Slrh.completed
-            ~final_clock:out.Slrh.final_clock ~n_discarded:0 ~sunk_energy:0.
-            ~wall out.Slrh.schedule
-      | `Churn out ->
-          summarize ~status ~completed:out.Agrid_churn.Engine.completed
-            ~final_clock:out.Agrid_churn.Engine.final_clock
-            ~n_discarded:out.Agrid_churn.Engine.n_discarded
-            ~sunk_energy:out.Agrid_churn.Engine.sunk_energy ~wall
-            out.Agrid_churn.Engine.schedule)
+  | Invalid_argument msg | Failure msg -> Some msg
+  | _ -> None
+
+let prepare spec =
+  let t0 = Clock.monotonic_ns () in
+  let workload =
+    match Serialize.realize spec.scenario with
+    | w -> Ok w
+    | exception e -> (
+        match diagnose e with Some msg -> Error msg | None -> raise e)
+  in
+  { spec; workload; realize_ns = Int64.sub (Clock.monotonic_ns ()) t0 }
+
+let execute ?(obs = Sink.noop) { spec; workload; realize_ns } =
+  match workload with
+  | Error msg -> errored msg
+  | Ok workload -> (
+      (* the budget covers realize + SLRH, never queue wait: the clock
+         starts "realize time ago" *)
+      let t0 = Int64.sub (Clock.monotonic_ns ()) realize_ns in
+      let fired = ref false in
+      match
+        let weights = Objective.make_weights ~alpha:spec.alpha ~beta:spec.beta in
+        let params =
+          {
+            (Slrh.default_params ~variant:spec.variant weights) with
+            Slrh.delta_t = spec.delta_t;
+            horizon = spec.horizon;
+            mode = spec.mode;
+            obs;
+            cancel = cancel_for ~t0 ~fired spec.deadline_ms;
+          }
+        in
+        (* a fresh controller per job: Adapt.t is mutable run state. An
+           invalid spec raises Invalid_argument, answered as [Errored]
+           (the codec validates up front, so that path means a caller
+           built the spec by hand). *)
+        let params =
+          match spec.adapt with
+          | None -> params
+          | Some aspec ->
+              {
+                params with
+                Slrh.adapt = Some (Agrid_core.Adapt.create aspec weights);
+                feas_mode = Agrid_core.Adapt.feas_mode aspec;
+              }
+        in
+        match spec.events with
+        | [] -> `Static (Slrh.run params workload)
+        | events -> `Churn (Dynamic.run_churn params workload events)
+      with
+      | exception e -> (
+          match diagnose e with Some msg -> errored msg | None -> raise e)
+      | outcome -> (
+          let wall = Clock.elapsed_seconds ~since:t0 in
+          let status = if !fired then Deadline_missed else Ok_done in
+          match outcome with
+          | `Static (out : Slrh.outcome) ->
+              summarize ~status ~completed:out.Slrh.completed
+                ~final_clock:out.Slrh.final_clock ~n_discarded:0 ~sunk_energy:0.
+                ~wall out.Slrh.schedule
+          | `Churn out ->
+              summarize ~status ~completed:out.Agrid_churn.Engine.completed
+                ~final_clock:out.Agrid_churn.Engine.final_clock
+                ~n_discarded:out.Agrid_churn.Engine.n_discarded
+                ~sunk_energy:out.Agrid_churn.Engine.sunk_energy ~wall
+                out.Agrid_churn.Engine.schedule))
+
+let run ?obs spec = execute ?obs (prepare spec)
 
 let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 

@@ -27,8 +27,9 @@ type spec = {
           implied feasibility mode; [None] = constant weights *)
   events : Agrid_churn.Event.t list;  (** churn timeline; [] = static run *)
   deadline_ms : float option;
-      (** wall-clock budget for the scheduler loop; enforced cooperatively
-          (one cancellation check per timestep). [Some ms] with [ms <= 0]
+      (** wall-clock budget for realize plus the scheduler loop (queue
+          wait is not charged); enforced cooperatively (one cancellation
+          check per timestep). [Some ms] with [ms <= 0]
           always misses — the soak harness's "impossible deadline". *)
 }
 
@@ -61,17 +62,46 @@ type result = {
 val errored : string -> result
 (** The all-zero result carrying [Errored msg]. *)
 
-val run : ?obs:Agrid_obs.Sink.t -> spec -> result
-(** Execute the job: realize the scenario, run the SLRH loop (through the
-    churn engine when [events <> []]) and summarize the schedule. Never
-    raises: malformed scenarios and invalid parameters come back as
-    [Errored]. [?obs] is a per-job sink (the service merges it into the
+type prepared = {
+  spec : spec;
+  workload : (Agrid_workload.Workload.t, string) Stdlib.result;
+      (** the realized scenario, or the [errored] diagnostic of a
+          scenario that could not be realized *)
+  realize_ns : int64;
+      (** monotonic nanoseconds the realize took; {!execute} charges them
+          to the deadline *)
+}
+(** A job whose scenario is realized, ready for {!execute}. The service
+    prepares on the domain that reads the request and executes on a
+    worker domain, so its queue holds prepared jobs. *)
+
+val prepare : spec -> prepared
+(** Stage one: realize the scenario. A malformed scenario (parse error,
+    DAG cycle, [Invalid_argument], [Failure]) is kept as
+    [workload = Error msg]; any other exception propagates. *)
+
+val execute : ?obs:Agrid_obs.Sink.t -> prepared -> result
+(** Stage two: run the SLRH loop (through the churn engine when
+    [events <> []]) and summarize the schedule. A prepared error comes
+    back as [Errored], as do invalid parameters; any other exception
+    propagates. [?obs] is a per-job sink (the service merges it into the
     pool sink afterwards); the default no-op sink is inert.
+
+    The deadline covers realize and the scheduler loop, never the time
+    between the two stages: the clock starts [realize_ns] before
+    [execute] is called, and [wall_seconds] is measured from there. A
+    [deadline_ms <= 0] fires at the first timestep without reading the
+    clock. *)
+
+val run : ?obs:Agrid_obs.Sink.t -> spec -> result
+(** [execute ?obs (prepare spec)]: realize, run and summarize in one
+    call. Never raises for a malformed scenario or invalid parameters;
+    those come back as [Errored].
 
     Deterministic: for a fixed spec without a deadline (or whose deadline
     did not fire), every field except [wall_seconds] is a pure function of
     the spec — pinned by the soak harness's served-vs-one-shot
-    comparison. *)
+    comparison, and split or not: [execute (prepare s)] equals [run s]. *)
 
 val equal_modulo_wall : result -> result -> bool
 (** Bitwise equality on every field except [wall_seconds] (floats compared

@@ -1,13 +1,23 @@
-(* The scenario service. Concurrency layout:
+(* The scenario service. Concurrency layout, a two-stage pipeline:
 
    - producers (stdin/socket reader) call submit, which runs the shared
-     admission ladder in [Front]: id, parse, health/stats, then a
-     never-blocking try_push onto the bounded Chan — a full buffer
-     becomes a typed queue_full response (backpressure). What the server
-     adds to that ladder is the tenant-cap reservation, taken in the
-     front's [claim] and handed back in its [undo];
+     admission ladder in [Front]: id, parse, health/stats, then [admit]
+     realizes the job (Job.prepare) on the producer's domain, outside the
+     lock, then a never-blocking try_push onto the bounded Chan — a full
+     buffer becomes a typed queue_full response (backpressure). The queue
+     therefore holds realized workloads, and a job rejected at the queue
+     or its tenant cap was realized for nothing. What the server adds to
+     the ladder is the tenant-cap reservation, taken in the front's
+     [claim] and handed back in its [undo];
    - one controller domain runs Parallel.run_workers over `workers`
-     persistent worker loops, each popping jobs until seal/close;
+     persistent worker loops, each popping prepared jobs until
+     seal/close and running only the scheduler, summary and encode
+     (Job.execute);
+   - every domain sizes its own minor heap (Front.size_minor_heap) at
+     its first job: the producer's in Front.submit, a worker's in its
+     loop;
+   - an exception either stage raises that Job does not map is caught
+     here (job_fault): the job is answered errored and service goes on;
    - `lock` guards all mutable counters here and in the front, and every
      pool-sink operation (sinks are single-domain; the mutex serializes
      producer and worker access); `idle` signals outstanding = 0.
@@ -22,8 +32,9 @@ module Chan = Agrid_par.Parallel.Chan
 type entry = {
   e_id : int;
   e_tag : string option;
-  e_spec : Job.spec;
-  e_submitted : float;
+  e_job : Job.prepared;
+  e_submitted : float;  (* before realize, so latency covers it *)
+  e_queued : float;  (* after realize: queue wait starts here *)
   e_respond : string -> unit;
 }
 
@@ -41,6 +52,8 @@ type t = {
   workers : int;
   job_stride : int;
   obs : Sink.t;
+  prepare : Job.spec -> Job.prepared;
+  execute : obs:Sink.t -> Job.prepared -> Job.result;
   tenants : (string, tenant_state) Hashtbl.t;
       (* admission caps from [?tenant_caps]; tenants not listed here are
          never capped *)
@@ -52,6 +65,10 @@ type t = {
   mutable deadline_missed : int;
   mutable errored : int;
   mutable tenant_quota : int;
+  mutable worker_exn : int;
+  heaps : int array;
+      (* minor heap words each worker loop's domain ran with, recorded
+         as the loop ends *)
   mutable controller : unit Domain.t option;
   mutable state : [ `Created | `Running | `Stopped ];
 }
@@ -59,7 +76,8 @@ type t = {
 let with_lock = Front.with_lock
 
 let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?(job_stride = 8)
-    ?workers ?(queue_capacity = 64) () =
+    ?workers ?(queue_capacity = 64) ?(prepare = Job.prepare)
+    ?(execute = fun ~obs p -> Job.execute ~obs p) () =
   let workers =
     match workers with Some w -> w | None -> Agrid_par.Parallel.default_domains ()
   in
@@ -81,6 +99,8 @@ let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?(job_stride = 8)
     workers;
     job_stride;
     obs;
+    prepare;
+    execute;
     tenants;
     chan;
     front = Front.create Front.Serve ~obs ~trace ~lock chan;
@@ -90,6 +110,8 @@ let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?(job_stride = 8)
     deadline_missed = 0;
     errored = 0;
     tenant_quota = 0;
+    worker_exn = 0;
+    heaps = Array.make workers 0;
     controller = None;
     state = `Created;
   }
@@ -105,16 +127,27 @@ let tenant_release t (spec : Job.spec) =
   | None -> ()
   | Some ts -> ts.tn_outstanding <- ts.tn_outstanding - 1
 
+let spec_of (e : entry) = e.e_job.Job.spec
+
 (* Record a trace event for an entry (caller holds t.lock). A relayed job
    carries the router's trace id; locally submitted jobs derive their
    own from the collector's nonce. *)
 let trace_ev t (e : entry) kind =
-  Front.record t.front ~trace_id:e.e_spec.Job.trace_id ~job:e.e_id kind
+  Front.record t.front ~trace_id:(spec_of e).Job.trace_id ~job:e.e_id kind
 
 (* callers hold t.lock *)
 let finish_one t =
   t.outstanding <- t.outstanding - 1;
   if t.outstanding = 0 then Condition.broadcast t.idle
+
+(* An exception [Job] does not map is a fault of one job, not of the
+   service: it is counted, and the job is answered [errored] with the
+   exception's name. *)
+let job_fault t exn =
+  with_lock t.lock (fun () ->
+      t.worker_exn <- t.worker_exn + 1;
+      Sink.incr t.obs "serve/worker_exn");
+  "job raised " ^ Printexc.to_string exn
 
 let run_entry t e =
   let job_sink =
@@ -122,8 +155,12 @@ let run_entry t e =
   in
   if Front.trace t.front <> None then
     with_lock t.lock (fun () ->
-        trace_ev t e (Trace.Exec { queue_wait_s = Clock.now_s () -. e.e_submitted }));
-  let res = Job.run ~obs:job_sink e.e_spec in
+        trace_ev t e (Trace.Exec { queue_wait_s = Clock.now_s () -. e.e_queued }));
+  let res =
+    match t.execute ~obs:job_sink e.e_job with
+    | res -> res
+    | exception exn -> Job.errored (job_fault t exn)
+  in
   let latency = Clock.now_s () -. e.e_submitted in
   Front.send t.front e.e_respond
     (Codec.result_line ~id:e.e_id ~tag:e.e_tag ~latency_s:latency res);
@@ -139,17 +176,22 @@ let run_entry t e =
             "serve/errored"
       in
       Sink.merge_into ~into:t.obs job_sink;
-      Front.complete t.front ~trace_id:e.e_spec.Job.trace_id ~job:e.e_id
+      Front.complete t.front ~trace_id:(spec_of e).Job.trace_id ~job:e.e_id
         ~outcome:(Job.status_to_string res.Job.status) ~counter ~latency_s:latency;
-      tenant_release t e.e_spec;
+      tenant_release t (spec_of e);
       finish_one t)
 
-let rec worker_loop t =
-  match Chan.pop t.chan with
-  | None -> ()
-  | Some e ->
-      run_entry t e;
-      worker_loop t
+let worker_loop t i =
+  let rec loop () =
+    match Chan.pop t.chan with
+    | None -> ()
+    | Some e ->
+        Front.size_minor_heap ();
+        run_entry t e;
+        loop ()
+  in
+  loop ();
+  with_lock t.lock (fun () -> t.heaps.(i) <- (Gc.get ()).Gc.minor_heap_size)
 
 let start t =
   with_lock t.lock (fun () ->
@@ -162,12 +204,21 @@ let start t =
             Some
               (Domain.spawn (fun () ->
                    Agrid_par.Parallel.run_workers ~domains:t.workers ~n:t.workers
-                     (fun _ -> worker_loop t))))
+                     (worker_loop t))))
 
-(* Reserve the tenant's admission slot before touching the queue so a
-   capped tenant can never overshoot, even with racing producers; a queue
-   rejection hands the slot back through [undo]. *)
+(* Realize on the calling (reader) domain, outside the lock, so the
+   worker only schedules. Then reserve the tenant's admission slot before
+   touching the queue so a capped tenant can never overshoot, even with
+   racing producers; a queue rejection hands the slot back through
+   [undo]. *)
 let admit t respond ~id (spec : Job.spec) =
+  let submitted = Clock.now_s () in
+  let job =
+    match t.prepare spec with
+    | job -> job
+    | exception exn -> { Job.spec; workload = Error (job_fault t exn); realize_ns = 0L }
+  in
+  let queued = Clock.now_s () in
   let claim () =
     match tenant_of t spec with
     | Some ts when ts.tn_outstanding >= ts.tn_cap ->
@@ -194,8 +245,9 @@ let admit t respond ~id (spec : Job.spec) =
       {
         e_id = id;
         e_tag = spec.Job.tag;
-        e_spec = spec;
-        e_submitted = Clock.now_s ();
+        e_job = job;
+        e_submitted = submitted;
+        e_queued = queued;
         e_respond = respond;
       };
     trace_id = spec.Job.trace_id;
@@ -241,9 +293,9 @@ let stop t =
     (fun e ->
       let line =
         with_lock t.lock (fun () ->
-            tenant_release t e.e_spec;
+            tenant_release t (spec_of e);
             finish_one t;
-            Front.drop t.front ~trace_id:e.e_spec.Job.trace_id ~job:e.e_id ~tag:e.e_tag)
+            Front.drop t.front ~trace_id:(spec_of e).Job.trace_id ~job:e.e_id ~tag:e.e_tag)
       in
       Front.send t.front e.e_respond line)
     abandoned;
@@ -257,6 +309,7 @@ type stats = {
   s_completed : int;
   s_deadline_missed : int;
   s_errored : int;
+  s_worker_exn : int;
   s_queue_full : int;
   s_malformed : int;
   s_draining : int;
@@ -277,6 +330,7 @@ let stats t =
         s_completed = c.completed;
         s_deadline_missed = t.deadline_missed;
         s_errored = t.errored;
+        s_worker_exn = t.worker_exn;
         s_queue_full = c.queue_full;
         s_malformed = c.malformed;
         s_draining = c.draining;
@@ -297,6 +351,7 @@ let tenant_high_water t name = tenant_lookup t name (fun ts -> ts.tn_high_water)
 let tenant_rejected t name = tenant_lookup t name (fun ts -> ts.tn_rejected)
 let tenant_cap t name = tenant_lookup t name (fun ts -> ts.tn_cap)
 
+let worker_heap_words t = with_lock t.lock (fun () -> Array.to_list t.heaps)
 let queue_depth t = Chan.length t.chan
 let n_workers t = t.workers
 let uptime_s t = Front.uptime_s t.front
@@ -304,9 +359,9 @@ let trace t = Front.trace t.front
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "requests %d accepted %d completed %d (deadline_missed %d errored %d) \
-     rejected (full %d malformed %d draining %d tenant_quota %d) dropped %d \
+    "requests %d accepted %d completed %d (deadline_missed %d errored %d \
+     worker_exn %d) rejected (full %d malformed %d draining %d tenant_quota %d) dropped %d \
      health %d stats %d respond_errors %d queue_high_water %d"
     s.s_requests s.s_accepted s.s_completed s.s_deadline_missed s.s_errored
-    s.s_queue_full s.s_malformed s.s_draining s.s_tenant_quota s.s_dropped
+    s.s_worker_exn s.s_queue_full s.s_malformed s.s_draining s.s_tenant_quota s.s_dropped
     s.s_health s.s_stats s.s_respond_errors s.s_queue_high_water

@@ -6,15 +6,19 @@
     (malformed and health included) gets a monotone id; health, stats and
     malformed lines are answered at once; a job over capacity gets a
     typed [queue_full] line (producers never block). The server adds only
-    per-tenant admission caps. Each accepted job gets one
+    per-tenant admission caps. A job runs in two stages: {!submit}
+    realizes it ({!Job.prepare}) on the calling domain before it is
+    queued, and a worker runs the scheduler ({!Job.execute}), so the
+    queue holds realized workloads. Each accepted job gets one
     {!Codec.result_line} through the caller's [respond] as workers
     finish. Responses are serialized, so [respond] needs no locking of
-    its own.
+    its own. Every domain that takes a job runs with a
+    {!Front.minor_heap_words} minor heap.
 
     Telemetry: each job runs against a private sink merged into the pool
     sink afterwards, alongside [serve/*] counters (accepted, completed,
-    deadline_missed, errored, queue_full, malformed, draining,
-    tenant_quota, dropped, health, stats), the [serve/queue_depth]
+    deadline_missed, errored, worker_exn, queue_full, malformed,
+    draining, tenant_quota, dropped, health, stats), the [serve/queue_depth]
     high-water gauge and the [serve/latency_s] histogram. With the
     default no-op sink all of it is inert. Request tracing is opt-in
     ([?trace]): enqueue, exec (with queue wait) and respond events, under
@@ -29,6 +33,8 @@ val create :
   ?job_stride:int ->
   ?workers:int ->
   ?queue_capacity:int ->
+  ?prepare:(Job.spec -> Job.prepared) ->
+  ?execute:(obs:Agrid_obs.Sink.t -> Job.prepared -> Job.result) ->
   unit ->
   t
 (** A server with its queue, not yet running (see {!start}; {!drain}
@@ -43,7 +49,10 @@ val create :
     never capped; [job_stride] (default 8) is the snapshot stride of
     per-job sinks; [workers] (default
     {!Agrid_par.Parallel.default_domains}) sizes the domain pool;
-    [queue_capacity] (default 64) bounds the queue.
+    [queue_capacity] (default 64) bounds the queue. [prepare] and
+    [execute] (default {!Job.prepare} and {!Job.execute}) are the two
+    stages of a job; tests pass stand-ins that raise, to pin that one
+    faulty job never stops the service.
     @raise Invalid_argument when [workers], [queue_capacity] or
     [job_stride] is nonpositive, or [tenant_caps] names an empty or
     duplicate tenant or a cap below 1. *)
@@ -79,7 +88,11 @@ type stats = {
   s_accepted : int;
   s_completed : int;  (** accepted jobs answered, any status *)
   s_deadline_missed : int;
-  s_errored : int;
+  s_errored : int;  (** answered [errored], [s_worker_exn] included *)
+  s_worker_exn : int;
+      (** jobs whose [prepare] or [execute] raised an exception [Job]
+          does not map; each is answered [errored] with the exception's
+          name and counted as [serve/worker_exn], and service goes on *)
   s_queue_full : int;
   s_malformed : int;
   s_draining : int;
@@ -108,6 +121,12 @@ val tenant_rejected : t -> string -> int
 
 val tenant_cap : t -> string -> int
 (** The cap passed to {!create}. *)
+
+val worker_heap_words : t -> int list
+(** The minor heap size, in words, that each worker loop's domain ran
+    with, recorded as the loop ended ([0] while it runs). Read it after
+    {!drain} or {!stop}: a worker that served a job reports
+    {!Front.minor_heap_words}. *)
 
 val queue_depth : t -> int
 val n_workers : t -> int

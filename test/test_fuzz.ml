@@ -725,7 +725,8 @@ let test_scenario_decoder_oversized () =
    scenario mutation corpus, over each float field of a pinned text
    spelled as NaN or an infinity, and over churn events with such
    fractions and factors, [Job.run] must answer either [ok] (or a
-   deadline miss) with finite fields, or [errored] — and never raise.
+   deadline miss) with finite fields, or [errored] — and never raise —
+   and its two stages run apart must answer the same.
    A non-finite field of a pinned text is a parse error naming its
    line. *)
 
@@ -735,6 +736,9 @@ let job_answers_soundly what spec =
     | r -> r
     | exception e -> Alcotest.failf "%s: Job.run raised %s" what (Printexc.to_string e)
   in
+  (* the service runs the two stages apart; they must answer the same *)
+  if not (Job.equal_modulo_wall r (Job.execute (Job.prepare spec))) then
+    Alcotest.failf "%s: Job.execute (Job.prepare s) <> Job.run s" what;
   match r.Job.status with
   | Job.Errored _ -> ()
   | Job.Ok_done | Job.Deadline_missed ->

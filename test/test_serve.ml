@@ -257,6 +257,170 @@ let test_hostile_scenarios () =
   in
   Alcotest.(check (list string)) "two errored, one ok" [ "errored"; "errored"; "ok" ] statuses
 
+(* ---- the two stages: prepare on the reader, execute on a worker ---- *)
+
+(* [Job.execute (Job.prepare s)] must be [Job.run s]: generated, pinned,
+   churn and adaptive specs, and specs that come back errored from
+   either stage (parse error, DAG cycle, invalid churn event). *)
+let test_prepare_execute_is_run () =
+  let pinned seed =
+    let spec = Agrid_workload.Spec.scaled ~seed ~factor:0.03 () in
+    Serialize.Pinned
+      (Serialize.to_string spec ~etc_index:0 ~dag_index:0 ~case:Agrid_platform.Grid.B)
+  in
+  let cyclic, oversized = hostile_texts () in
+  let churn seed trace =
+    { (Job.default (tiny ~seed ())) with Job.events = Agrid_churn.Event.parse_trace trace }
+  in
+  let specs =
+    List.init 4 (fun i -> Job.default (tiny ~seed:(40 + i) ()))
+    @ [
+        { (Job.default (tiny ~seed:41 ())) with Job.mode = `Rescan; variant = Agrid_core.Slrh.V2 };
+        Job.default (pinned 5);
+        { (Job.default (pinned 6)) with Job.variant = Agrid_core.Slrh.V3 };
+        churn 8 "leave@40:1,rejoin@90:1";
+        churn 9 "shock@30:0:0.5,degrade@50:2:2";
+        { (Job.default (tiny ~seed:12 ())) with Job.adapt = Some Agrid_core.Adapt.default_spec };
+        {
+          (churn 13 "leave@40:1") with
+          Job.adapt = Some { Agrid_core.Adapt.default_spec with prob = Some 0.9 };
+        };
+        Job.default (Serialize.Pinned "not a scenario");
+        Job.default (Serialize.Pinned cyclic);
+        Job.default (Serialize.Pinned oversized);
+        churn 14 "leave@40:9";
+      ]
+  in
+  let errored = ref 0 in
+  List.iteri
+    (fun i spec ->
+      let split = Job.execute (Job.prepare spec) and whole = Job.run spec in
+      (match whole.Job.status with Job.Errored _ -> incr errored | _ -> ());
+      Alcotest.(check string)
+        (Fmt.str "spec %d status" i)
+        (Job.status_to_string whole.Job.status)
+        (Job.status_to_string split.Job.status);
+      Alcotest.(check bool) (Fmt.str "spec %d: split = run" i) true
+        (Job.equal_modulo_wall split whole))
+    specs;
+  Alcotest.(check int) "the errored specs errored" 4 !errored
+
+(* The deadline covers realize and the scheduler loop, never the time a
+   prepared job waits for a worker. *)
+let test_deadline_charges_realize_not_queue () =
+  (* a deadline shorter than the realize: missed at the first timestep *)
+  let large =
+    Serialize.Generated
+      { seed = 3; scale = 0.5; etc_index = 0; dag_index = 0; case = Agrid_platform.Grid.A }
+  in
+  let p = Job.prepare (Job.default large) in
+  let realize_ms = Int64.to_float p.Job.realize_ns /. 1e6 in
+  Alcotest.(check bool) "realize took time" true (realize_ms > 0.);
+  let r =
+    Job.execute { p with Job.spec = { p.Job.spec with Job.deadline_ms = Some (realize_ms /. 2.) } }
+  in
+  Alcotest.(check string) "realize charged" "deadline_missed" (Job.status_to_string r.Job.status);
+  Alcotest.(check int) "missed before the first step" 0 r.Job.final_clock;
+  Alcotest.(check bool) "wall time covers realize" true (r.Job.wall_seconds *. 1000. >= realize_ms);
+  (* waiting between the stages is not charged, directly ... *)
+  let budget_ms = 200. and wait_s = 0.25 in
+  let p = Job.prepare { (Job.default (tiny ())) with Job.deadline_ms = Some budget_ms } in
+  Unix.sleepf wait_s;
+  let r = Job.execute p in
+  Alcotest.(check string) "queue wait not charged" "ok" (Job.status_to_string r.Job.status);
+  Alcotest.(check bool) "wall time excludes the wait" true (r.Job.wall_seconds < wait_s);
+  (* ... and through the server's queue *)
+  let c = collector () in
+  let server = Server.create ~workers:1 ~queue_capacity:4 () in
+  Server.submit server ~respond:(respond_to c) (job_line ~deadline_ms:(Some budget_ms) ());
+  Unix.sleepf wait_s;
+  Server.drain server;
+  match collected c with
+  | [ line ] ->
+      let j = parse_line line in
+      Alcotest.(check string) "served after a queue wait" "ok" (get_str "status" j)
+  | lines -> Alcotest.failf "expected one response, got %d" (List.length lines)
+
+exception Injected_fault
+
+(* drain on a helper thread; [true] iff it returned within 30 s *)
+let drains_within server =
+  let drained = Atomic.make false in
+  let _ : Thread.t =
+    Thread.create
+      (fun () ->
+        Server.drain server;
+        Atomic.set drained true)
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Atomic.get drained)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Atomic.get drained
+
+(* An exception Job does not map, raised by either stage, is one
+   [errored] line naming it; the jobs after it are still served and the
+   drain returns. *)
+let test_faulty_job_contained () =
+  let faulty tag (spec : Job.spec) = spec.Job.tag = Some tag in
+  let prepare spec =
+    if faulty "realize-fault" spec then raise Injected_fault else Job.prepare spec
+  in
+  let execute ~obs (p : Job.prepared) =
+    if faulty "run-fault" p.Job.spec then raise Injected_fault else Job.execute ~obs p
+  in
+  let sink = Sink.create ~stride:8 () in
+  let c = collector () in
+  let server = Server.create ~obs:sink ~workers:1 ~queue_capacity:8 ~prepare ~execute () in
+  Server.start server;
+  let submit tag = Server.submit server ~respond:(respond_to c) (job_line ~tag:(Some tag) ()) in
+  List.iter submit [ "run-fault"; "realize-fault"; "a"; "run-fault"; "b"; "c" ];
+  Alcotest.(check bool) "drain returned" true (drains_within server);
+  let lines = List.map parse_line (collected c) in
+  Alcotest.(check int) "one line per job" 6 (List.length lines);
+  List.iter
+    (fun j ->
+      let tag = get_str "tag" j and status = get_str "status" j in
+      if tag = "run-fault" || tag = "realize-fault" then begin
+        Alcotest.(check string) (tag ^ " errored") "errored" status;
+        Alcotest.(check bool) (tag ^ ": names the exception") true
+          (contains ~affix:"Injected_fault" (get_str "error" j))
+      end
+      else Alcotest.(check string) (tag ^ " still served") "ok" status)
+    lines;
+  let stats = Server.stats server in
+  Alcotest.(check int) "worker_exn counted" 3 stats.Server.s_worker_exn;
+  Alcotest.(check int) "errored includes them" 3 stats.Server.s_errored;
+  Alcotest.(check int) "serve/worker_exn" 3 (counter_of sink "serve/worker_exn")
+
+(* Every domain that takes a job runs with a 32,768-word minor heap: the
+   one that submits (here, the test's) and the worker. *)
+let test_domains_sized () =
+  let c = collector () in
+  let server = Server.create ~workers:2 ~queue_capacity:8 () in
+  Server.start server;
+  for i = 0 to 7 do
+    Server.submit server ~respond:(respond_to c) (job_line ~seed:(60 + i) ())
+  done;
+  Server.drain server;
+  (* what a domain starts with: OCaml's default, or OCAMLRUNPARAM's s= *)
+  let default = Domain.join (Domain.spawn (fun () -> (Gc.get ()).Gc.minor_heap_size)) in
+  Alcotest.(check int) "the constant" 32_768 Agrid_serve.Front.minor_heap_words;
+  Alcotest.(check int) "submitting domain" 32_768 (Gc.get ()).Gc.minor_heap_size;
+  let heaps = Server.worker_heap_words server in
+  Alcotest.(check int) "one entry per worker" 2 (List.length heaps);
+  Alcotest.(check bool) "a worker served and was sized" true (List.mem 32_768 heaps);
+  List.iter
+    (fun w ->
+      if w <> 32_768 && w <> default then Alcotest.failf "worker heap of %d words" w)
+    heaps;
+  (* a worker domain that never took a job keeps OCaml's default *)
+  let idle = Server.create ~workers:1 ~queue_capacity:4 () in
+  Server.start idle;
+  Server.drain idle;
+  Alcotest.(check (list int)) "idle worker unsized" [ default ] (Server.worker_heap_words idle)
+
 (* ---- health ---- *)
 
 let test_health () =
@@ -530,6 +694,14 @@ let suites =
         Alcotest.test_case "bad scenario -> errored result" `Quick test_job_errored;
         Alcotest.test_case "hostile pinned scenarios -> errored, worker lives" `Quick
           test_hostile_scenarios;
+        Alcotest.test_case "Job.execute (Job.prepare s) = Job.run s" `Quick
+          test_prepare_execute_is_run;
+        Alcotest.test_case "deadline charges realize, not queue wait" `Quick
+          test_deadline_charges_realize_not_queue;
+        Alcotest.test_case "a job that raises is errored, service goes on" `Quick
+          test_faulty_job_contained;
+        Alcotest.test_case "every job-taking domain runs a sized minor heap" `Quick
+          test_domains_sized;
         Alcotest.test_case "health request" `Quick test_health;
         Alcotest.test_case "stats request: rolling snapshot" `Quick
           test_stats_request;
