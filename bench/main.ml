@@ -414,7 +414,7 @@ let report_tau_calibration config =
 (* One instrumented SLRH-1 run plus one churn run (leave + rejoin) through
    the telemetry sink; the span and counter aggregates land in
    BENCH_obs.json (format documented in DESIGN.md, "Observability"). *)
-let run_obs_profile config ~total_seconds =
+let run_obs_profile config ~t0 =
   section "Observability profile (BENCH_obs.json)";
   let open Agrid_workload in
   let workload =
@@ -832,7 +832,7 @@ let run_obs_profile config ~total_seconds =
     to_.Traffic.fairness_gap;
   let oc = open_out "BENCH_obs.json" in
   output_string oc
-    (Agrid_obs.Export.summary_json ~total_seconds
+    (Agrid_obs.Export.summary_json ~total_seconds:(Unix.gettimeofday () -. t0)
        ~sections:
          [
            ("campaign", campaign_sink);
@@ -939,7 +939,7 @@ let () =
   Fmt.pr "agrid reproduction bench — %a@." Config.pp config;
   let t0 = Unix.gettimeofday () in
   if options.obs_only then begin
-    run_obs_profile config ~total_seconds:(Unix.gettimeofday () -. t0);
+    run_obs_profile config ~t0;
     exit 0
   end;
   run_tables config;
@@ -960,5 +960,5 @@ let () =
   ablation_robustness config;
   ablation_dynamic config;
   if not options.skip_bechamel then bechamel_suite config;
-  run_obs_profile config ~total_seconds:(Unix.gettimeofday () -. t0);
+  run_obs_profile config ~t0;
   Fmt.pr "@.total bench time: %.1f s@." (Unix.gettimeofday () -. t0)

@@ -3,11 +3,6 @@
 
 open Agrid_workload
 
-val default_probes : int
-
-val greedy_makespan :
-  Spec.t -> etc_index:int -> dag_index:int -> case:Agrid_platform.Grid.case -> int
-
 val tau_cycles : ?slack:float -> ?n_probes:int -> Spec.t -> int
 (** Median greedy makespan over [n_probes] Case A scenarios, times [slack]
     (default 1.0), in cycles. *)

@@ -28,5 +28,4 @@ val default : policy
 val make : ?timing:timing -> ?budget:int -> unit -> policy
 (** @raise Invalid_argument on a negative budget. *)
 
-val timing_to_string : timing -> string
 val pp : Format.formatter -> policy -> unit

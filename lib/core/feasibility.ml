@@ -60,15 +60,6 @@ type infeasibility =
   | Exec_energy of { version : Version.t; required : float; available : float }
   | Comm_energy of { version : Version.t; exec : float; comm : float; available : float }
 
-let pp_infeasibility ppf = function
-  | Parent_unmapped { parent } -> Fmt.pf ppf "parent %d unmapped" parent
-  | Exec_energy { version; required; available } ->
-      Fmt.pf ppf "%a execution energy %.3f exceeds remaining %.3f" Version.pp version
-        required available
-  | Comm_energy { version; exec; comm; available } ->
-      Fmt.pf ppf "%a exec %.3f + worst-case child comm %.3f exceeds remaining %.3f"
-        Version.pp version exec comm available
-
 (* Energy machine [j] must still hold for (task, version) to be admissible:
    the version's execution energy plus its child-communication bound. *)
 let required_energy ?(mode = Conservative) sched ~task ~machine ~version =
@@ -77,6 +68,8 @@ let required_energy ?(mode = Conservative) sched ~task ~machine ~version =
   let comm = comm_bound ~mode wl ~task ~machine ~version in
   apply_margin ~mode (exec +. comm)
 
+(* Energy admissibility of this specific version, with the failing side
+   of the bound on rejection ([Exec_energy] or [Comm_energy]). *)
 let version_verdict ?(mode = Conservative) sched ~task ~machine ~version =
   let wl = Schedule.workload sched in
   let exec = Workload.exec_energy wl ~task ~machine ~version in
@@ -284,8 +277,6 @@ let explain_rejections ?mode sched ~machine =
 
 type quota = { q_energy : float option; q_machines : int option }
 
-let no_quota = { q_energy = None; q_machines = None }
-
 let quota_to_string q =
   let e = match q.q_energy with None -> "inf" | Some e -> Fmt.str "%g" e in
   let m = match q.q_machines with None -> "all" | Some m -> string_of_int m in
@@ -303,25 +294,12 @@ type quota_breach =
   | Energy_quota of { needed : float; budget : float; used : float }
   | Machine_quota of { allowed : int; required : int }
 
-let pp_quota_breach ppf = function
-  | Energy_quota { needed; budget; used } ->
-      Fmt.pf ppf "energy quota: reservation %.3f + reserved %.3f exceeds budget %.3f"
-        needed used budget
-  | Machine_quota { allowed; required } ->
-      Fmt.pf ppf "machine quota: %d machine(s) allowed, %d required" allowed required
-
 let quota_breach_to_string = function
   | Energy_quota _ -> "energy_quota"
   | Machine_quota _ -> "machine_quota"
 
 let quota_machines q ~n_machines =
   match q.q_machines with None -> n_machines | Some m -> min m n_machines
-
-let quota_mask q ~n_machines =
-  match q.q_machines with
-  | None -> None
-  | Some m when m >= n_machines -> None
-  | Some m -> Some (Array.init n_machines (fun j -> j < m))
 
 (* Worst admissible price of one task over the allowed machines and both
    versions. Any placement the scheduler can commit for the task costs

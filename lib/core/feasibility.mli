@@ -34,20 +34,8 @@ type infeasibility =
 (** Why a subtask stayed out of the pool U — the decision ledger's typed
     rejection reasons. The bare-bool checks below derive from these. *)
 
-val pp_infeasibility : Format.formatter -> infeasibility -> unit
-
 val required_energy :
   ?mode:mode -> Schedule.t -> task:int -> machine:int -> version:Version.t -> float
-
-val version_verdict :
-  ?mode:mode ->
-  Schedule.t ->
-  task:int ->
-  machine:int ->
-  version:Version.t ->
-  (unit, infeasibility) result
-(** Energy admissibility of this specific version, with the failing side
-    of the bound on rejection ({!Exec_energy} or {!Comm_energy}). *)
 
 val version_feasible :
   ?mode:mode -> Schedule.t -> task:int -> machine:int -> version:Version.t -> bool
@@ -134,7 +122,6 @@ type quota = {
           [None] = the whole grid *)
 }
 
-val no_quota : quota
 val quota_to_string : quota -> string
 
 val validate_quota : quota -> (unit, string) result
@@ -150,19 +137,12 @@ type quota_breach =
 (** Why an application was refused admission — total: every quota
     rejection carries exactly one of these. *)
 
-val pp_quota_breach : Format.formatter -> quota_breach -> unit
-
 val quota_breach_to_string : quota_breach -> string
 (** Short wire token: ["energy_quota"] / ["machine_quota"]. *)
 
 val quota_machines : quota -> n_machines:int -> int
 (** Machines the quota admits: [min q n_machines] (or [n_machines] when
     unlimited). *)
-
-val quota_mask : quota -> n_machines:int -> bool array option
-(** The availability mask a machine-count quota induces (machines
-    [0 .. q-1] up, the rest down); [None] when the quota does not
-    restrict the grid. *)
 
 val reservation : ?mode:mode -> ?machines:int -> Workload.t -> float
 (** Upper bound on the energy one run of this workload can consume when

@@ -37,18 +37,8 @@ type parts = {
 }
 (** The objective split into its weighted terms, for the decision
     ledger's commit records. [value] and [estimate] are the totals of
-    [value_parts] / [estimate_parts] — same float operations in the same
-    order, so the decomposition costs nothing and changes nothing. *)
-
-val value_parts :
-  weights ->
-  t100:int ->
-  n_tasks:int ->
-  tec:float ->
-  tse:float ->
-  aet:int ->
-  tau:int ->
-  parts
+    these parts — same float operations in the same order, so the
+    decomposition costs nothing and changes nothing. *)
 
 val value :
   weights ->

@@ -23,5 +23,4 @@ val compute :
   result
 (** [etc] must already be restricted to [grid]'s machines. *)
 
-val limiting_to_string : [ `Energy | `Cycles | `Complete ] -> string
 val pp : Format.formatter -> result -> unit

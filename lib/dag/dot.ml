@@ -1,21 +1,13 @@
 (* Graphviz export, used by the CLI `dot` subcommand for eyeballing
    generated workloads. *)
 
-let pp ?(name = "dag") ?label_task ?label_edge ppf dag =
+let pp ?(name = "dag") ppf dag =
   Fmt.pf ppf "digraph %s {@." name;
   Fmt.pf ppf "  rankdir=TB;@.  node [shape=circle, fontsize=10];@.";
   for i = 0 to Dag.n_tasks dag - 1 do
-    match label_task with
-    | None -> Fmt.pf ppf "  t%d;@." i
-    | Some f -> Fmt.pf ppf "  t%d [label=%S];@." i (f i)
+    Fmt.pf ppf "  t%d;@." i
   done;
-  Dag.iter_edges
-    (fun e ~src ~dst ->
-      match label_edge with
-      | None -> Fmt.pf ppf "  t%d -> t%d;@." src dst
-      | Some f -> Fmt.pf ppf "  t%d -> t%d [label=%S];@." src dst (f e))
-    dag;
+  Dag.iter_edges (fun _ ~src ~dst -> Fmt.pf ppf "  t%d -> t%d;@." src dst) dag;
   Fmt.pf ppf "}@."
 
-let to_string ?name ?label_task ?label_edge dag =
-  Fmt.str "%a" (pp ?name ?label_task ?label_edge) dag
+let to_string ?name dag = Fmt.str "%a" (pp ?name) dag

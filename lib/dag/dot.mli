@@ -1,16 +1,4 @@
 (** Graphviz export of task DAGs (CLI [dot] subcommand). *)
 
-val pp :
-  ?name:string ->
-  ?label_task:(int -> string) ->
-  ?label_edge:(int -> string) ->
-  Format.formatter ->
-  Dag.t ->
-  unit
-
-val to_string :
-  ?name:string ->
-  ?label_task:(int -> string) ->
-  ?label_edge:(int -> string) ->
-  Dag.t ->
-  string
+val pp : ?name:string -> Format.formatter -> Dag.t -> unit
+val to_string : ?name:string -> Dag.t -> string

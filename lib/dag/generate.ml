@@ -48,8 +48,8 @@ let random_level_bounds rng ~n ~n_levels =
   done;
   bounds
 
-let generate ?(params_check = true) rng (p : params) =
-  if params_check then validate_params p;
+let generate rng (p : params) =
+  validate_params p;
   if p.n_levels = 1 then Dag.of_edges ~n:p.n [] (* independent tasks *)
   else begin
     let bounds = random_level_bounds rng ~n:p.n ~n_levels:p.n_levels in

@@ -13,7 +13,7 @@ type params = {
 val default_params : n:int -> params
 (** [sqrt n] levels, max 3 parents, 0.8 previous-level bias. *)
 
-val generate : ?params_check:bool -> Agrid_prng.Splitmix64.t -> params -> Dag.t
+val generate : Agrid_prng.Splitmix64.t -> params -> Dag.t
 (** Generate a DAG; task ids are assigned in level order, hence already
     topologically sorted. Every non-level-0 task has at least one parent. *)
 

@@ -39,24 +39,6 @@ let compute dag =
     max_out_degree = Array.fold_left max 0 out_degrees;
   }
 
-(* Longest path through the DAG where each task contributes [weight i]; this
-   is the critical-path lower bound on makespan for a given machine speed. *)
-let critical_path dag ~weight =
-  let order = Dag.topological_order dag in
-  let n = Dag.n_tasks dag in
-  let finish = Array.make n 0. in
-  let best = ref 0. in
-  Array.iter
-    (fun i ->
-      let ready = ref 0. in
-      for k = 0 to Dag.in_degree dag i - 1 do
-        ready := Float.max !ready finish.(Dag.parent dag i k)
-      done;
-      finish.(i) <- !ready +. weight i;
-      if finish.(i) > !best then best := finish.(i))
-    order;
-  !best
-
 let pp ppf m =
   Fmt.pf ppf
     "tasks=%d edges=%d depth=%d width=%d roots=%d leaves=%d in(mean=%.2f \

@@ -16,7 +16,4 @@ type t = {
 val width_per_level : Dag.t -> int array
 val compute : Dag.t -> t
 
-val critical_path : Dag.t -> weight:(int -> float) -> float
-(** Longest node-weighted path; lower bound on makespan at that speed. *)
-
 val pp : Format.formatter -> t -> unit

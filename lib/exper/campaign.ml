@@ -36,10 +36,13 @@ let rng_for ~seed ~level ~rep =
         (mul (of_int seed) 0x9E3779B97F4A7C15L)
         (add (mul (of_int level) 0xBF58476D1CE4E5B9L) (of_int (rep + 1))))
 
+(* Mean outage length as a fraction of tau. *)
+let down_fraction = 0.15
+
 let run ?(obs = Agrid_obs.Sink.noop)
     ?(weights = Agrid_core.Objective.make_weights ~alpha:0.4 ~beta:0.3)
     ?(policy = Agrid_churn.Retry.default) ?adapt ?(intensities = default_intensities)
-    ?(replicates = 32) ?(down_fraction = 0.15) ?shards ~seed (config : Config.t) =
+    ?(replicates = 32) ?shards ~seed (config : Config.t) =
   if replicates <= 0 then invalid_arg "Campaign.run: nonpositive replicate count";
   (match shards with
   | Some s when s < 1 -> invalid_arg "Campaign.run: shards must be >= 1"
@@ -184,13 +187,6 @@ let table levels =
              Fmt.str "%.1f" l.mean_discards;
            ])
          levels)
-
-let pp_level ppf l =
-  Fmt.pf ppf
-    "intensity=%.2f n=%d completion=%.3f miss=%.3f t100=%.1f sunk=%.2f events=%.1f \
-     discards=%.1f"
-    l.intensity l.n_replicates l.completion_rate l.deadline_miss_rate l.mean_t100
-    l.mean_sunk l.mean_events l.mean_discards
 
 (* ---- multi-tenant traffic replicates ---- *)
 

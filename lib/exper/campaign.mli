@@ -22,9 +22,6 @@ type level = {
   mean_discards : float;  (** mean placements discarded per run *)
 }
 
-val default_intensities : float list
-(** [0; 0.5; 1; 2; 4] expected leaves per machine. *)
-
 val run :
   ?obs:Agrid_obs.Sink.t ->
   ?weights:Agrid_core.Objective.weights ->
@@ -32,15 +29,14 @@ val run :
   ?adapt:Agrid_core.Adapt.spec ->
   ?intensities:float list ->
   ?replicates:int ->
-  ?down_fraction:float ->
   ?shards:int ->
   seed:int ->
   Config.t ->
   level list
-(** Run the campaign on the Case A workload of [config]. [down_fraction]
-    (default 0.15) sets the mean outage length as a fraction of tau;
-    intensity [x] gives mean up-time [tau / x] (intensity 0 is the static
-    baseline: no events are sampled). [replicates] defaults to 32.
+(** Run the campaign on the Case A workload of [config]. The mean outage
+    length is 0.15 tau; intensity [x] gives mean up-time [tau / x]
+    (intensity 0 is the static baseline: no events are sampled).
+    [replicates] defaults to 32.
 
     [?adapt] runs every replicate under online dual ascent
     ({!Agrid_core.Adapt}) seeded from [weights], with the spec's implied
@@ -67,8 +63,6 @@ val run :
     intensity, or [shards < 1]. *)
 
 val table : level list -> Agrid_report.Table.t
-
-val pp_level : Format.formatter -> level -> unit
 
 (** {2 Multi-tenant traffic replicates}
 

@@ -60,7 +60,7 @@ let tune_one (config : Config.t) ~case ~heuristic ~etc_index ~dag_index ~upper_b
   { case; heuristic; etc_index; dag_index; best = result.Weight_search.best; upper_bound }
 
 (* Full sweep: cases x heuristics x scenarios, scenario-parallel. *)
-let run ?(heuristics = all_heuristics) ?(on_progress = fun _ -> ()) (config : Config.t) =
+let run ?(on_progress = fun _ -> ()) (config : Config.t) =
   let upper_bounds =
     List.concat_map
       (fun case ->
@@ -82,7 +82,7 @@ let run ?(heuristics = all_heuristics) ?(on_progress = fun _ -> ()) (config : Co
             List.map
               (fun (etc_index, dag_index) -> (case, heuristic, etc_index, dag_index))
               (Config.scenarios config))
-          heuristics)
+          all_heuristics)
       Grid.all_cases
     |> Array.of_list
   in

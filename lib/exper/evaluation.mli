@@ -9,7 +9,6 @@ type heuristic = Slrh1 | Slrh3 | Maxmax
 
 val all_heuristics : heuristic list
 val heuristic_name : heuristic -> string
-val runner_of : Config.t -> heuristic -> Weight_search.runner
 
 type tuned = {
   case : Grid.case;
@@ -29,18 +28,9 @@ type t = {
 
 val upper_bound_for : Config.t -> case:Grid.case -> etc_index:int -> int
 
-val tune_one :
-  Config.t ->
-  case:Grid.case ->
-  heuristic:heuristic ->
-  etc_index:int ->
-  dag_index:int ->
-  upper_bound:int ->
-  tuned
-
-val run :
-  ?heuristics:heuristic list -> ?on_progress:(int -> unit) -> Config.t -> t
-(** Full sweep, scenario-parallel over the configured domains. *)
+val run : ?on_progress:(int -> unit) -> Config.t -> t
+(** Full sweep over {!all_heuristics}, scenario-parallel over the
+    configured domains. *)
 
 val select : t -> case:Grid.case -> heuristic:heuristic -> tuned list
 

@@ -45,7 +45,6 @@ let create ?(c = 0.5) lambda0 =
     lambda0;
   { c; lambda = Array.copy lambda0; round = 0 }
 
-let n_constraints t = Array.length t.lambda
 let round t = t.round
 let get t i = t.lambda.(i)
 let multipliers t = Array.copy t.lambda

@@ -23,7 +23,6 @@ val create : ?c:float -> float array -> t
     @raise Invalid_argument if [c] is nonpositive or non-finite, the
     vector is empty, or any multiplier is negative, nan or infinite. *)
 
-val n_constraints : t -> int
 val round : t -> int
 (** Completed {!step} rounds (0 for a fresh state). *)
 

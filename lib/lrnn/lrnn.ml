@@ -233,10 +233,6 @@ let run ?(params = default_params) wl =
     wall_seconds = Agrid_obs.Clock.elapsed_seconds ~since:t0;
   }
 
-let pp_dual_point ppf p =
-  Fmt.pf ppf "it=%d dual=%.3f primaries=%d ev=%.3f tv=%.3f" p.iteration
-    p.dual_value p.n_primary p.max_energy_violation p.max_time_violation
-
 let pp_outcome ppf o =
   Fmt.pf ppf "%a completed=%b demoted=%d wall=%.3fs" Schedule.pp o.schedule
     o.completed o.demoted o.wall_seconds

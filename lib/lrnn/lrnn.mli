@@ -39,5 +39,4 @@ type outcome = {
 val run : ?params:params -> Agrid_workload.Workload.t -> outcome
 (** @raise Invalid_argument when [iterations <= 0]. *)
 
-val pp_dual_point : Format.formatter -> dual_point -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

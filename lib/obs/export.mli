@@ -27,10 +27,6 @@ val summary_json :
 
 val metrics_csv_header : string list
 val metrics_csv_rows : Sink.t -> string list list
-val spans_csv_header : string list
-val spans_csv_rows : Sink.t -> string list list
-val snapshots_csv_header : string list
-val snapshots_csv_rows : Sink.t -> string list list
 
 val write_csv_files : prefix:string -> Sink.t -> string list
 (** Write [<prefix>_metrics.csv], [<prefix>_spans.csv] and

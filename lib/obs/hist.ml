@@ -1,7 +1,5 @@
-(* Fixed-bucket histogram for telemetry aggregation. Unlike
-   Agrid_stats.Histogram (equal-width bins over a closed range, built for
-   sweep reports), buckets here are arbitrary strictly-increasing upper
-   bounds — log-spaced for span durations, linear for pool sizes — and two
+(* Fixed-bucket histogram for telemetry aggregation. Buckets are
+   arbitrary strictly-increasing upper bounds — log-spaced for span durations, linear for pool sizes — and two
    histograms with identical bounds merge bucket-wise, which is what lets
    per-domain telemetry aggregate without locks on the hot path.
 

@@ -46,8 +46,6 @@ val bounds : t -> float array
 val counts : t -> int array
 (** Per-bucket counts; one longer than {!bounds} (the overflow bucket). *)
 
-val same_bounds : t -> t -> bool
-
 val merge_into : into:t -> t -> unit
 (** Bucket-wise addition. @raise Invalid_argument when bounds differ. *)
 

@@ -95,9 +95,6 @@ val entries : t -> entry array
 
 val iter : (entry -> unit) -> t -> unit
 
-val idle_cause_to_string : idle_cause -> string
-val pp_entry : Format.formatter -> entry -> unit
-
 (** {2 JSONL} *)
 
 val schema : string

@@ -43,5 +43,4 @@ val merge_into : into:t -> t -> unit
 (** @raise Invalid_argument when a name holds different kinds on the two
     sides, or histogram bounds differ. *)
 
-val pp_metric : Format.formatter -> metric -> unit
 val pp : Format.formatter -> t -> unit

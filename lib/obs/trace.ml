@@ -44,24 +44,22 @@ type t = {
   ring : event Snapshot.Ring.t;
   exemplar_cap : int;
   pending_cap : int;
-  per_job_cap : int;
   pending : (int, event list ref) Hashtbl.t;  (* job -> reversed timeline *)
   mutable exemplars : exemplar list;  (* slowest first, <= exemplar_cap *)
   mutable pending_dropped : int;  (* jobs never opened: table was full *)
 }
 
-let create ?(capacity = 4096) ?(exemplars = 4) ?(pending_cap = 1024)
-    ?(per_job_cap = 256) ~nonce () =
+let per_job_cap = 256
+
+let create ?(capacity = 4096) ?(exemplars = 4) ?(pending_cap = 1024) ~nonce () =
   if exemplars < 0 then invalid_arg "Trace.create: exemplars must be >= 0";
   if pending_cap < 1 then invalid_arg "Trace.create: pending_cap must be >= 1";
-  if per_job_cap < 2 then invalid_arg "Trace.create: per_job_cap must be >= 2";
   {
     nonce;
     t0 = Clock.now_s ();
     ring = Snapshot.Ring.create ~capacity;
     exemplar_cap = exemplars;
     pending_cap;
-    per_job_cap;
     pending = Hashtbl.create 64;
     exemplars = [];
     pending_dropped = 0;
@@ -127,7 +125,7 @@ let record ?id t ~job kind =
             })
   | Dispatch _ | Retry _ | Failover _ | Death _ | Exec _ -> (
       match Hashtbl.find_opt t.pending job with
-      | Some timeline when List.length !timeline < t.per_job_cap ->
+      | Some timeline when List.length !timeline < per_job_cap ->
           timeline := ev :: !timeline
       | Some _ | None -> ()))
 

@@ -10,7 +10,8 @@
     Memory bounds: the event ring holds [capacity] events (oldest
     overwritten first, drops counted), the exemplar buffer the
     [exemplars] slowest complete timelines, and the open-timeline table
-    at most [pending_cap] in-flight jobs of [per_job_cap] events each.
+    at most [pending_cap] in-flight jobs of 256 events each (a full
+    timeline drops later events; its [Respond] still closes it).
 
     Not thread-safe — record under the lock that guards the owner's
     other counters (the serve/fleet daemons do). *)
@@ -44,13 +45,12 @@ val create :
   ?capacity:int ->
   ?exemplars:int ->
   ?pending_cap:int ->
-  ?per_job_cap:int ->
   nonce:int ->
   unit ->
   t
-(** Defaults: 4096-event ring, 4 exemplars, 1024 open timelines of up to
-    256 events each. [nonce] seeds trace-id derivation — give every run a
-    distinct one (the CLI uses its PRNG seed). *)
+(** Defaults: 4096-event ring, 4 exemplars, 1024 open timelines.
+    [nonce] seeds trace-id derivation — give every run a distinct one
+    (the CLI uses its PRNG seed). *)
 
 val id_of : nonce:int -> job:int -> string
 (** The deterministic trace id: a 16-hex-digit splitmix64 hash. *)

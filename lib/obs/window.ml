@@ -29,7 +29,6 @@ let create ?(slots = 12) ?(slot_s = 5.) () =
   }
 
 let n_slots t = Array.length t.slots
-let slot_seconds t = t.slot_s
 let window_s t = t.slot_s *. float_of_int (n_slots t)
 let epoch t now = int_of_float (Float.floor (now /. t.slot_s))
 

@@ -18,9 +18,6 @@ val create : ?slots:int -> ?slot_s:float -> unit -> t
 (** Default geometry 12 x 5 s = one minute of history.
     @raise Invalid_argument when [slots < 1] or [slot_s <= 0]. *)
 
-val n_slots : t -> int
-val slot_seconds : t -> float
-
 val window_s : t -> float
 (** Nominal span, [slots * slot_s]. *)
 

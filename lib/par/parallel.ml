@@ -79,11 +79,6 @@ let iter ?obs ?domains f arr = ignore (map ?obs ?domains (fun x -> f x; ()) arr)
 
 let init ?obs ?domains n f = map ?obs ?domains f (Array.init n Fun.id)
 
-(* Map then sequential fold — the reduce is cheap in every use here
-   (summaries over a few hundred results). *)
-let map_reduce ?obs ?domains ~map:f ~fold ~init:acc0 arr =
-  Array.fold_left fold acc0 (map ?obs ?domains f arr)
-
 (* ---- bounded blocking channel ----
 
    The hand-off between a producer (the scenario service's admission path)
@@ -272,5 +267,4 @@ module Chan = struct
 
   let length t = with_lock t (fun () -> Queue.length t.buf)
   let high_water t = with_lock t (fun () -> t.high_water)
-  let is_open t = with_lock t (fun () -> t.state = `Open)
 end

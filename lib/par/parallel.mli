@@ -32,17 +32,6 @@ val mapi : ?obs:Agrid_obs.Sink.t -> ?domains:int -> (int -> 'a -> 'b) -> 'a arra
 val iter : ?obs:Agrid_obs.Sink.t -> ?domains:int -> ('a -> unit) -> 'a array -> unit
 val init : ?obs:Agrid_obs.Sink.t -> ?domains:int -> int -> (int -> 'a) -> 'a array
 
-val map_reduce :
-  ?obs:Agrid_obs.Sink.t ->
-  ?domains:int ->
-  map:('a -> 'b) ->
-  fold:('c -> 'b -> 'c) ->
-  init:'c ->
-  'a array ->
-  'c
-(** Parallel map, then a sequential left fold over the results in index
-    order (so the fold is deterministic). *)
-
 (** A bounded blocking FIFO channel between one-or-more producers and a
     persistent pool of consumer domains (the scenario service's job
     queue). Producers never block: a push against a full buffer is
@@ -90,6 +79,4 @@ module Chan : sig
   val length : 'a t -> int
   val high_water : 'a t -> int
   (** Deepest the buffer has ever been. *)
-
-  val is_open : 'a t -> bool
 end

@@ -5,7 +5,6 @@
 val cmt : Grid.t -> src:int -> dst:int -> float
 (** Seconds per bit; 0 when [src = dst]. *)
 
-val transfer_seconds : Grid.t -> src:int -> dst:int -> bits:float -> float
 val transfer_cycles : Grid.t -> src:int -> dst:int -> bits:float -> int
 
 val transfer_energy : Grid.t -> src:int -> dst:int -> bits:float -> float

@@ -23,8 +23,6 @@ let fast_profile =
 let slow_profile =
   { klass = Slow; battery = 58.; compute_rate = 0.001; transmit_rate = 0.002; bandwidth = 4e6 }
 
-let of_klass = function Fast -> fast_profile | Slow -> slow_profile
-
 (* Battery scaling is how workloads are shrunk proportionally (DESIGN.md
    section 3, substitution 5): scaling |T|, tau and B(j) by the same factor
    preserves which constraints bind. *)

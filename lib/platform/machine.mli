@@ -18,8 +18,6 @@ val fast_profile : profile
 val slow_profile : profile
 (** B = 58, E = 0.001, C = 0.002, BW = 4 Mb/s (Dell Axim X5 class). *)
 
-val of_klass : klass -> profile
-
 val scale_battery : float -> profile -> profile
 (** Proportional workload scaling (DESIGN.md section 3).
     @raise Invalid_argument on nonpositive factors. *)
@@ -36,6 +34,5 @@ val energy_in_place : float array -> int -> float array -> int -> unit
     energy spent over them at rate [rates.(j)] — the expression of
     {!compute_energy} and {!transmit_energy}, with no float boxed. *)
 
-val klass_to_string : klass -> string
 val equal_klass : klass -> klass -> bool
 val pp : Format.formatter -> profile -> unit

@@ -28,8 +28,6 @@ let[@inline] box_muller rng =
   let u2 = unit rng in
   sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
 
-let standard_normal rng = box_muller rng
-
 let normal rng ~mean ~stddev =
   if stddev < 0. then invalid_arg "Dist.normal: negative stddev";
   mean +. (stddev *. box_muller rng)

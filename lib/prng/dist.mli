@@ -8,9 +8,6 @@ type rng = Splitmix64.t
 val uniform : rng -> lo:float -> hi:float -> float
 (** Uniform on [\[lo, hi)]. @raise Invalid_argument if [hi < lo]. *)
 
-val standard_normal : rng -> float
-(** N(0,1) via Box-Muller. *)
-
 val normal : rng -> mean:float -> stddev:float -> float
 
 val exponential : rng -> rate:float -> float

@@ -41,9 +41,3 @@ let pp ppf t =
 
 let to_string t = Fmt.str "%a" pp t
 
-(* Markdown rendering (EXPERIMENTS.md regeneration). *)
-let pp_markdown ppf t =
-  Fmt.pf ppf "**%s**@.@." t.title;
-  Fmt.pf ppf "| %s |@." (String.concat " | " t.columns);
-  Fmt.pf ppf "|%s@." (String.concat "" (List.map (fun _ -> "---|") t.columns));
-  List.iter (fun row -> Fmt.pf ppf "| %s |@." (String.concat " | " row)) t.rows

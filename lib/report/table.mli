@@ -1,5 +1,4 @@
-(** Plain-text and markdown table rendering for the regenerated paper
-    tables. *)
+(** Plain-text table rendering for the regenerated paper tables. *)
 
 type t
 
@@ -8,4 +7,3 @@ val make : title:string -> columns:string list -> rows:string list list -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val pp_markdown : Format.formatter -> t -> unit

@@ -26,7 +26,5 @@ type t = {
   makespan_utilisation : float;  (** AET / tau *)
 }
 
-val machine_metrics : Schedule.t -> int -> machine_metrics
 val compute : Schedule.t -> t
-val pp_machine : Format.formatter -> machine_metrics -> unit
 val pp : Format.formatter -> t -> unit

@@ -28,12 +28,6 @@
 val schema : string
 (** ["agrid-job/1"] *)
 
-val result_schema : string
-(** ["agrid-job-result/1"] *)
-
-val stats_schema : string
-(** ["agrid-stats/1"] *)
-
 type request = Submit of Job.spec | Health | Stats
 
 val parse_request : string -> (request, string) result

@@ -50,7 +50,6 @@ type tenant_state = {
 
 type t = {
   workers : int;
-  job_stride : int;
   obs : Sink.t;
   prepare : Job.spec -> Job.prepared;
   execute : obs:Sink.t -> Job.prepared -> Job.result;
@@ -75,14 +74,17 @@ type t = {
 
 let with_lock = Front.with_lock
 
-let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?(job_stride = 8)
-    ?workers ?(queue_capacity = 64) ?(prepare = Job.prepare)
+(* Snapshot stride of the per-job sinks an instrumented pool hands each
+   job. *)
+let job_stride = 8
+
+let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?workers
+    ?(queue_capacity = 64) ?(prepare = Job.prepare)
     ?(execute = fun ~obs p -> Job.execute ~obs p) () =
   let workers =
     match workers with Some w -> w | None -> Agrid_par.Parallel.default_domains ()
   in
   if workers < 1 then invalid_arg "Server.create: workers must be >= 1";
-  if job_stride < 1 then invalid_arg "Server.create: job_stride must be >= 1";
   let tenants = Hashtbl.create 8 in
   List.iter
     (fun (name, cap) ->
@@ -97,7 +99,6 @@ let create ?(obs = Sink.noop) ?trace ?(tenant_caps = []) ?(job_stride = 8)
   let lock = Mutex.create () in
   {
     workers;
-    job_stride;
     obs;
     prepare;
     execute;
@@ -151,7 +152,7 @@ let job_fault t exn =
 
 let run_entry t e =
   let job_sink =
-    if Sink.enabled t.obs then Sink.create ~stride:t.job_stride () else Sink.noop
+    if Sink.enabled t.obs then Sink.create ~stride:job_stride () else Sink.noop
   in
   if Front.trace t.front <> None then
     with_lock t.lock (fun () ->
@@ -349,11 +350,9 @@ let tenant_lookup t name f =
 let tenant_outstanding t name = tenant_lookup t name (fun ts -> ts.tn_outstanding)
 let tenant_high_water t name = tenant_lookup t name (fun ts -> ts.tn_high_water)
 let tenant_rejected t name = tenant_lookup t name (fun ts -> ts.tn_rejected)
-let tenant_cap t name = tenant_lookup t name (fun ts -> ts.tn_cap)
 
 let worker_heap_words t = with_lock t.lock (fun () -> Array.to_list t.heaps)
 let queue_depth t = Chan.length t.chan
-let n_workers t = t.workers
 let uptime_s t = Front.uptime_s t.front
 let trace t = Front.trace t.front
 

@@ -15,7 +15,7 @@
     its own. Every domain that takes a job runs with a
     {!Front.minor_heap_words} minor heap.
 
-    Telemetry: each job runs against a private sink merged into the pool
+    Telemetry: each job runs against a private sink (snapshot stride 8) merged into the pool
     sink afterwards, alongside [serve/*] counters (accepted, completed,
     deadline_missed, errored, worker_exn, queue_full, malformed,
     draining, tenant_quota, dropped, health, stats), the [serve/queue_depth]
@@ -30,7 +30,6 @@ val create :
   ?obs:Agrid_obs.Sink.t ->
   ?trace:Agrid_obs.Trace.t ->
   ?tenant_caps:(string * int) list ->
-  ?job_stride:int ->
   ?workers:int ->
   ?queue_capacity:int ->
   ?prepare:(Job.spec -> Job.prepared) ->
@@ -46,16 +45,15 @@ val create :
     rejected with a typed [tenant_quota] line before it ever touches the
     queue, and the slot is reserved atomically so racing producers can
     never overshoot the cap; unlisted tenants and untenanted jobs are
-    never capped; [job_stride] (default 8) is the snapshot stride of
-    per-job sinks; [workers] (default
+    never capped; [workers] (default
     {!Agrid_par.Parallel.default_domains}) sizes the domain pool;
     [queue_capacity] (default 64) bounds the queue. [prepare] and
     [execute] (default {!Job.prepare} and {!Job.execute}) are the two
     stages of a job; tests pass stand-ins that raise, to pin that one
     faulty job never stops the service.
-    @raise Invalid_argument when [workers], [queue_capacity] or
-    [job_stride] is nonpositive, or [tenant_caps] names an empty or
-    duplicate tenant or a cap below 1. *)
+    @raise Invalid_argument when [workers] or [queue_capacity] is
+    nonpositive, or [tenant_caps] names an empty or duplicate tenant or a
+    cap below 1. *)
 
 val start : t -> unit
 (** Spawn the worker pool (idempotent while running).
@@ -119,9 +117,6 @@ val tenant_high_water : t -> string -> int
 val tenant_rejected : t -> string -> int
 (** Lifetime [tenant_quota] rejections charged to this tenant. *)
 
-val tenant_cap : t -> string -> int
-(** The cap passed to {!create}. *)
-
 val worker_heap_words : t -> int list
 (** The minor heap size, in words, that each worker loop's domain ran
     with, recorded as the loop ended ([0] while it runs). Read it after
@@ -129,7 +124,6 @@ val worker_heap_words : t -> int list
     {!Front.minor_heap_words}. *)
 
 val queue_depth : t -> int
-val n_workers : t -> int
 val uptime_s : t -> float
 
 val trace : t -> Agrid_obs.Trace.t option

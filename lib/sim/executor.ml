@@ -148,7 +148,3 @@ let execute ?rng ?(noise = no_noise) sched =
     energy_ok = !energy_ok;
     deadline_met = actual_aet <= Workload.tau wl;
   }
-
-let pp_result ppf r =
-  Fmt.pf ppf "actual AET=%d (planned %d, x%.3f) deadline_met=%b energy_ok=%b"
-    r.actual_aet r.planned_aet r.aet_inflation r.deadline_met r.energy_ok

@@ -10,7 +10,6 @@ type noise = {
   comm_cv : float;  (** CV of transfer-duration noise (0 = exact) *)
 }
 
-val no_noise : noise
 val noise : ?exec_cv:float -> ?comm_cv:float -> unit -> noise
 
 type result = {
@@ -26,5 +25,3 @@ type result = {
 
 val execute :
   ?rng:Agrid_prng.Splitmix64.t -> ?noise:noise -> Agrid_sched.Schedule.t -> result
-
-val pp_result : Format.formatter -> result -> unit

@@ -11,8 +11,8 @@ let mean xs =
   sum /. float_of_int (Array.length xs)
 
 (* Two-pass variance: numerically stable enough for experiment aggregation
-   and simpler to audit than Welford here (Running provides the online
-   form). Sample variance (n-1 denominator); variance of a singleton is 0. *)
+   and simpler to audit than Welford. Sample variance (n-1 denominator);
+   variance of a singleton is 0. *)
 let variance xs =
   check_nonempty "Descriptive.variance" xs;
   let n = Array.length xs in
@@ -82,5 +82,3 @@ let summarize xs =
 let pp_summary ppf s =
   Fmt.pf ppf "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g" s.n s.mean
     s.stddev s.min s.median s.max
-
-let of_int_array xs = Array.map float_of_int xs

@@ -26,5 +26,3 @@ type summary = {
 
 val summarize : float array -> summary
 val pp_summary : Format.formatter -> summary -> unit
-
-val of_int_array : int array -> float array

@@ -5,15 +5,8 @@
 val ks_statistic : cdf:(float -> float) -> float array -> float
 (** Empirical [D_n = sup |F_n - F|]. @raise Invalid_argument on empty. *)
 
-val ks_p_value : n:int -> float -> float
-(** Asymptotic p-value of a KS statistic at sample size [n]. *)
-
 val ks_test : cdf:(float -> float) -> float array -> float * float
 (** [(statistic, p_value)]. *)
-
-val chi_square_statistic : observed:int array -> expected:float array -> float
-val chi_square_survival : df:int -> float -> float
-(** Wilson-Hilferty approximation; good to ~1e-3 for [df >= 3]. *)
 
 val chi_square_uniform_test : int array -> float * float
 (** [(statistic, p_value)] for equal expected bin counts. *)

@@ -6,8 +6,6 @@ let process_to_string = function
   | Poisson rate -> Fmt.str "poisson(%g/cycle)" rate
   | Trace ts -> Fmt.str "trace[%d]" (List.length ts)
 
-let pp_process ppf p = Fmt.string ppf (process_to_string p)
-
 (* The expected-count cap keeps a mistyped rate ("1000" where "0.001" was
    meant) from generating millions of applications before anything runs. *)
 let max_expected_arrivals = 10_000.
@@ -29,8 +27,6 @@ let validate_process ~horizon = function
       | None -> Ok ())
 
 type arrival = { at : int; stream : int; seq : int }
-
-let pp_arrival ppf a = Fmt.pf ppf "t%d@%d#%d" a.stream a.at a.seq
 
 (* Per-stream substream: the same golden-ratio/splitmix mixing constants
    the campaign uses for its replicate streams, with a distinct additive

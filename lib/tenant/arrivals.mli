@@ -13,7 +13,6 @@ type process =
           allowed — simultaneous arrivals) *)
 
 val process_to_string : process -> string
-val pp_process : Format.formatter -> process -> unit
 
 val validate_process : horizon:int -> process -> (unit, string) result
 (** Rates must be finite and positive with a bounded expected arrival
@@ -25,8 +24,6 @@ type arrival = {
   stream : int;  (** index of the originating process *)
   seq : int;  (** per-stream arrival ordinal (0-based) *)
 }
-
-val pp_arrival : Format.formatter -> arrival -> unit
 
 val generate : seed:int -> horizon:int -> process list -> arrival list
 (** All arrivals in [\[0, horizon\]] cycles, merged across streams and

@@ -37,7 +37,6 @@ let n t = Array.length t.weights
 let quantum t = t.quantum
 let weight t i = t.weights.(i)
 let served t i = t.served_.(i)
-let weighted_share t i = t.served_.(i) /. t.weights.(i)
 let rounds t = t.rounds_
 
 let advance t =

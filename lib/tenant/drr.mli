@@ -30,9 +30,6 @@ val select : t -> backlogged:(int -> bool) -> cost:float -> int option
 val served : t -> int -> float
 (** Total cost served to queue [i] so far. *)
 
-val weighted_share : t -> int -> float
-(** [served i /. weight i]. *)
-
 val rounds : t -> int
 (** Completed cursor passes over the whole queue set. *)
 
@@ -42,9 +39,6 @@ val boundary_served : t -> int -> float
     can cross the boundary and serve into the new round before it
     returns, so sampling {!served} after the call overshoots. *)
 
-val boundary_share : t -> int -> float
-(** [boundary_served i /. weight i]. *)
-
 val weighted_gap : t -> over:(int -> bool) -> float
-(** Max pairwise [|boundary_share i - boundary_share j|] across queues
+(** Max pairwise gap in [boundary_served i /. weight i] across queues
     selected by [over]; [0.] when fewer than two qualify. *)

@@ -12,7 +12,6 @@ val weight : priority -> int
 
 val priority_to_string : priority -> string
 val priority_of_string : string -> (priority, string) result
-val pp_priority : Format.formatter -> priority -> unit
 
 type t = {
   id : string;  (** nonempty; [A-Za-z0-9_.-] only (wire- and metric-safe) *)

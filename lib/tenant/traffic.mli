@@ -30,9 +30,6 @@ type spec = {
   tenants : tenant_stream list;
 }
 
-val default_scale : float
-val default_chunk : int
-
 val make_spec :
   ?scale:float ->
   ?case:Agrid_platform.Grid.case ->

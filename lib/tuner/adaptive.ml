@@ -42,10 +42,11 @@ type result = {
    the same dual ascent. *)
 let clamp_simplex = Agrid_lagrange.Dual.clamp_simplex
 
-let tune ?(init = (0.3, 0.3)) ?(eta = 0.15) ?(iterations = 16) (runner : Weight_search.runner)
-    workload =
+(* Step-size constant c of the c/sqrt(round) schedule. *)
+let eta = 0.15
+
+let tune ?(init = (0.3, 0.3)) ?(iterations = 16) (runner : Weight_search.runner) workload =
   if iterations <= 0 then invalid_arg "Adaptive.tune: iterations must be positive";
-  if eta <= 0. then invalid_arg "Adaptive.tune: eta must be positive";
   let tau = Workload.tau workload in
   let best = ref None in
   let trace = ref [] in

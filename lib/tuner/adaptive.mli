@@ -21,12 +21,12 @@ type result = {
 
 val tune :
   ?init:float * float ->
-  ?eta:float ->
   ?iterations:int ->
   Weight_search.runner ->
   Agrid_workload.Workload.t ->
   result
-(** Defaults: init (0.3, 0.3), eta 0.15, 16 iterations.
-    @raise Invalid_argument on nonpositive [eta] or [iterations]. *)
+(** Defaults: init (0.3, 0.3), 16 iterations. The step size at round [k]
+    is [0.15 / sqrt k].
+    @raise Invalid_argument on nonpositive [iterations]. *)
 
 val pp_step : Format.formatter -> step -> unit

@@ -32,12 +32,6 @@ type result = {
   feasible_points : (float * float) list;
 }
 
-val search_points :
-  runner ->
-  Agrid_workload.Workload.t ->
-  (float * float) list ->
-  run_result option * int * (float * float) list
-
 val search :
   ?coarse_step:float ->
   ?fine_step:float ->

@@ -5,14 +5,6 @@
 
 exception Parse_error of { line : int; message : string }
 
-val save :
-  Format.formatter ->
-  Spec.t ->
-  etc_index:int ->
-  dag_index:int ->
-  case:Agrid_platform.Grid.case ->
-  unit
-
 val save_file :
   string ->
   Spec.t ->

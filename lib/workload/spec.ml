@@ -66,8 +66,6 @@ let with_tau_seconds t tau_seconds =
   if tau_seconds <= 0. then invalid_arg "Spec.with_tau_seconds: must be positive";
   { t with tau_seconds }
 
-let with_seed t seed = { t with seed }
-
 let tau_cycles t = Agrid_platform.Units.cycles_of_seconds t.tau_seconds
 
 let validate t =

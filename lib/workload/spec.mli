@@ -24,7 +24,6 @@ val default : ?seed:int -> unit -> t
 (** Demo scale: |T| = 128. *)
 
 val with_tau_seconds : t -> float -> t
-val with_seed : t -> int -> t
 val tau_cycles : t -> int
 
 val validate : t -> unit

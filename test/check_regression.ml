@@ -18,7 +18,11 @@
      so any new per-timestep allocation fails the gate), and the speedup
      gauges in [speedup_floors], in-process timing ratios that may not
      fall below a share of the baseline. Gauges outside "slrh/" and
-     "realize/" (serve/fleet timing gauges) are not gated.
+     "realize/" (serve/fleet timing gauges) are not gated;
+   - the fresh profile's top-level "total_seconds" must be > 0 (exit 2
+     otherwise): it is the bench's elapsed time when the file was
+     written, so 0 means the clock was read before the profile ran. The
+     baseline's is not read.
 
    Exit 0: no regression. Exit 1: regression, one line per finding.
    Exit 2: missing/malformed input. A deliberate behaviour change is
@@ -159,6 +163,15 @@ let () =
   let opts = parse_options () in
   let baseline = load opts.baseline in
   let fresh = load opts.fresh in
+  (match Agrid_obs.Json.get_float "total_seconds" fresh with
+  | Some s when s > 0. -> ()
+  | Some s ->
+      Fmt.epr "check_regression: %s: total_seconds %g is not a measurement (must be > 0)@."
+        opts.fresh s;
+      exit 2
+  | None ->
+      Fmt.epr "check_regression: %s: missing total_seconds field@." opts.fresh;
+      exit 2);
   let failures = ref 0 in
   let fail fmt = Fmt.kpf (fun _ -> incr failures) Fmt.stderr ("REGRESSION: " ^^ fmt ^^ "@.") in
   (* [label] prefixes finding names with the section ("" = top level). *)

@@ -216,16 +216,6 @@ let test_width_per_level () =
   Alcotest.(check (array int)) "widths" [| 1; 2; 1 |]
     (Metrics.width_per_level (Testlib.diamond_dag ()))
 
-let test_critical_path () =
-  let d = Testlib.diamond_dag () in
-  (* weights: task i weighs i+1 -> longest path 0-1-3 or 0-2-3 = 1 + max(2,3) + 4 = 8 *)
-  Testlib.close "critical path" 8.
-    (Metrics.critical_path d ~weight:(fun i -> float_of_int (i + 1)))
-
-let test_critical_path_independent () =
-  let d = Dag.of_edges ~n:3 [] in
-  Testlib.close "independent tasks" 5. (Metrics.critical_path d ~weight:(fun _ -> 5.))
-
 let test_dot_output () =
   let s = Dot.to_string ~name:"g" (Testlib.diamond_dag ()) in
   Alcotest.(check bool) "has header" true (String.length s > 0 && String.sub s 0 9 = "digraph g");
@@ -257,9 +247,6 @@ let suites =
         Alcotest.test_case "data sizes" `Quick test_data_sizes;
         Alcotest.test_case "metrics diamond" `Quick test_metrics_diamond;
         Alcotest.test_case "width per level" `Quick test_width_per_level;
-        Alcotest.test_case "critical path" `Quick test_critical_path;
-        Alcotest.test_case "critical path independent" `Quick
-          test_critical_path_independent;
         Alcotest.test_case "dot output" `Quick test_dot_output;
       ] );
   ]

@@ -137,12 +137,6 @@ let test_table_rejects_ragged_rows () =
   Alcotest.check_raises "ragged" (Invalid_argument "Table.make: row width does not match column count")
     (fun () -> ignore (Table.make ~title:"t" ~columns:[ "a" ] ~rows:[ [ "1"; "2" ] ]))
 
-let test_table_markdown () =
-  let t = Table.make ~title:"T" ~columns:[ "x" ] ~rows:[ [ "1" ] ] in
-  let s = Fmt.str "%a" Table.pp_markdown t in
-  Alcotest.(check bool) "markdown header" true (Testlib.contains s "| x |");
-  Alcotest.(check bool) "markdown rule" true (Testlib.contains s "|---|")
-
 let test_series_length_mismatch () =
   Alcotest.check_raises "mismatch" (Invalid_argument "Series.make: series s length mismatch")
     (fun () ->
@@ -176,7 +170,6 @@ let suites =
         Alcotest.test_case "extension loss sweep" `Quick test_extension_loss_sweep;
         Alcotest.test_case "table renderer" `Quick test_table_renders_aligned;
         Alcotest.test_case "table ragged rows" `Quick test_table_rejects_ragged_rows;
-        Alcotest.test_case "table markdown" `Quick test_table_markdown;
         Alcotest.test_case "series mismatch" `Quick test_series_length_mismatch;
         Alcotest.test_case "series bars" `Quick test_series_bars;
       ] );

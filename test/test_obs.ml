@@ -529,6 +529,31 @@ let test_trace_exemplars_and_pending () =
   done;
   Alcotest.(check bool) "pending table bounded" true (Trace.n_pending u <= 2)
 
+(* An open timeline holds 256 events: the Enqueue and the first 255
+   Dispatch/Retry events. Later ones are dropped without raising, and the
+   Respond still closes the timeline into an exemplar. *)
+let test_trace_per_job_cap () =
+  let t = Trace.create ~nonce:4 () in
+  Trace.record t ~job:0 Trace.Enqueue;
+  for attempt = 1 to 300 do
+    Trace.record t ~job:0
+      (if attempt mod 2 = 0 then Trace.Retry { attempt; delay_s = 0.001 }
+       else Trace.Dispatch { backend = "b"; attempt })
+  done;
+  Trace.record t ~job:0 (Trace.Respond { outcome = "result" });
+  Alcotest.(check int) "the ring saw every event" 302 (Trace.pushed t);
+  match Trace.exemplars t with
+  | [ x ] -> (
+      let evs = x.Trace.x_events in
+      Alcotest.(check int) "256 timeline events, then the respond" 257 (List.length evs);
+      (match List.nth evs 255 with
+      | { Trace.ev_kind = Trace.Dispatch { attempt = 255; _ }; _ } -> ()
+      | _ -> Alcotest.fail "the last kept event is not attempt 255");
+      match List.rev evs with
+      | { Trace.ev_kind = Trace.Respond _; _ } :: _ -> ()
+      | _ -> Alcotest.fail "exemplar does not end with respond")
+  | xs -> Alcotest.failf "expected one exemplar, got %d" (List.length xs)
+
 let test_trace_jsonl_round_trip () =
   let t = Trace.create ~nonce:9 () in
   Trace.record t ~job:0 Trace.Enqueue;
@@ -609,6 +634,7 @@ let suites =
         Alcotest.test_case "trace ring bounded" `Quick test_trace_ring_bounded;
         Alcotest.test_case "trace exemplars and pending caps" `Quick
           test_trace_exemplars_and_pending;
+        Alcotest.test_case "trace per-job timeline cap" `Quick test_trace_per_job_cap;
         Alcotest.test_case "trace jsonl round trip" `Quick test_trace_jsonl_round_trip;
         Alcotest.test_case "trace chrome export" `Quick test_trace_chrome_export;
       ] );

@@ -53,13 +53,6 @@ let test_exception_propagates () =
   in
   Alcotest.(check bool) "worker failure surfaced" true raised
 
-let test_map_reduce () =
-  let arr = Array.init 100 (fun i -> i + 1) in
-  let total =
-    Parallel.map_reduce ~domains:4 ~map:(fun x -> x * 2) ~fold:( + ) ~init:0 arr
-  in
-  Alcotest.(check int) "sum of doubles" (100 * 101) total
-
 let test_heavier_work () =
   (* results independent of scheduling interleave *)
   let arr = Array.init 64 (fun i -> i) in
@@ -258,7 +251,6 @@ let suites =
         Alcotest.test_case "init" `Quick test_init;
         Alcotest.test_case "iter visits all" `Quick test_iter_visits_all;
         Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
-        Alcotest.test_case "map_reduce" `Quick test_map_reduce;
         Alcotest.test_case "heavy work deterministic" `Quick test_heavier_work;
         Alcotest.test_case "run_workers with zero items" `Quick
           test_run_workers_zero_items;

@@ -47,78 +47,6 @@ let test_summary () =
   Testlib.close "summary mean" 2. s.Descriptive.mean;
   Testlib.close "summary median" 2. s.Descriptive.median
 
-let test_running_matches_descriptive () =
-  let gen = QCheck2.Gen.(list_size (int_range 1 200) (float_range (-1e3) 1e3)) in
-  let prop l =
-    let xs = Array.of_list l in
-    let r = Running.create () in
-    Running.add_all r xs;
-    Float.abs (Running.mean r -. Descriptive.mean xs) < 1e-6
-    && Float.abs (Running.variance r -. Descriptive.variance xs) < 1e-4
-    && Running.min r = Descriptive.min xs
-    && Running.max r = Descriptive.max xs
-    && Running.count r = Array.length xs
-  in
-  QCheck2.Test.check_exn (QCheck2.Test.make ~count:300 ~name:"welford = two-pass" gen prop)
-
-let test_running_merge () =
-  let gen =
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 1 100) (float_range (-100.) 100.))
-        (list_size (int_range 1 100) (float_range (-100.) 100.)))
-  in
-  let prop (l1, l2) =
-    let a = Running.create () and b = Running.create () in
-    Running.add_all a (Array.of_list l1);
-    Running.add_all b (Array.of_list l2);
-    let merged = Running.merge a b in
-    let whole = Array.of_list (l1 @ l2) in
-    Float.abs (Running.mean merged -. Descriptive.mean whole) < 1e-6
-    && Float.abs (Running.variance merged -. Descriptive.variance whole) < 1e-4
-    && Running.count merged = Array.length whole
-  in
-  QCheck2.Test.check_exn (QCheck2.Test.make ~count:300 ~name:"merge = concat" gen prop)
-
-let test_running_merge_empty () =
-  let a = Running.create () and b = Running.create () in
-  Running.add b 5.;
-  let m1 = Running.merge a b and m2 = Running.merge b a in
-  Testlib.close "empty-left merge" 5. (Running.mean m1);
-  Testlib.close "empty-right merge" 5. (Running.mean m2)
-
-let test_running_no_samples () =
-  let r = Running.create () in
-  Alcotest.check_raises "no samples" (Invalid_argument "Running.mean: no samples")
-    (fun () -> ignore (Running.mean r))
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  Histogram.add h 0.5;
-  Histogram.add h 9.99;
-  Histogram.add h 5.;
-  Alcotest.(check int) "bin 0" 1 (Histogram.count h 0);
-  Alcotest.(check int) "bin 9" 1 (Histogram.count h 9);
-  Alcotest.(check int) "bin 5" 1 (Histogram.count h 5);
-  Alcotest.(check int) "total" 3 (Histogram.total h)
-
-let test_histogram_clamping () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  Histogram.add h (-5.);
-  Histogram.add h 99.;
-  Alcotest.(check int) "low clamp" 1 (Histogram.count h 0);
-  Alcotest.(check int) "high clamp" 1 (Histogram.count h 3)
-
-let test_histogram_edges () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  Testlib.close "bin_lo" 2. (Histogram.bin_lo h 1);
-  Testlib.close "bin_hi" 4. (Histogram.bin_hi h 1)
-
-let test_of_int_array () =
-  Alcotest.(check (array (float 0.)))
-    "conversion" [| 1.; 2. |]
-    (Descriptive.of_int_array [| 1; 2 |])
-
 (* ---- goodness-of-fit utilities ---- *)
 
 let test_ks_statistic_perfect_fit () =
@@ -176,16 +104,6 @@ let suites =
         Alcotest.test_case "empty input raises" `Quick test_empty_raises;
         Alcotest.test_case "quantile bad q" `Quick test_quantile_bad_q;
         Alcotest.test_case "summary" `Quick test_summary;
-        Alcotest.test_case "welford matches two-pass (qcheck)" `Quick
-          test_running_matches_descriptive;
-        Alcotest.test_case "merge matches concatenation (qcheck)" `Quick
-          test_running_merge;
-        Alcotest.test_case "merge with empty" `Quick test_running_merge_empty;
-        Alcotest.test_case "running empty raises" `Quick test_running_no_samples;
-        Alcotest.test_case "histogram binning" `Quick test_histogram_binning;
-        Alcotest.test_case "histogram clamping" `Quick test_histogram_clamping;
-        Alcotest.test_case "histogram edges" `Quick test_histogram_edges;
-        Alcotest.test_case "int array conversion" `Quick test_of_int_array;
         Alcotest.test_case "KS perfect fit" `Quick test_ks_statistic_perfect_fit;
         Alcotest.test_case "KS discriminates models" `Quick
           test_ks_detects_wrong_distribution;
