@@ -625,6 +625,48 @@ let run_obs_profile config ~t0 =
   Fmt.pr "slrh/score p50: soa %.3gus, rescan %.3gus (%.1fx)@." (1e6 *. soa_p50)
     (1e6 *. rescan_p50)
     (rescan_p50 /. soa_p50);
+  (* Codec encode speed against memory speed, in one process so the
+     host's speed cancels: the p50 time of a plain [Bytes.of_string] copy
+     of a pinned request line (the ~15 KB shape serve-pinned-repeat
+     sends) over the p50 time of encoding that request with
+     [Json.to_string (Codec.job_to_json _)]. Committed as the
+     "codec/encode_speedup_p50" gauge, which check_regression holds above
+     a share of its baseline, so an encoder that falls back to per-byte
+     work fails on any host. Each sample times a batch of calls, copies
+     and encodes interleaved so both see the same noise. *)
+  let encode_speedup =
+    let spec =
+      {
+        (Agrid_serve.Job.default pinned) with
+        Agrid_serve.Job.tag = Some "17";
+        delta_t = 100;
+      }
+    in
+    let encode () = Agrid_obs.Json.to_string (Agrid_serve.Codec.job_to_json spec) in
+    let line = encode () in
+    let batch f =
+      let t0 = Agrid_obs.Clock.monotonic_ns () in
+      for _ = 1 to 8 do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      Int64.sub (Agrid_obs.Clock.monotonic_ns ()) t0
+    in
+    let samples = 501 in
+    let copies = Array.make samples 0L and encodes = Array.make samples 0L in
+    for i = 0 to samples - 1 do
+      copies.(i) <- batch (fun () -> Bytes.of_string line);
+      encodes.(i) <- batch encode
+    done;
+    let p50 a =
+      Array.sort Int64.compare a;
+      Int64.to_float a.(samples / 2)
+    in
+    let copy_p50 = p50 copies and encode_p50 = p50 encodes in
+    Fmt.pr "codec encode p50: %.3gus per %d-byte pinned request, copy %.3gus (%.3f)@."
+      (encode_p50 /. 8e3) (String.length line) (copy_p50 /. 8e3) (copy_p50 /. encode_p50);
+    copy_p50 /. encode_p50
+  in
+  Agrid_obs.Sink.set_gauge sink "codec/encode_speedup_p50" encode_speedup;
   (* Sharded Monte Carlo campaign profile: a separate sink so the
      campaign's counters land in their own gated section. Counter totals
      are shard-count-invariant (pinned by the differential suite), so the

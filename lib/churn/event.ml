@@ -51,10 +51,10 @@ let validate ~n_machines events =
 
 let to_string { at; kind } =
   match kind with
-  | Leave j -> Fmt.str "leave@%d:%d" at j
-  | Rejoin j -> Fmt.str "rejoin@%d:%d" at j
-  | Battery_shock (j, f) -> Fmt.str "shock@%d:%d:%g" at j f
-  | Bandwidth_degrade (j, f) -> Fmt.str "degrade@%d:%d:%g" at j f
+  | Leave j -> Printf.sprintf "leave@%d:%d" at j
+  | Rejoin j -> Printf.sprintf "rejoin@%d:%d" at j
+  | Battery_shock (j, f) -> Printf.sprintf "shock@%d:%d:%g" at j f
+  | Bandwidth_degrade (j, f) -> Printf.sprintf "degrade@%d:%d:%g" at j f
 
 let parse s =
   let bad () = Fmt.kstr invalid_arg "Churn.Event.parse: malformed event %S" s in

@@ -38,13 +38,17 @@ type exemplar = {
   x_events : event list;  (* oldest first *)
 }
 
+(* An open timeline: its events newest first, and their count, so the
+   per-job cap is checked without walking the list. *)
+type timeline = { mutable evs : event list; mutable len : int }
+
 type t = {
   nonce : int;
   t0 : float;  (* collector birth; event times are relative seconds *)
   ring : event Snapshot.Ring.t;
   exemplar_cap : int;
   pending_cap : int;
-  pending : (int, event list ref) Hashtbl.t;  (* job -> reversed timeline *)
+  pending : (int, timeline) Hashtbl.t;
   mutable exemplars : exemplar list;  (* slowest first, <= exemplar_cap *)
   mutable pending_dropped : int;  (* jobs never opened: table was full *)
 }
@@ -74,7 +78,7 @@ let mix64 z =
   logxor z (shift_right_logical z 31)
 
 let id_of ~nonce ~job =
-  Fmt.str "%016Lx"
+  Printf.sprintf "%016Lx"
     (mix64
        (* the pi-digit offset keeps (nonce 0, job 0) off the all-zeros id *)
        Int64.(
@@ -105,14 +109,14 @@ let record ?id t ~job kind =
   (match kind with
   | Enqueue ->
       if Hashtbl.length t.pending < t.pending_cap then
-        Hashtbl.replace t.pending job (ref [ ev ])
+        Hashtbl.replace t.pending job { evs = [ ev ]; len = 1 }
       else t.pending_dropped <- t.pending_dropped + 1
   | Respond _ -> (
       match Hashtbl.find_opt t.pending job with
       | None -> ()
       | Some timeline ->
           Hashtbl.remove t.pending job;
-          let events = List.rev (ev :: !timeline) in
+          let events = List.rev (ev :: timeline.evs) in
           let started =
             match events with e :: _ -> e.ev_t_s | [] -> ev.ev_t_s
           in
@@ -125,8 +129,9 @@ let record ?id t ~job kind =
             })
   | Dispatch _ | Retry _ | Failover _ | Death _ | Exec _ -> (
       match Hashtbl.find_opt t.pending job with
-      | Some timeline when List.length !timeline < per_job_cap ->
-          timeline := ev :: !timeline
+      | Some timeline when timeline.len < per_job_cap ->
+          timeline.evs <- ev :: timeline.evs;
+          timeline.len <- timeline.len + 1
       | Some _ | None -> ()))
 
 let events t = Snapshot.Ring.to_list t.ring

@@ -226,7 +226,7 @@ let result_line ~id ~tag ~latency_s (r : Job.result) =
            ("tec", Json.Flt r.Job.tec);
            (* %.9g loses float bits; the soak harness's bit-identity check
               needs the exact TEC through the wire *)
-           ("tec_bits", Json.Str (Fmt.str "%Lx" (Int64.bits_of_float r.Job.tec)));
+           ("tec_bits", Json.Str (Printf.sprintf "%Lx" (Int64.bits_of_float r.Job.tec)));
            ("energy", Json.Arr (Array.to_list (Array.map (fun e -> Json.Flt e) r.Job.energy_remaining)));
            ("final_clock", Json.Int r.Job.final_clock);
            ("discarded", Json.Int r.Job.n_discarded);

@@ -272,6 +272,58 @@ let realize_scenario = function
            (Serialize.spec_for ~seed:3 ~scale:0.125)
            ~etc_index:1 ~dag_index:2 ~case:Grid.A)
 
+(* Codec allocation budgets: bytes one call allocates after a warm-up,
+   for [Codec.parse_request] of a generated and of a pinned job line (the
+   two request shapes svcbench's serve workloads send; the pinned one
+   carries the realize budget's ~15 KB text) and for one
+   [Codec.result_line]. The values parsed and printed are fixed, so the
+   counts are exact. Besides its byte budget, the pinned parse may place
+   at most one copy of the scenario text (plus [direct_major_slack_words])
+   directly on the major heap: the decoded text itself. A string decoder
+   that grows a buffer leaves each outgrown one there too. *)
+let direct_major_slack_words = 64.
+
+module Codec = Agrid_serve.Codec
+module Job = Agrid_serve.Job
+
+let pinned_text =
+  match realize_scenario "pinned" with Serialize.Pinned text -> text | Serialize.Generated _ -> assert false
+
+(* (name, budget in bytes, one call) *)
+let codec_budgets () =
+  let parse scenario =
+    let line =
+      Agrid_obs.Json.to_string
+        (Codec.job_to_json { (Job.default scenario) with Job.tag = Some "17"; delta_t = 100 })
+    in
+    fun () -> ignore (Sys.opaque_identity (Codec.parse_request line))
+  in
+  let result =
+    { (Job.run (Job.default (realize_scenario "generated"))) with Job.wall_seconds = 0.00123 }
+  in
+  [
+    ("parse_request generated", 6112., parse (realize_scenario "generated"));
+    ("parse_request pinned", 19872., parse (Serialize.Pinned pinned_text));
+    ( "result_line",
+      3104.,
+      fun () ->
+        ignore
+          (Sys.opaque_identity
+             (Codec.result_line ~id:7 ~tag:(Some "17") ~latency_s:0.0456 result)) );
+  ]
+
+(* bytes one call allocates, and the words of them placed directly on
+   the major heap (allocated there, not promoted) *)
+let codec_allocation call =
+  call ();
+  Gc.minor ();
+  let s0 = Gc.quick_stat () and before = Gc.allocated_bytes () in
+  call ();
+  Gc.minor ();
+  let s1 = Gc.quick_stat () and after = Gc.allocated_bytes () in
+  ( after -. before,
+    s1.Gc.major_words -. s0.Gc.major_words -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
 let () =
   Fmt.pr "steady-state bytes/timestep (%d tasks):@." (Workload.n_tasks steady_workload);
   Fmt.pr "  %-30s %10s %10s %10s@." "mode, fixture" "V1" "V2" "V3";
@@ -422,6 +474,25 @@ let () =
         (Fmt.str "realize %s allocation under %g bytes (got %g)" name budget bytes)
         (bytes <= budget))
     realize_budgets;
+  List.iter
+    (fun (name, budget, call) ->
+      let bytes, direct_words = codec_allocation call in
+      Fmt.pr "bytes/codec (%s): %g, %g words direct to the major heap (budget %g)@." name
+        bytes direct_words budget;
+      check
+        (Fmt.str "codec %s allocation under %g bytes (got %g)" name budget bytes)
+        (bytes <= budget);
+      if name = "parse_request pinned" then begin
+        let text_words = float_of_int (String.length pinned_text / (Sys.word_size / 8)) in
+        check
+          (Fmt.str
+             "pinned parse_request places one copy of the text on the major heap (%g \
+              words, text %g)"
+             direct_words text_words)
+          (direct_words >= text_words
+          && direct_words <= text_words +. direct_major_slack_words)
+      end)
+    (codec_budgets ());
   (* Active scenario: total allocation over a committing run. *)
   Fmt.pr "whole-run bytes (active scenario, %d tasks):@."
     (Workload.n_tasks active_workload);

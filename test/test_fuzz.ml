@@ -45,6 +45,8 @@ let mutate rng s =
 
 let rec mutate_n rng k s = if k = 0 then s else mutate_n rng (k - 1) (mutate rng s)
 
+let qcheck_rand seed = Random.State.make [| seed |]
+
 (* ---- JSON ---- *)
 
 let json_corpus () =
@@ -110,6 +112,153 @@ let test_json_depth_bomb () =
   | _ -> ()
   | exception e ->
       Alcotest.failf "100-deep nesting rejected: %s" (Printexc.to_string e)
+
+(* ---- JSON: differential against the reference model ----
+
+   Contracts pinned here:
+   - on random values [Json.to_string] prints the same bytes as
+     [Json_reference.to_string] (strings over every byte 0-255, quotes,
+     backslashes and control characters; non-finite floats; nesting);
+   - on random and mutated lines [Json.parse] returns a value equal bit
+     for bit to [Json_reference.parse]'s, or both raise [Parse_error]
+     with the same message (every escape, [\u] below 0x80, below 0x800
+     and above, truncation inside an escape, unterminated strings, bad
+     literals, nesting past 512). *)
+
+module Json_ref = Json_reference
+
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Flt x, Json.Flt y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.equal (fun (k, x) (l, y) -> String.equal k l && json_equal x y) xs ys
+  | _ -> a = b
+
+let parse_outcome parse s =
+  match parse s with v -> Ok v | exception Json.Parse_error m -> Error m
+
+let parse_agrees s =
+  match (parse_outcome Json_ref.parse s, parse_outcome Json.parse s) with
+  | Ok a, Ok b when json_equal a b -> true
+  | Error m, Error m' when m = m' -> true
+  | expected, got ->
+      let show = function
+        | Ok v -> "value " ^ Json_ref.to_string v
+        | Error m -> "Parse_error " ^ m
+      in
+      QCheck2.Test.fail_reportf "parse disagrees on %S:@.  reference: %s@.  codec:     %s" s
+        (show expected) (show got)
+
+(* bytes the emitter and the string scanner treat specially *)
+let json_special_chars =
+  [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\012'; '\000'; '\031'; '\127'; '\128';
+    '\255'; 'u'; 'a' ]
+
+let json_string_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        string_size ~gen:char (int_range 0 40);
+        string_size ~gen:(oneofl json_special_chars) (int_range 0 20);
+        string_printable;
+      ])
+
+let json_value_gen =
+  QCheck2.Gen.(
+    let flt =
+      oneof [ float; oneofl [ Float.nan; infinity; neg_infinity; -0.; 0.; 1e-7; 1e300 ] ]
+    in
+    let leaf =
+      oneof
+        [
+          pure Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun i -> Json.Int i) int;
+          map (fun f -> Json.Flt f) flt;
+          map (fun s -> Json.Str s) json_string_gen;
+        ]
+    in
+    let tree =
+      sized
+      @@ fix (fun self n ->
+             if n <= 1 then leaf
+             else
+               frequency
+                 [
+                   (2, leaf);
+                   (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (n / 3))));
+                   ( 1,
+                     map
+                       (fun l -> Json.Obj l)
+                       (list_size (int_range 0 4) (pair json_string_gen (self (n / 3)))) );
+                 ])
+    in
+    (* and a few narrow towers, deeper than [sized] reaches *)
+    let rec wrap k v = if k = 0 then v else wrap (k - 1) (Json.Arr [ v ]) in
+    frequency [ (4, tree); (1, map2 wrap (int_range 0 40) leaf) ])
+
+(* String bodies stitched from escape fragments: every one-letter escape,
+   [\u] spellings below 0x80, below 0x800 and above, underscores and bad
+   digits, and a bare backslash — then cut anywhere, so truncation lands
+   inside escapes and before the closing quote. *)
+let json_escape_line_gen =
+  QCheck2.Gen.(
+    let fragment =
+      oneofl
+        [
+          "a"; "xyz"; "\\\""; "\\\\"; "\\/"; "\\n"; "\\r"; "\\t"; "\\b"; "\\f"; "\\u0041";
+          "\\u001f"; "\\u00e9"; "\\u07FF"; "\\u0800"; "\\u20ac"; "\\uFFFF"; "\\u_1_2";
+          "\\u1__"; "\\u00g0"; "\\u"; "\\x"; "\\"; "\""; "\n"; "\255";
+        ]
+    in
+    map3
+      (fun parts cut wrap ->
+        let body = "\"" ^ String.concat "" parts ^ "\"" in
+        let line = if wrap then "{\"k\":" ^ body ^ "}" else body in
+        if cut = 0 then line else String.sub line 0 (max 0 (String.length line - cut)))
+      (list_size (int_range 0 8) fragment)
+      (frequencyl [ (3, 0); (1, 1); (1, 2); (1, 3); (1, 5) ])
+      bool)
+
+let test_json_emitter_differential () =
+  QCheck2.Test.check_exn ~rand:(qcheck_rand 0x3E17)
+    (QCheck2.Test.make ~count:3_000 ~name:"to_string = reference to_string"
+       ~print:Json_ref.to_string json_value_gen (fun v ->
+         let expected = Json_ref.to_string v and got = Json.to_string v in
+         String.equal expected got
+         || QCheck2.Test.fail_reportf "reference %S@.codec     %S" expected got))
+
+let test_json_parser_differential () =
+  QCheck2.Test.check_exn ~rand:(qcheck_rand 0x9A25)
+    (QCheck2.Test.make ~count:3_000 ~name:"parse = reference parse on printed values"
+       ~print:Json_ref.to_string json_value_gen (fun v -> parse_agrees (Json.to_string v)));
+  QCheck2.Test.check_exn ~rand:(qcheck_rand 0x9A26)
+    (QCheck2.Test.make ~count:3_000 ~name:"parse = reference parse on mutated lines"
+       ~print:(fun (v, seed, k) -> Fmt.str "%s (mutation seed %d, %d rounds)" (Json_ref.to_string v) seed k)
+       QCheck2.Gen.(triple json_value_gen int (int_range 1 3))
+       (fun (v, seed, k) -> parse_agrees (mutate_n (Rng.of_int seed) k (Json.to_string v))));
+  QCheck2.Test.check_exn ~rand:(qcheck_rand 0x9A27)
+    (QCheck2.Test.make ~count:5_000 ~name:"parse = reference parse on escape-heavy strings"
+       ~print:(Fmt.str "%S") json_escape_line_gen parse_agrees);
+  let nest n opener closer = String.make n opener ^ "1" ^ String.make n closer in
+  List.iter
+    (fun s -> ignore (parse_agrees s))
+    ([
+       "true"; "tru"; "t"; "nul"; "null "; "nulL"; "falsy"; "false"; "[true,fals]"; "";
+       "   "; "\""; "\"abc"; "\"\\"; "\"\\u12"; "\"\\u123"; "\"\\u1234"; "\"\\q\"";
+       "{\"a\" 1}"; "{\"a\":1,}"; "{,}"; "{1:2}"; "[1,]"; "[1 2]"; "-"; "+"; "1-2";
+       "+5"; "-0"; "007"; "1e5"; "-1.5e-3"; "123456789012345678"; "1234567890123456789";
+       "-999999999999999999"; "99999999999999999999"; "4611686018427387903";
+       "4611686018427387904"; "1.5]"; "x"; "[]"; "{}"; "[ ]"; "{ }"; "[1] x";
+     ]
+    @ List.concat_map
+        (fun n ->
+          [
+            nest n '[' ']';
+            String.concat "" (List.init n (fun _ -> "{\"k\":")) ^ "1" ^ String.make n '}';
+          ])
+        [ 511; 512; 513; 600 ])
 
 (* ---- CSV ---- *)
 
@@ -872,8 +1021,6 @@ let kernel_agrees s =
   end
   else false
 
-let qcheck_rand seed = Random.State.make [| seed |]
-
 let test_kernel_bit_patterns () =
   let finite_bits =
     QCheck2.Gen.(
@@ -965,6 +1112,10 @@ let suites =
         Alcotest.test_case "json parser: mutation corpus" `Quick test_json_fuzz;
         Alcotest.test_case "json parser: nesting bombs" `Quick
           test_json_depth_bomb;
+        Alcotest.test_case "json emitter = reference (differential)" `Quick
+          test_json_emitter_differential;
+        Alcotest.test_case "json parser = reference (differential)" `Quick
+          test_json_parser_differential;
         Alcotest.test_case "csv parser: mutation corpus" `Quick test_csv_fuzz;
         Alcotest.test_case "scenario_ref json round trip" `Quick
           test_scenario_ref_roundtrip;
