@@ -382,19 +382,23 @@ let ablation_dynamic config =
   let weights = Agrid_core.Objective.make_weights ~alpha:0.4 ~beta:0.3 in
   let params = Agrid_core.Slrh.default_params weights in
   let tau = Workload.tau workload in
+  let open Agrid_churn in
+  let churn label events =
+    let o = Agrid_core.Dynamic.run_churn params workload events in
+    Fmt.pr "  %s: %a@." label Engine.pp_outcome o;
+    List.iter (fun a -> Fmt.pr "    %a@." Engine.pp_applied a) o.Engine.applied
+  in
   List.iter
     (fun (label, machine) ->
-      let o =
-        Agrid_core.Dynamic.run_with_loss params workload
-          { Agrid_core.Dynamic.at = tau / 4; machine }
-      in
-      Fmt.pr "  lose %-14s at tau/4: %a@." label Agrid_core.Dynamic.pp_outcome o)
+      churn
+        (Fmt.str "lose %-14s at tau/4" label)
+        [ { Event.at = tau / 4; kind = Event.Leave machine } ])
     [ ("slow machine 3", 3); ("fast machine 1", 1) ];
-  let o =
-    Agrid_core.Dynamic.run_with_outage params workload ~machine:1 ~from_:(tau / 10)
-      ~until_:(tau / 2)
-  in
-  Fmt.pr "  outage fast machine 1 [tau/10, tau/2): %a@." Agrid_core.Dynamic.pp_outage o;
+  churn "outage fast machine 1 [tau/10, tau/2)"
+    [
+      { Event.at = tau / 10; kind = Event.Leave 1 };
+      { Event.at = tau / 2; kind = Event.Rejoin 1 };
+    ];
   Fmt.pr "@.%a@." Agrid_report.Series.pp (Experiments.extension_loss_sweep config)
 
 let report_tau_calibration config =

@@ -422,6 +422,21 @@ let tune_cmd =
 
 (* ---- dynamic ---- *)
 
+(* One scripted churn run, shared by `dynamic` and `churn --events`:
+   prints the trace, each applied event, the outcome and every audit
+   violation, and hands back the outcome and its audit for the caller's
+   exit rule. *)
+let run_scripted ~policy params workload events =
+  let o = Dynamic.run_churn ~policy params workload events in
+  Fmt.pr "trace: %s@." (Agrid_churn.Event.trace_to_string events);
+  List.iter
+    (fun a -> Fmt.pr "  %a@." Agrid_churn.Engine.pp_applied a)
+    o.Agrid_churn.Engine.applied;
+  Fmt.pr "%a@." Agrid_churn.Engine.pp_outcome o;
+  let audit = Agrid_churn.Engine.audit o in
+  List.iter (fun v -> Fmt.pr "audit: %s@." v) audit;
+  (o, audit)
+
 let dynamic_cmd =
   let action seed scale etc dag alpha beta machine at_fraction adapt_opts obs_file =
     let adapt_spec = adapt_spec_or_die ~cmd:"dynamic" adapt_opts in
@@ -432,12 +447,16 @@ let dynamic_cmd =
     let params =
       with_adapt { (Slrh.default_params weights) with Slrh.obs = sink } adapt_spec
     in
-    let o = Dynamic.run_with_loss params workload { Dynamic.at; machine } in
-    Fmt.pr "%a@." Dynamic.pp_outcome o;
-    let r = Validate.check o.Dynamic.schedule in
+    let o, _audit =
+      run_scripted ~policy:Agrid_churn.Retry.default params workload
+        [ { Agrid_churn.Event.at; kind = Agrid_churn.Event.Leave machine } ]
+    in
+    (* stricter than churn's audit rule: the final schedule must also be
+       complete and end within tau *)
+    let r = Validate.check o.Agrid_churn.Engine.schedule in
     Fmt.pr "validation: %a@." Validate.pp_report r;
     write_obs obs_file sink;
-    if Validate.feasible r && o.Dynamic.ledger_energy_ok then 0 else 1
+    if Validate.feasible r && o.Agrid_churn.Engine.ledger_energy_ok then 0 else 1
   in
   let machine_t =
     Arg.(value & opt int 3 & info [ "machine" ] ~docv:"J" ~doc:"Machine lost (Case A indexing: 0-1 fast, 2-3 slow).")
@@ -590,14 +609,7 @@ let churn_cmd =
             { (Slrh.default_params weights) with Slrh.mode; obs = sink }
             adapt_spec
         in
-        let o = Dynamic.run_churn ~policy params workload events in
-        Fmt.pr "trace: %s@." (Agrid_churn.Event.trace_to_string events);
-        List.iter
-          (fun a -> Fmt.pr "  %a@." Agrid_churn.Engine.pp_applied a)
-          o.Agrid_churn.Engine.applied;
-        Fmt.pr "%a@." Agrid_churn.Engine.pp_outcome o;
-        let audit = Agrid_churn.Engine.audit o in
-        List.iter (fun v -> Fmt.pr "audit: %s@." v) audit;
+        let o, audit = run_scripted ~policy params workload events in
         write_obs obs_file sink;
         write_ledger ledger_file sink;
         if audit = [] && o.Agrid_churn.Engine.ledger_energy_ok then 0 else 1

@@ -1,7 +1,8 @@
 (* Dynamic ad hoc grid demo: a machine disappears mid-run and SLRH
-   reschedules the surviving and remaining work on the reduced grid —
-   the scenario the paper motivates (Section I) and brackets with its
-   static Cases B and C.
+   reschedules the surviving and remaining work on the machines still
+   present (the churn engine masks the lost one out of every later
+   sweep) — the scenario the paper motivates (Section I) and brackets
+   with its static Cases B and C.
 
      dune exec examples/machine_loss.exe
 
@@ -12,6 +13,8 @@
 open Agrid_workload
 open Agrid_sched
 open Agrid_core
+module Event = Agrid_churn.Event
+module Engine = Agrid_churn.Engine
 
 let weights = Objective.make_weights ~alpha:0.4 ~beta:0.3
 
@@ -39,16 +42,17 @@ let () =
         List.map
           (fun fraction ->
             let at = int_of_float (float_of_int tau *. fraction) in
-            let o = Dynamic.run_with_loss params workload { Dynamic.at; machine } in
-            let r = Validate.check o.Dynamic.schedule in
+            let o = Dynamic.run_churn params workload [ { Event.at; kind = Event.Leave machine } ] in
+            let leave = List.hd o.Engine.applied in
+            let r = Validate.check o.Engine.schedule in
             [
               label;
               Fmt.str "%.0f%% of tau" (100. *. fraction);
-              string_of_int o.Dynamic.n_survivors;
-              string_of_int o.Dynamic.n_discarded;
-              Fmt.str "%.2f" o.Dynamic.sunk_energy;
+              string_of_int leave.Engine.ev_survivors;
+              string_of_int o.Engine.n_discarded;
+              Fmt.str "%.2f" o.Engine.sunk_energy;
               string_of_int r.Validate.t100;
-              (if Validate.feasible r && o.Dynamic.ledger_energy_ok then "yes" else "NO");
+              (if Validate.feasible r && o.Engine.ledger_energy_ok then "yes" else "NO");
             ])
           [ 0.1; 0.25; 0.5; 0.75 ])
       [ ("slow machine 3", 3); ("fast machine 1", 1) ]

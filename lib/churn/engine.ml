@@ -4,8 +4,7 @@
    loop), which keeps this library below agrid_core in the dependency
    order and the engine agnostic of the heuristic it drives.
 
-   Two design decisions keep arbitrary traces composable where Dynamic's
-   one-shot runs could not:
+   Two design decisions keep arbitrary traces composable:
 
    - masking, not renumbering: absent machines stay in the grid (and keep
      their ETC columns, batteries and indices) but are skipped by the

@@ -1,7 +1,8 @@
 (** The churn engine: a single event-driven loop that alternates scheduler
-    phases with scripted grid transitions ({!Event}), generalizing the
-    one-shot loss/outage runs of [Agrid_core.Dynamic] (which are
-    reimplemented as thin wrappers over this engine).
+    phases with scripted grid transitions ({!Event}). It is the one
+    dynamic-grid path: a permanent machine loss is the trace [\[Leave\]],
+    an outage [\[Leave; Rejoin\]], and every caller reads this module's
+    {!type-outcome}.
 
     The engine is generic over the per-phase scheduler: a {!type-runner}
     drives the clock over the shared schedule between two events —

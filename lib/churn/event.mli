@@ -3,8 +3,8 @@
     addressed by their original (full-grid) index throughout — the engine
     never renumbers.
 
-    The grammar generalizes the one-shot transitions of {!Agrid_core.Dynamic}:
-    a permanent loss is a lone [Leave]; an outage is [Leave] + [Rejoin]. *)
+    A permanent machine loss is a lone [Leave]; an outage is [Leave] +
+    [Rejoin]. *)
 
 type kind =
   | Leave of int

@@ -9,7 +9,7 @@ type timing =
   | Immediate
       (** discarded subtasks re-enter the candidate pool at the very next
           SLRH phase — survivors absorb the lost work (the
-          {!Agrid_core.Dynamic} behaviour) *)
+          default) *)
   | Defer_to_rejoin
       (** discarded subtasks are held out of the pool until any machine
           rejoins — wait for capacity instead of cramming the survivors
@@ -23,7 +23,8 @@ type policy = {
 }
 
 val default : policy
-(** Immediate remap, unlimited budget — [Dynamic]'s historical semantics. *)
+(** Immediate remap, unlimited budget — the historical machine-loss
+    semantics. *)
 
 val make : ?timing:timing -> ?budget:int -> unit -> policy
 (** @raise Invalid_argument on a negative budget. *)

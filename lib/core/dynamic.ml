@@ -3,13 +3,10 @@
    disappear at unanticipated times", Section I; dynamic reconfiguration
    "was not permitted during this initial work", Section III).
 
-   Both transitions here — permanent machine loss and a temporary outage —
-   are thin wrappers over the general churn engine (Agrid_churn.Engine): a
-   loss is the one-event trace [Leave@at], an outage is
-   [Leave@from_; Rejoin@until_]. The engine masks absent machines rather
-   than renumbering the grid; [run_with_loss] keeps its historical
-   reduced-grid result shape by replaying the engine's final schedule onto
-   [Workload.remove_machine] at the end.
+   The transitions live in the churn engine (Agrid_churn.Engine), which
+   masks absent machines rather than renumbering the grid: a permanent
+   loss is the one-event trace [Leave@at], a temporary outage
+   [Leave@from_; Rejoin@until_].
 
    Loss semantics (conservative, no partial-result recovery — the paper
    notes recovery "may prove too costly"): work survives iff it finished
@@ -17,30 +14,10 @@
    its ancestors survive; everything else is rescheduled from the loss
    instant; energy already burned on surviving machines by discarded work
    is charged as sunk cost — batteries do not refill. All of this lives in
-   the engine now; see lib/churn/engine.ml. *)
+   the engine; see lib/churn/engine.ml. *)
 
-open Agrid_workload
-open Agrid_sched
-module Event = Agrid_churn.Event
 module Retry = Agrid_churn.Retry
 module Engine = Agrid_churn.Engine
-
-type loss = { at : int; machine : int }
-
-type outcome = {
-  schedule : Schedule.t;  (** final schedule, on the reduced grid *)
-  workload : Workload.t;  (** the reduced workload the schedule lives in *)
-  completed : bool;
-  n_survivors : int;  (** placements carried across the loss *)
-  n_discarded : int;  (** placements discarded (lost machine, in-flight, or descendants) *)
-  sunk_energy : float;  (** energy burned on survivors by discarded work *)
-  ledger_energy_ok : bool;
-      (** engine ledger (including sunk energy) within every battery —
-          check this alongside {!Validate.check}, which cannot see sunk
-          energy *)
-  pre_loss : Slrh.outcome;
-  post_loss : Slrh.outcome;
-}
 
 (* The SLRH receding-horizon loop as a churn-engine phase runner. A phase
    starting after clock 0 begins right after churn events fired, so the
@@ -58,136 +35,3 @@ let run_churn ?(policy = Retry.default) params workload events =
   (* the engine and the per-phase SLRH loop report into the same sink *)
   Engine.run ~obs:params.Slrh.obs ~policy ~runner:(slrh_runner params) workload
     events
-
-let run_with_loss params workload { at; machine = lost } =
-  if at < 0 then invalid_arg "Dynamic.run_with_loss: negative loss time";
-  if lost < 0 || lost >= Workload.n_machines workload then
-    invalid_arg "Dynamic.run_with_loss: no such machine";
-  let eng = run_churn params workload [ { Event.at; kind = Event.Leave lost } ] in
-  let pre_loss, post_loss_eng =
-    match eng.Engine.phases with
-    | [ pre; post ] -> (pre.Engine.ph_outcome, post.Engine.ph_outcome)
-    | [ post ] ->
-        (* loss at t=0: the engine never ran a pre phase; synthesize the
-           zero-iteration run the two-phase story promises *)
-        let pre = Slrh.continue_run ~until:(at - 1) params (Schedule.create workload) in
-        (pre, post.Engine.ph_outcome)
-    | _ -> assert false
-  in
-  (* replay the engine's masked full-grid schedule onto the reduced grid:
-     nothing lives on the lost machine (its work was discarded at the
-     event, and the mask kept the sweep away afterwards) *)
-  let reduced = Workload.remove_machine workload ~machine:lost in
-  let remap j = if j < lost then j else j - 1 in
-  let sched = Schedule.create reduced in
-  let dag = Workload.dag workload in
-  Array.iter
-    (fun task ->
-      match Schedule.placement eng.Engine.schedule task with
-      | Some p ->
-          Schedule.replay_placement sched
-            { p with Schedule.machine = remap p.Schedule.machine }
-      | None -> ())
-    (Agrid_dag.Dag.topological_order dag);
-  Array.iter
-    (fun (tr : Schedule.transfer) ->
-      Schedule.replay_transfer sched
-        { tr with Schedule.src = remap tr.Schedule.src; dst = remap tr.Schedule.dst })
-    (Schedule.transfers eng.Engine.schedule);
-  for j = 0 to Workload.n_machines workload - 1 do
-    if j <> lost then begin
-      let c = Schedule.energy_charged eng.Engine.schedule j in
-      if c > 0. then Schedule.charge_energy sched ~machine:(remap j) c
-    end
-  done;
-  let leave =
-    match eng.Engine.applied with [ a ] -> a | _ -> assert false
-  in
-  let ledger_energy_ok =
-    let ok = ref true in
-    for j = 0 to Workload.n_machines reduced - 1 do
-      if Schedule.energy_remaining sched j < -1e-9 then ok := false
-    done;
-    !ok
-  in
-  {
-    schedule = sched;
-    workload = reduced;
-    completed = Schedule.all_mapped sched;
-    n_survivors = leave.Engine.ev_survivors;
-    n_discarded = leave.Engine.ev_discarded;
-    sunk_energy = eng.Engine.sunk_energy;
-    ledger_energy_ok;
-    pre_loss;
-    post_loss = { post_loss_eng with Slrh.schedule = sched };
-  }
-
-let pp_outcome ppf o =
-  Fmt.pf ppf
-    "dynamic<%a survivors=%d discarded=%d sunk=%.3f completed=%b ledger_ok=%b>"
-    Schedule.pp o.schedule o.n_survivors o.n_discarded o.sunk_energy o.completed
-    o.ledger_energy_ok
-
-(* ------------------------------------------------------------------ *)
-(* Temporary outage: the machine disappears during [from_, until_) and
-   then REJOINS — the paper's "assets can appear and disappear" scenario
-   in full. One engine run over [Leave; Rejoin]: the rejoin flips the mask
-   back and bills the returning machine for the energy it burned on its
-   discarded pre-outage work, and the final phase finishes the mapping
-   with the machine available again. *)
-
-type outage_outcome = {
-  o_schedule : Schedule.t;  (** final schedule, original grid and indices *)
-  o_completed : bool;
-  o_n_discarded : int;  (** work discarded at the loss instant *)
-  o_sunk_energy : float;
-  o_ledger_energy_ok : bool;
-  o_during : outcome;  (** the loss-phase outcome (reduced grid) *)
-  o_final : Slrh.outcome;  (** the post-rejoin SLRH phase *)
-}
-
-let run_with_outage params workload ~machine ~from_ ~until_ =
-  if until_ < from_ then invalid_arg "Dynamic.run_with_outage: until before from";
-  if from_ < 0 then invalid_arg "Dynamic.run_with_outage: negative outage start";
-  if machine < 0 || machine >= Workload.n_machines workload then
-    invalid_arg "Dynamic.run_with_outage: no such machine";
-  let eng =
-    run_churn params workload
-      [
-        { Event.at = from_; kind = Event.Leave machine };
-        { Event.at = until_; kind = Event.Rejoin machine };
-      ]
-  in
-  (* the reduced-grid view of the outage window, for callers comparing
-     against a permanent loss: a bounded loss run on its own trace *)
-  let during =
-    let bounded = Workload.with_tau workload ~tau_cycles:(max 1 (until_ - 1)) in
-    run_with_loss params bounded { at = from_; machine }
-  in
-  let o_final =
-    match List.rev eng.Engine.phases with
-    | last :: _ -> last.Engine.ph_outcome
-    | [] -> assert false
-  in
-  let o_n_discarded =
-    List.fold_left
-      (fun acc (a : Engine.applied) ->
-        match a.Engine.ev.Event.kind with
-        | Event.Leave _ -> acc + a.Engine.ev_discarded
-        | _ -> acc)
-      0 eng.Engine.applied
-  in
-  {
-    o_schedule = eng.Engine.schedule;
-    o_completed = eng.Engine.completed;
-    o_n_discarded;
-    o_sunk_energy = eng.Engine.sunk_energy;
-    o_ledger_energy_ok = eng.Engine.ledger_energy_ok;
-    o_during = during;
-    o_final;
-  }
-
-let pp_outage ppf o =
-  Fmt.pf ppf "outage<%a discarded=%d sunk=%.3f completed=%b ledger_ok=%b>"
-    Schedule.pp o.o_schedule o.o_n_discarded o.o_sunk_energy o.o_completed
-    o.o_ledger_energy_ok

@@ -1,35 +1,20 @@
-(** Dynamic grid events: machine loss mid-run with on-the-fly SLRH
-    rescheduling — the ad hoc transition the paper's three static cases
-    bracket (extension; see DESIGN.md section 6).
+(** Dynamic grid events: machines leave and rejoin mid-run with on-the-fly
+    SLRH rescheduling — the ad hoc transition the paper's three static
+    cases bracket (extension; see DESIGN.md section 6).
 
-    Both runs are thin wrappers over the general churn engine
-    ({!Agrid_churn.Engine}): a loss is the trace [Leave\@at], an outage
-    [Leave\@from_; Rejoin\@until_]. Arbitrary multi-event traces, retry
-    policies and Monte Carlo churn campaigns live in [Agrid_churn] /
-    [Agrid_exper.Campaign]; use {!run_churn} to drive them with SLRH.
+    The churn engine ({!Agrid_churn.Engine}) owns the transitions; this
+    module supplies its SLRH phase runner. A permanent loss is the trace
+    [\[Leave\@at\]], an outage [\[Leave\@from_; Rejoin\@until_\]]; traces
+    with any number of leaves, rejoins, shocks and link degrades compose
+    the same way, and Monte Carlo churn campaigns live in
+    [Agrid_exper.Campaign].
 
     Loss semantics: work survives iff it finished before the loss on a
     surviving machine and all its ancestors survive; everything else is
     rescheduled from the loss instant; energy burned by discarded work on
-    surviving machines is charged as sunk cost. *)
-
-open Agrid_sched
-
-type loss = { at : int  (** cycles *); machine : int }
-
-type outcome = {
-  schedule : Schedule.t;  (** final schedule, on the reduced grid *)
-  workload : Agrid_workload.Workload.t;
-  completed : bool;
-  n_survivors : int;
-  n_discarded : int;
-  sunk_energy : float;
-  ledger_energy_ok : bool;
-      (** engine ledger (including sunk energy) within every battery —
-          check alongside {!Validate.check}, which cannot see sunk cost *)
-  pre_loss : Slrh.outcome;
-  post_loss : Slrh.outcome;
-}
+    surviving machines is charged as sunk cost. Check an outcome's
+    [ledger_energy_ok] alongside {!Agrid_sched.Validate.check}, which
+    cannot see sunk energy. *)
 
 val slrh_runner : Slrh.params -> Slrh.outcome Agrid_churn.Engine.runner
 (** The SLRH receding-horizon loop packaged as a churn-engine phase
@@ -45,33 +30,6 @@ val run_churn :
 (** Run the churn engine over an arbitrary event trace with SLRH phases.
     [policy] defaults to {!Agrid_churn.Retry.default} (immediate remap,
     unbounded retries). With an empty trace this is a single uninterrupted
-    SLRH run. *)
-
-val run_with_loss : Slrh.params -> Agrid_workload.Workload.t -> loss -> outcome
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-type outage_outcome = {
-  o_schedule : Schedule.t;  (** final schedule, original grid and indices *)
-  o_completed : bool;
-  o_n_discarded : int;
-  o_sunk_energy : float;
-  o_ledger_energy_ok : bool;
-  o_during : outcome;  (** the loss-phase outcome (reduced grid) *)
-  o_final : Slrh.outcome;  (** the post-rejoin SLRH phase *)
-}
-
-val run_with_outage :
-  Slrh.params ->
-  Agrid_workload.Workload.t ->
-  machine:int ->
-  from_:int ->
-  until_:int ->
-  outage_outcome
-(** Temporary outage: [machine] disappears during [\[from_, until_)] and
-    rejoins (with its battery debited for pre-outage burn). Phases: full
-    grid, masked grid, full grid again.
-    @raise Invalid_argument when [until_ < from_], [from_] is negative, or
-    [machine] is out of range. *)
-
-val pp_outage : Format.formatter -> outage_outcome -> unit
+    SLRH run.
+    @raise Invalid_argument on an inapplicable trace
+    ({!Agrid_churn.Event.validate}). *)

@@ -565,8 +565,8 @@ let validate_params params =
   if params.horizon < 0 then invalid_arg "Slrh: horizon must be nonnegative"
 
 (* Drive the clock loop over an existing schedule from [start_clock] until
-   [until] (inclusive) or completion — the dynamic-grid extension resumes a
-   partially executed schedule on a reduced grid this way. [mask] marks the
+   [until] (inclusive) or completion — the churn engine resumes a
+   partially executed schedule after each grid event this way. [mask] marks the
    machines currently part of the grid (churn engine: down machines are
    skipped by the sweep but keep their indices); [eligible] filters the
    candidate pool (churn engine: deferred or permanently failed subtasks

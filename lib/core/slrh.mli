@@ -141,7 +141,7 @@ val continue_run :
   outcome
 (** Drive the clock loop over an existing schedule from [start_clock] until
     [until] (default: the workload's tau) or completion. Used by the
-    dynamic-grid extension ({!Dynamic}) and the churn engine.
+    churn engine's SLRH phase runner ({!Dynamic.slrh_runner}).
 
     [mask.(j) = false] removes machine [j] from the per-timestep sweep
     without renumbering the grid (churn: machines currently down);

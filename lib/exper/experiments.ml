@@ -233,8 +233,11 @@ let extension_loss_sweep ?(weights = Agrid_core.Objective.make_weights ~alpha:0.
     List.map
       (fun fraction ->
         let at = int_of_float (float_of_int tau *. fraction) in
-        let o = Agrid_core.Dynamic.run_with_loss params workload { Agrid_core.Dynamic.at; machine } in
-        Some (float_of_int (Agrid_sched.Schedule.n_primary o.Agrid_core.Dynamic.schedule)))
+        let o =
+          Agrid_core.Dynamic.run_churn params workload
+            [ { Agrid_churn.Event.at; kind = Agrid_churn.Event.Leave machine } ]
+        in
+        Some (float_of_int (Agrid_sched.Schedule.n_primary o.Agrid_churn.Engine.schedule)))
       fractions
   in
   Series.make

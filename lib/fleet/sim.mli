@@ -35,8 +35,10 @@ val kill : t -> unit
     accepts new connects afterwards — that is the restart. *)
 
 val shutdown : t -> unit
-(** Like {!kill} but stops the server synchronously — test/bench teardown
-    that must not race a sink read. *)
+(** Like {!kill}, then wait until every dead incarnation — this one and
+    any whose socket the router closed — has stopped its server and
+    closed its socket: test/bench teardown that must not race a sink
+    read, and after which no late response can reach a later socket. *)
 
 val wedge : t -> unit
 (** Freeze the current incarnation without closing anything: requests are

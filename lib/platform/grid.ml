@@ -46,17 +46,6 @@ let min_bandwidth t =
     (fun acc (m : Machine.profile) -> Float.min acc m.bandwidth)
     infinity t.machines
 
-(* Drop machine [j] — the dynamic-grid extension uses this to model loss of
-   a device mid-run. Remaining machines keep their indices compacted. *)
-let remove_machine t j =
-  if j < 0 || j >= n_machines t then invalid_arg "Grid.remove_machine";
-  if n_machines t = 1 then invalid_arg "Grid.remove_machine: last machine";
-  let machines =
-    Array.of_list
-      (List.filteri (fun i _ -> i <> j) (Array.to_list t.machines))
-  in
-  { name = t.name ^ Fmt.str "-m%d" j; machines }
-
 (* Degrade (or restore) one machine's link mid-run — the churn engine's
    bandwidth event. The grid is otherwise unchanged: indices are stable. *)
 let scale_bandwidth t ~machine ~factor =

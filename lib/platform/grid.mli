@@ -25,10 +25,6 @@ val total_system_energy : t -> float
 val min_bandwidth : t -> float
 (** Worst link in the grid (SLRH's worst-case feasibility assumption). *)
 
-val remove_machine : t -> int -> t
-(** Dynamic-grid extension; remaining machines keep their relative order.
-    @raise Invalid_argument when out of range or on the last machine. *)
-
 val scale_bandwidth : t -> machine:int -> factor:float -> t
 (** Scale one machine's bandwidth in place (churn engine's link-degrade
     event); indices are stable.

@@ -419,7 +419,7 @@ let replay_placement t (pl : placement) =
 (* Bill energy that was consumed but produces no placement — work lost with
    a failed machine (dynamic-grid extension). Counts against the battery
    and TEC; invisible to the validator, which only sees committed work, so
-   dynamic outcomes must also check the ledger (Dynamic.ledger_energy_ok). *)
+   churn outcomes must also check the ledger (Engine.ledger_energy_ok). *)
 let charge_energy t ~machine amount =
   if amount < 0. then invalid_arg "Schedule.charge_energy: negative amount";
   t.energy_used.(machine) <- t.energy_used.(machine) +. amount;

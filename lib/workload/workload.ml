@@ -74,6 +74,48 @@ let cycle_table spec etc ~n ~m =
   done;
   cycles
 
+(* Every start and finish in any schedule is bounded by the scenario's
+   total work: each task at its largest cycle count on any machine, each
+   edge at its slowest transfer (the primary output over the grid's
+   lowest bandwidth), then tau. Refusing a total past 2^61 here keeps all
+   schedule arithmetic far below an int's 2^62, so no timeline operation
+   needs a check of its own. Ints and unboxed floats only: realize's
+   allocation budgets leave no room for a boxed value. *)
+let max_total_work = 1 lsl 61
+
+let refuse_total_work () = invalid_arg "Workload.build: total work exceeds 2^61 cycles"
+
+(* [total + c], refused past the bound; each term is below 2^62, so the
+   sum is checked before it is formed. No closure: a captured ref would
+   be boxed. *)
+let add_work total c = if c > max_total_work - total then refuse_total_work () else total + c
+
+let check_total_work grid data_bits cycles ~tau =
+  let total = ref (add_work 0 tau) in
+  let m = Grid.n_machines grid in
+  for task = 0 to (Array.length cycles / (2 * m)) - 1 do
+    let worst = ref 0 in
+    for slot = 2 * task * m to (2 * (task + 1) * m) - 1 do
+      if cycles.(slot) > !worst then worst := cycles.(slot)
+    done;
+    total := add_work !total !worst
+  done;
+  let min_bandwidth = ref infinity in
+  for j = 0 to m - 1 do
+    let bw = (Grid.machine grid j).Machine.bandwidth in
+    if bw < !min_bandwidth then min_bandwidth := bw
+  done;
+  for edge = 0 to Array.length data_bits - 1 do
+    (* [Comm.worst_case_cycles]' rounding (a positive ceiling is at
+       least 1), priced here without a boxed float crossing a module
+       boundary *)
+    let x =
+      Float.ceil (data_bits.(edge) /. !min_bandwidth *. float_of_int Units.cycles_per_second)
+    in
+    if not (x < float_of_int max_total_work) then refuse_total_work ();
+    if x > 0. then total := add_work !total (int_of_float x)
+  done
+
 let build ?etc ?dag ?data_bits spec ~etc_index ~dag_index ~case =
   Spec.validate spec;
   let grid = Grid.of_case ~battery_scale:spec.Spec.battery_scale case in
@@ -94,6 +136,9 @@ let build ?etc ?dag ?data_bits spec ~etc_index ~dag_index ~case =
   if Array.length data_bits <> Agrid_dag.Dag.n_edges dag then
     invalid_arg "Workload.build: data size count does not match DAG edges";
   let n = spec.Spec.n_tasks and m = Grid.n_machines grid in
+  let tau = Spec.tau_cycles spec in
+  let cycles = cycle_table spec etc ~n ~m in
+  check_total_work grid data_bits cycles ~tau;
   {
     spec;
     case;
@@ -103,39 +148,15 @@ let build ?etc ?dag ?data_bits spec ~etc_index ~dag_index ~case =
     dag;
     etc;
     data_bits;
-    tau = Spec.tau_cycles spec;
-    cycles = cycle_table spec etc ~n ~m;
+    tau;
+    cycles;
     tse = Grid.total_system_energy grid;
   }
 
 let with_tau t ~tau_cycles =
   if tau_cycles <= 0 then invalid_arg "Workload.with_tau: must be positive";
+  check_total_work t.grid t.data_bits t.cycles ~tau:tau_cycles;
   { t with tau = tau_cycles }
-
-(* Drop one machine mid-run (dynamic-grid extension): the grid loses the
-   machine, the ETC loses its column, the cycle table loses the machine's
-   pairs. Remaining machines keep their relative order; the caller remaps
-   indices with old index -> (if old < lost then old else old - 1). *)
-let remove_machine t ~machine =
-  let m = Grid.n_machines t.grid in
-  if machine < 0 || machine >= m then invalid_arg "Workload.remove_machine";
-  let keep = Array.of_list (List.filter (fun j -> j <> machine) (List.init m Fun.id)) in
-  let m' = m - 1 in
-  let cycles = Array.make (2 * t.spec.Spec.n_tasks * m') 0 in
-  for task = 0 to t.spec.Spec.n_tasks - 1 do
-    Array.iteri
-      (fun j old ->
-        Array.blit t.cycles (2 * ((task * m) + old)) cycles (2 * ((task * m') + j)) 2)
-      keep
-  done;
-  let grid = Grid.remove_machine t.grid machine in
-  {
-    t with
-    grid;
-    etc = Agrid_etc.Etc.restrict t.etc ~columns:keep;
-    cycles;
-    tse = Grid.total_system_energy grid;
-  }
 
 (* Scale one machine's bandwidth mid-run (churn extension): the ETC matrix
    and the cycle table are unaffected — only communication durations

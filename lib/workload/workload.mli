@@ -18,7 +18,11 @@ val build :
   case:Agrid_platform.Grid.case ->
   t
 (** Generate (or accept pre-built) artefacts and assemble the scenario.
-    A supplied [?etc] must cover the full Case A machine set. *)
+    A supplied [?etc] must cover the full Case A machine set.
+    @raise Invalid_argument when the total work — each task at its
+    largest cycle count on any machine, each edge at its slowest
+    transfer, plus tau — exceeds 2{^ 61} cycles, which keeps every start
+    and finish of any schedule far inside an int. *)
 
 val etc_for_spec : Spec.t -> etc_index:int -> Agrid_etc.Etc.t
 (** The full (Case A) ETC matrix for an index — shared across cases. *)
@@ -27,10 +31,8 @@ val dag_for_spec : Spec.t -> dag_index:int -> Agrid_dag.Dag.t
 val data_for_spec : Spec.t -> Agrid_dag.Dag.t -> dag_index:int -> float array
 
 val with_tau : t -> tau_cycles:int -> t
-
-val remove_machine : t -> machine:int -> t
-(** Drop one machine (dynamic-grid extension). Remaining machines keep
-    their relative order: old index [j] becomes [j - 1] for [j > machine]. *)
+(** @raise Invalid_argument on a nonpositive tau, or one that takes the
+    total work past the bound {!build} enforces. *)
 
 val degrade_bandwidth : t -> machine:int -> factor:float -> t
 (** Scale one machine's bandwidth (churn extension). Indices are stable;
@@ -52,9 +54,8 @@ val exec_cycles : t -> task:int -> machine:int -> version:Version.t -> int
 (** Occupancy in cycles; secondary = ceil(fraction * primary), >= 1. *)
 
 val cycles : t -> int array
-(** The flat cycle table {!exec_cycles} reads, priced once by {!build}
-    and re-indexed by {!remove_machine}: slot
-    [2 * (task * n_machines + machine)] holds the primary version's
+(** The flat cycle table {!exec_cycles} reads, priced once by {!build}:
+    slot [2 * (task * n_machines + machine)] holds the primary version's
     cycles and the next slot the secondary's. Shared, not copied — the
     allocation-free scoring pass reads it directly; callers must not
     mutate it. *)

@@ -224,19 +224,19 @@ let test_bandwidth_degrade () =
     (Invalid_argument "Machine.scale_bandwidth: factor must be positive") (fun () ->
       ignore (Workload.degrade_bandwidth wl ~machine:1 ~factor:0.))
 
-(* ---- outage wrapper surfaces the final phase ---- *)
+(* ---- an outage trace surfaces the final phase ---- *)
 
 let test_outage_final_phase_surfaced () =
-  let wl = workload () in
-  let tau = Workload.tau wl in
-  let o = Dynamic.run_with_outage params wl ~machine:1 ~from_:(tau / 10) ~until_:(tau / 2) in
+  let tau = Workload.tau (workload ()) in
+  let o = churn [ leave ~at:(tau / 10) 1; rejoin ~at:(tau / 2) 1 ] in
+  let final = (List.nth o.Engine.phases (List.length o.Engine.phases - 1)).Engine.ph_outcome in
   Alcotest.(check bool) "final phase resumes at the rejoin" true
-    (o.Dynamic.o_final.Slrh.final_clock >= tau / 2);
+    (final.Slrh.final_clock >= tau / 2);
   Alcotest.(check bool) "final phase ends on the final schedule" true
-    (o.Dynamic.o_final.Slrh.schedule == o.Dynamic.o_schedule);
+    (final.Slrh.schedule == o.Engine.schedule);
   Alcotest.check_raises "bad machine up front"
-    (Invalid_argument "Dynamic.run_with_outage: no such machine") (fun () ->
-      ignore (Dynamic.run_with_outage params wl ~machine:9 ~from_:10 ~until_:20))
+    (Invalid_argument "Churn.Event.validate: no such machine 9") (fun () ->
+      ignore (churn [ leave ~at:10 9; rejoin ~at:20 9 ]))
 
 (* ---- sampling and the Monte Carlo campaign ---- *)
 

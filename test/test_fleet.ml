@@ -633,6 +633,31 @@ let test_router_probe_names_bad_answer () =
       Alcotest.(check bool) ("stops at 80 bytes: " ^ msg) false
         (has (String.escaped (String.sub line 0 81)))
 
+(* A stranded worker's late result must never reach a later connection.
+   Each round wedges the backend with a job in flight, lets the router's
+   probe timeouts give up on the connection, then lifts the wedge and
+   shuts the backend down: the worker flushes its result while the next
+   round makes its socketpair, so a result written into a reused fd
+   number would answer that round's health handshake ([start_router]
+   fails on any non-health answer). *)
+let test_sim_no_late_response_after_shutdown () =
+  for round = 1 to 12 do
+    let sim = Sim.create "b0" in
+    let r = start_router [ sim ] in
+    let c = collector () in
+    Sim.wedge sim;
+    Router.submit r ~respond:(respond_to c) (job_line ~tag:(Some "stranded") ());
+    eventually (Fmt.str "round %d: maybe_executed response" round) (fun () ->
+        List.length (collected c) = 1);
+    Router.drain r;
+    Sim.unwedge sim;
+    Sim.shutdown sim;
+    Alcotest.(check string)
+      (Fmt.str "round %d: in-flight job reported ambiguous" round)
+      "maybe_executed"
+      (get_str "type" (parse_line (List.hd (collected c))))
+  done
+
 let suites =
   [
     ( "fleet",
@@ -673,5 +698,7 @@ let suites =
           test_router_trace_timelines;
         Alcotest.test_case "router: probe names a non-health answer" `Quick
           test_router_probe_names_bad_answer;
+        Alcotest.test_case "sim: no late response after shutdown" `Quick
+          test_sim_no_late_response_after_shutdown;
       ] );
   ]

@@ -86,16 +86,6 @@ let test_grid_battery_scale () =
   let g = Grid.of_case ~battery_scale:0.1 Grid.A in
   Testlib.close "scaled TSE" 127.6 (Grid.total_system_energy g) ~eps:1e-9
 
-let test_remove_machine () =
-  let g = Grid.of_case Grid.A in
-  let g' = Grid.remove_machine g 1 in
-  Alcotest.(check int) "one fewer" 3 (Grid.n_machines g');
-  Alcotest.(check int) "fast count" 1 (count_by_klass g' Machine.Fast);
-  Alcotest.check_raises "last machine protection"
-    (Invalid_argument "Grid.remove_machine: last machine") (fun () ->
-      let tiny = Grid.make ~name:"one" [| Machine.fast_profile |] in
-      ignore (Grid.remove_machine tiny 0))
-
 let test_cmt () =
   let g = Grid.of_case Grid.A in
   (* machines 0,1 fast (8 Mb/s); 2,3 slow (4 Mb/s) *)
@@ -191,7 +181,6 @@ let suites =
         Alcotest.test_case "total system energy" `Quick test_total_system_energy;
         Alcotest.test_case "min bandwidth" `Quick test_min_bandwidth;
         Alcotest.test_case "grid battery scale" `Quick test_grid_battery_scale;
-        Alcotest.test_case "remove machine" `Quick test_remove_machine;
         Alcotest.test_case "CMT" `Quick test_cmt;
         Alcotest.test_case "transfer cycles" `Quick test_transfer_cycles;
         Alcotest.test_case "transfer energy" `Quick test_transfer_energy;

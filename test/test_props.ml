@@ -187,6 +187,97 @@ let test_battery_monotonicity () =
         (describe sc) base doubled
   done
 
+(* ---- the total-work bound at the scenario boundary ----
+
+   [Workload.build] refuses a scenario whose total work (each task at its
+   largest cycle count, each edge at its slowest transfer, plus tau)
+   exceeds 2^61 cycles, so no schedule's arithmetic can wrap an int. A
+   near-bound scenario scales a generated one's ETC, tau and batteries
+   by one factor until the total work is [fraction] of the bound. *)
+
+let near_bound_workload ~seed ~fraction =
+  let spec = Testlib.small_spec ~seed () in
+  let etc = Workload.etc_for_spec spec ~etc_index:0 in
+  let n = Agrid_etc.Etc.n_tasks etc and m = Agrid_etc.Etc.n_machines etc in
+  let worst i = Array.fold_left Float.max 0. (Agrid_etc.Etc.row etc i) in
+  let work_s = ref spec.Spec.tau_seconds in
+  for i = 0 to n - 1 do
+    work_s := !work_s +. worst i
+  done;
+  let k =
+    fraction *. Float.ldexp 1. 61 /. float_of_int Agrid_platform.Units.cycles_per_second
+    /. !work_s
+  in
+  let scaled =
+    Agrid_etc.Etc.of_matrix ~klasses:(Agrid_etc.Etc.klasses etc)
+      (Array.init n (fun task ->
+           Array.init m (fun machine -> k *. Agrid_etc.Etc.seconds etc ~task ~machine)))
+  in
+  let spec =
+    {
+      spec with
+      Spec.tau_seconds = k *. spec.Spec.tau_seconds;
+      battery_scale = k *. spec.Spec.battery_scale;
+    }
+  in
+  Workload.build spec ~etc:scaled ~etc_index:0 ~dag_index:0 ~case:Agrid_platform.Grid.A
+
+let total_work_bound_prop =
+  Testlib.qcheck_case ~count:12 "total-work bound: near-bound scenarios schedule (qcheck)"
+    QCheck2.Gen.(pair (int_range 1 1_000) (float_range 0.5 0.99))
+    (fun (seed, fraction) ->
+      let wl = near_bound_workload ~seed ~fraction in
+      let weights = Objective.make_weights ~alpha:0.4 ~beta:0.3 in
+      let clean what sched =
+        match (Validate.check sched).Validate.violations with
+        | [] -> true
+        | v :: _ ->
+            QCheck2.Test.fail_reportf "%s (seed %d, %.3f of the bound): %s" what seed fraction v
+      in
+      clean "Greedy" (Agrid_baselines.Greedy.run wl).Agrid_baselines.Greedy.schedule
+      && clean "Max-Max"
+           (Agrid_baselines.Maxmax.run (Agrid_baselines.Maxmax.default_params weights) wl)
+             .Agrid_baselines.Maxmax.schedule
+      && List.for_all
+           (fun variant ->
+             clean
+               (Slrh.variant_to_string variant)
+               (Slrh.run (Slrh.default_params ~variant weights) wl).Slrh.schedule)
+           [ Slrh.V1; Slrh.V2; Slrh.V3 ])
+
+let test_total_work_refused () =
+  let refused = Invalid_argument "Workload.build: total work exceeds 2^61 cycles" in
+  Alcotest.check_raises "past the bound" refused (fun () ->
+      ignore (near_bound_workload ~seed:3 ~fraction:1.01));
+  (* the re-anchor case: a pinned text with every ETC entry at 1e17 s
+     (1e18 cycles, each of which fits an int) loaded, and Greedy's running
+     finish then wrapped into Timeline.insert's interval guard *)
+  let text =
+    Serialize.to_string (Spec.scaled ~seed:2004 ~factor:0.03 ()) ~etc_index:0 ~dag_index:0
+      ~case:Agrid_platform.Grid.A
+  in
+  (* every row after the "etc" header, up to the next non-numeric line *)
+  let rec rewrite in_etc = function
+    | [] -> []
+    | l :: rest when String.length l >= 4 && String.sub l 0 4 = "etc " -> l :: rewrite true rest
+    | l :: rest when in_etc && l <> "" && (match l.[0] with '0' .. '9' -> true | _ -> false) ->
+        let cols = List.length (String.split_on_char ' ' l) in
+        String.concat " " (List.init cols (fun _ -> "1e17")) :: rewrite true rest
+    | l :: rest -> l :: rewrite false rest
+  in
+  let pinned = String.concat "\n" (rewrite false (String.split_on_char '\n' text)) in
+  Alcotest.(check bool) "ETC entries rewritten" true
+    (Testlib.contains pinned "1e17 1e17 1e17 1e17");
+  Alcotest.check_raises "1e17 s ETC entries" refused (fun () ->
+      ignore (Serialize.load_string pinned));
+  let job = Agrid_serve.Job.default (Serialize.Pinned pinned) in
+  (match (Agrid_serve.Job.run job).Agrid_serve.Job.status with
+  | Agrid_serve.Job.Errored msg ->
+      Alcotest.(check bool) ("served job names the bound: " ^ msg) true (Testlib.contains msg "2^61")
+  | _ -> Alcotest.fail "a pinned text past the bound was not answered errored");
+  Alcotest.check_raises "with_tau past the bound" refused (fun () ->
+      ignore (Workload.with_tau (Testlib.small_workload ()) ~tau_cycles:(1 lsl 61)))
+
 let suites =
   [
     ( "props",
@@ -195,5 +286,8 @@ let suites =
           test_invariants;
         Alcotest.test_case "battery monotonicity over 30 scenarios" `Slow
           test_battery_monotonicity;
+        total_work_bound_prop;
+        Alcotest.test_case "total-work bound refuses past 2^61" `Quick
+          test_total_work_refused;
       ] );
   ]

@@ -283,6 +283,33 @@ let test_version_module () =
   Alcotest.(check bool) "equal" true (Version.equal Version.Primary Version.Primary);
   Alcotest.(check string) "to_string" "secondary" (Version.to_string Version.Secondary)
 
+(* The flat cycle table against the ETC-derived formula, both versions,
+   every (task, machine): primary = cycles_of_seconds (ETC seconds),
+   secondary = max 1 (ceil (fraction * primary)), energy = the machine's
+   compute rate over the occupied cycles. *)
+let test_cycle_table_formula () =
+  let wl = Testlib.small_workload ~seed:11 () in
+  let etc = Workload.etc wl in
+  let fraction = (Workload.spec wl).Spec.secondary_fraction in
+  for task = 0 to Workload.n_tasks wl - 1 do
+    for machine = 0 to Workload.n_machines wl - 1 do
+      let primary = Units.cycles_of_seconds (Agrid_etc.Etc.seconds etc ~task ~machine) in
+      let secondary =
+        max 1 (int_of_float (Float.ceil (float_of_int primary *. fraction)))
+      in
+      let rate = (Grid.machine (Workload.grid wl) machine).Machine.compute_rate in
+      List.iter
+        (fun (version, cycles) ->
+          let label = Fmt.str "task %d machine %d %a" task machine Version.pp version in
+          Alcotest.(check int) (label ^ " cycles") cycles
+            (Workload.exec_cycles wl ~task ~machine ~version);
+          Alcotest.(check int64) (label ^ " energy (bits)")
+            (Int64.bits_of_float (rate *. Units.seconds_of_cycles cycles))
+            (Int64.bits_of_float (Workload.exec_energy wl ~task ~machine ~version)))
+        [ (Version.Primary, primary); (Version.Secondary, secondary) ]
+    done
+  done
+
 let suites =
   [
     ( "workload",
@@ -311,5 +338,6 @@ let suites =
         Alcotest.test_case "serialize tolerates comments" `Quick
           test_serialize_tolerates_comments;
         Alcotest.test_case "realize bit-identity oracle" `Quick test_realize_oracle;
+        Alcotest.test_case "cycle table = ETC formula" `Quick test_cycle_table_formula;
       ] );
   ]
