@@ -27,8 +27,3 @@ let tau_cycles ?(slack = 1.0) ?(n_probes = default_probes) spec =
   in
   let median = Agrid_stats.Descriptive.median makespans in
   max 1 (int_of_float (Float.ceil (median *. slack)))
-
-(* A spec whose tau has been replaced by the calibrated value. *)
-let calibrated_spec ?slack ?n_probes spec =
-  let tau = tau_cycles ?slack ?n_probes spec in
-  Spec.with_tau_seconds spec (Agrid_platform.Units.seconds_of_cycles tau)

@@ -17,12 +17,10 @@ open Agrid_core
 type version_policy =
   | Secondary_allowed  (** both versions compete on completion time *)
   | Prefer_primary  (** primary when feasible within tau, else secondary *)
-  | Primary_only  (** secondaries never used; tasks may starve *)
 
 let version_policy_to_string = function
   | Secondary_allowed -> "secondary-allowed"
   | Prefer_primary -> "prefer-primary"
-  | Primary_only -> "primary-only"
 
 type params = {
   version_policy : version_policy;
@@ -65,7 +63,6 @@ let best_placement params sched ~task ~version =
 
 let best_for_task params sched ~task =
   match params.version_policy with
-  | Primary_only -> best_placement params sched ~task ~version:Version.Primary
   | Prefer_primary -> begin
       match best_placement params sched ~task ~version:Version.Primary with
       | Some _ as p -> p

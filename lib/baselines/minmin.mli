@@ -8,7 +8,6 @@ open Agrid_sched
 type version_policy =
   | Secondary_allowed  (** both versions compete on completion time *)
   | Prefer_primary  (** primary when feasible within tau, else secondary *)
-  | Primary_only  (** secondaries never used; tasks may starve *)
 
 val version_policy_to_string : version_policy -> string
 

@@ -11,9 +11,7 @@ type outcome = {
   wall_seconds : float;
 }
 
-let run ?(primary_bias = 0.5) rng workload =
-  if primary_bias < 0. || primary_bias > 1. then
-    invalid_arg "Random_mapper.run: primary_bias outside [0,1]";
+let run rng workload =
   let t0 = Agrid_obs.Clock.monotonic_ns () in
   let sched = Schedule.create workload in
   let order = Agrid_dag.Dag.topological_order (Workload.dag workload) in
@@ -22,7 +20,7 @@ let run ?(primary_bias = 0.5) rng workload =
     (fun task ->
       let machine = Agrid_prng.Splitmix64.next_int rng m in
       let version =
-        if Agrid_prng.Dist.bernoulli rng ~p:primary_bias then Version.Primary
+        if Agrid_prng.Dist.bernoulli rng ~p:0.5 then Version.Primary
         else Version.Secondary
       in
       let plan = Schedule.plan sched ~task ~version ~machine ~not_before:0 in

@@ -8,7 +8,6 @@ type outcome = {
   wall_seconds : float;
 }
 
-val run :
-  ?primary_bias:float -> Agrid_prng.Splitmix64.t -> Agrid_workload.Workload.t -> outcome
+val run : Agrid_prng.Splitmix64.t -> Agrid_workload.Workload.t -> outcome
 (** Topological order; uniformly random machine; primary with probability
-    [primary_bias] (default 0.5). Always completes (constraints unchecked). *)
+    0.5. Always completes (constraints unchecked). *)

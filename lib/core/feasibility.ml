@@ -60,14 +60,6 @@ type infeasibility =
   | Exec_energy of { version : Version.t; required : float; available : float }
   | Comm_energy of { version : Version.t; exec : float; comm : float; available : float }
 
-(* Energy machine [j] must still hold for (task, version) to be admissible:
-   the version's execution energy plus its child-communication bound. *)
-let required_energy ?(mode = Conservative) sched ~task ~machine ~version =
-  let wl = Schedule.workload sched in
-  let exec = Workload.exec_energy wl ~task ~machine ~version in
-  let comm = comm_bound ~mode wl ~task ~machine ~version in
-  apply_margin ~mode (exec +. comm)
-
 (* Energy admissibility of this specific version, with the failing side
    of the bound on rejection ([Exec_energy] or [Comm_energy]). *)
 let version_verdict ?(mode = Conservative) sched ~task ~machine ~version =
@@ -294,10 +286,6 @@ type quota_breach =
   | Energy_quota of { needed : float; budget : float; used : float }
   | Machine_quota of { allowed : int; required : int }
 
-let quota_breach_to_string = function
-  | Energy_quota _ -> "energy_quota"
-  | Machine_quota _ -> "machine_quota"
-
 let quota_machines q ~n_machines =
   match q.q_machines with None -> n_machines | Some m -> min m n_machines
 
@@ -319,16 +307,9 @@ let task_reservation ~mode wl ~machines ~task =
   done;
   !worst
 
-let reservation ?(mode = Conservative) ?machines wl =
-  let n_machines = Workload.n_machines wl in
-  let machines =
-    match machines with
-    | None -> n_machines
-    | Some m ->
-        if m < 1 || m > n_machines then
-          invalid_arg "Feasibility.reservation: machine count out of range";
-        m
-  in
+(* Upper bound on the energy one run can consume on machines
+   [0 .. machines-1]: the per-task worst prices, summed. *)
+let reservation ~mode ~machines wl =
   let total = ref 0. in
   for task = 0 to Workload.n_tasks wl - 1 do
     total := !total +. task_reservation ~mode wl ~machines ~task

@@ -34,9 +34,6 @@ type infeasibility =
 (** Why a subtask stayed out of the pool U — the decision ledger's typed
     rejection reasons. The bare-bool checks below derive from these. *)
 
-val required_energy :
-  ?mode:mode -> Schedule.t -> task:int -> machine:int -> version:Version.t -> float
-
 val version_feasible :
   ?mode:mode -> Schedule.t -> task:int -> machine:int -> version:Version.t -> bool
 (** Does the machine retain enough energy for this specific version? (The
@@ -137,25 +134,19 @@ type quota_breach =
 (** Why an application was refused admission — total: every quota
     rejection carries exactly one of these. *)
 
-val quota_breach_to_string : quota_breach -> string
-(** Short wire token: ["energy_quota"] / ["machine_quota"]. *)
-
 val quota_machines : quota -> n_machines:int -> int
 (** Machines the quota admits: [min q n_machines] (or [n_machines] when
     unlimited). *)
-
-val reservation : ?mode:mode -> ?machines:int -> Workload.t -> float
-(** Upper bound on the energy one run of this workload can consume when
-    confined to machines [0 .. machines-1] (default: the whole grid):
-    per task, the worst admissible version/machine price
-    (execution energy + the mode's child-communication bound), summed.
-    Any schedule's actual TEC on those machines is bounded by it under
-    [Conservative] (each placement costs at most its per-task maximum;
-    actual transfers cost at most the worst-case bound). *)
 
 val admit_quota :
   ?mode:mode -> quota -> used:float -> Workload.t -> (float, quota_breach) result
 (** Typed admission of one application against a tenant quota with
     [used] energy already reserved: check the machine-count quota, price
-    {!reservation} on the allowed machines, charge it against
-    [q_energy -. used]. [Ok r] admits and reserves [r]. *)
+    the reservation on the allowed machines, charge it against
+    [q_energy -. used]. [Ok r] admits and reserves [r]: an upper bound on
+    the energy one run of this workload can consume when confined to
+    those machines. Per task, it is the worst admissible version/machine
+    price (execution energy + the mode's child-communication bound),
+    summed. Any schedule's actual TEC on those machines is bounded by it
+    under [Conservative] (each placement costs at most its per-task
+    maximum; actual transfers cost at most the worst-case bound). *)

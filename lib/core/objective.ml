@@ -34,13 +34,6 @@ let make_weights ~alpha ~beta =
     invalid_arg "Objective.make_weights: alpha + beta must not exceed 1";
   { alpha; beta; gamma = Float.max 0. gamma; aet_sign = Reward }
 
-let weights_exact ~alpha ~beta ~gamma =
-  if alpha < 0. || beta < 0. || gamma < 0. then
-    invalid_arg "Objective.weights_exact: weights must be nonnegative";
-  if Float.abs (alpha +. beta +. gamma -. 1.) > 1e-9 then
-    invalid_arg "Objective.weights_exact: weights must sum to 1";
-  { alpha; beta; gamma; aet_sign = Reward }
-
 let with_aet_sign aet_sign w = { w with aet_sign }
 
 let pp_weights ppf w =
@@ -69,13 +62,6 @@ let value_parts w ~t100 ~n_tasks ~tec ~tse ~aet ~tau =
 
 let value w ~t100 ~n_tasks ~tec ~tse ~aet ~tau =
   (value_parts w ~t100 ~n_tasks ~tec ~tse ~aet ~tau).total
-
-let of_schedule w sched =
-  let wl = Schedule.workload sched in
-  value w ~t100:(Schedule.n_primary sched) ~n_tasks:(Workload.n_tasks wl)
-    ~tec:(Schedule.tec sched)
-    ~tse:(Workload.total_system_energy wl)
-    ~aet:(Schedule.aet sched) ~tau:(Workload.tau wl)
 
 (* Objective as it would stand after committing [plan] (exact; used by
    Max-Max, whose selection rule is the maximum objective increase). *)
@@ -155,9 +141,6 @@ let estimate_parts w sched ~task ~version ~machine ~now =
   estimate_parts_with w sched
     ~bound:(parent_bound sched ~task ~machine)
     ~task ~version ~machine ~now
-
-let estimate w sched ~task ~version ~machine ~now =
-  (estimate_parts w sched ~task ~version ~machine ~now).total
 
 (* Best version for a candidate under the objective: evaluate both and keep
    the maximiser (paper Section IV: "selected the version that maximised

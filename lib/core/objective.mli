@@ -21,9 +21,6 @@ val make_weights : alpha:float -> beta:float -> weights
 (** [gamma] is [1 - alpha - beta]; AET sign defaults to the paper's
     [Reward]. @raise Invalid_argument if negative or exceeding 1. *)
 
-val weights_exact : alpha:float -> beta:float -> gamma:float -> weights
-(** Explicit gamma; AET sign defaults to [Reward]. *)
-
 val with_aet_sign : aet_sign -> weights -> weights
 (** Flip between the paper's [Reward] and the ablation's [Penalise]. *)
 
@@ -36,7 +33,7 @@ type parts = {
   total : float;  (** [t100_term -. energy_term +. aet_term] *)
 }
 (** The objective split into its weighted terms, for the decision
-    ledger's commit records. [value] and [estimate] are the totals of
+    ledger's commit records. [value] and [estimate_parts] are the totals of
     these parts — same float operations in the same order, so the
     decomposition costs nothing and changes nothing. *)
 
@@ -50,20 +47,15 @@ val value :
   tau:int ->
   float
 
-val of_schedule : weights -> Schedule.t -> float
-
 val after_plan : weights -> Schedule.t -> Schedule.plan -> float
 (** Exact objective after committing the plan (Max-Max's selection rule). *)
 
 val estimate_parts :
   weights -> Schedule.t -> task:int -> version:Version.t -> machine:int -> now:int -> parts
-(** {!estimate} with the term decomposition kept, for ledger commits. *)
-
-val estimate :
-  weights -> Schedule.t -> task:int -> version:Version.t -> machine:int -> now:int -> float
 (** Cheap candidate score used by SLRH to order the pool before exact
-    placement (DESIGN.md section 5). @raise Invalid_argument on unmapped
-    parents. *)
+    placement (DESIGN.md section 5), with the term decomposition kept for
+    ledger commits; [total] is the score. @raise Invalid_argument on
+    unmapped parents. *)
 
 val best_version :
   ?obs:Agrid_obs.Sink.t ->

@@ -42,13 +42,11 @@ module Flat : sig
     mutable regrown : int;  (** row regrowth events *)
   }
 
-  val default_capacity : int
-  (** Initial row capacity (16): small enough that realistic workloads
-      exercise regrowth, so the gauges below are live. *)
-
   val create : ?initial_capacity:int -> feas_mode:Feasibility.mode -> Workload.t -> t
-  (** Build an arena for one run. @raise Invalid_argument on a
-      non-positive [initial_capacity]. *)
+  (** Build an arena for one run. The initial row capacity (default 16)
+      is small enough that realistic workloads exercise regrowth, so the
+      gauges below are live. @raise Invalid_argument on a non-positive
+      [initial_capacity]. *)
 
   val capacity : t -> int
   (** Largest row capacity reached — the ["slrh/pool_capacity"] gauge. *)

@@ -11,10 +11,9 @@ type result = {
   energy_used : float;
 }
 
-val min_ratio : Agrid_etc.Etc.t -> machine:int -> float
-(** [MR(j) = min_i ETC(i,j)/ETC(i,0)] — Table 3's statistic. *)
-
 val min_ratios : Agrid_etc.Etc.t -> float array
+(** [MR(j) = min_i ETC(i,j)/ETC(i,0)] for every machine [j] — Table 3's
+    statistic. *)
 
 val compute :
   etc:Agrid_etc.Etc.t ->

@@ -13,7 +13,6 @@ type t = {
   max_out_degree : int;
 }
 
-val width_per_level : Dag.t -> int array
 val compute : Dag.t -> t
 
 val pp : Format.formatter -> t -> unit

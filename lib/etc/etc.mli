@@ -40,9 +40,10 @@ val row : t -> int -> float array
 val klass : t -> machine:int -> Agrid_platform.Machine.klass
 val klasses : t -> Agrid_platform.Machine.klass array
 
-val restrict : t -> columns:int array -> t
 val case_columns : Agrid_platform.Grid.case -> int array
 val for_case : t -> Agrid_platform.Grid.case -> t
+(** The case's columns of a Case A matrix, in order.
+    @raise Invalid_argument if the matrix lacks one of them. *)
 
 val mean : t -> float
 val pp : Format.formatter -> t -> unit

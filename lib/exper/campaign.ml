@@ -39,24 +39,53 @@ let rng_for ~seed ~level ~rep =
 (* Mean outage length as a fraction of tau. *)
 let down_fraction = 0.15
 
+(* The sharding both campaigns share. Checks [shards] (the argument
+   errors name [fn]) and resolves it, by default to [default ()] capped at
+   [replicates] (empty shards would spawn idle domains), and returns the
+   count with a runner. The runner calls [f ~sink rep] for every replicate
+   as contiguous blocks [lo, hi), one per shard, on worker domains via
+   [Parallel.run_workers]; the disjoint blocks keep the result-array
+   writes apart. A sink is single-domain, so each shard records into a
+   private one, folded into [obs] after the join (merging is associative
+   and commutative, so the fold order never matters). Results come back
+   in replicate order, so anything folded over them in that order is the
+   same for every shard count. *)
+let sharded ~fn ~replicates ~default shards =
+  let shards =
+    match shards with
+    | Some s when s < 1 -> invalid_arg (fn ^ ": shards must be >= 1")
+    | Some s -> s
+    | None -> min replicates (default ())
+  in
+  let run_blocks ~obs f =
+    let shard_sinks =
+      Array.init shards (fun _ ->
+          if Agrid_obs.Sink.enabled obs then Agrid_obs.Sink.create ~capacity:256 ()
+          else Agrid_obs.Sink.noop)
+    in
+    let results = Array.make replicates None in
+    Agrid_par.Parallel.run_workers ~domains:shards ~n:shards (fun s ->
+        let sink = shard_sinks.(s) in
+        let lo = s * replicates / shards and hi = (s + 1) * replicates / shards in
+        for rep = lo to hi - 1 do
+          results.(rep) <- Some (f ~sink rep)
+        done);
+    Array.iter (fun s -> Agrid_obs.Sink.merge_into ~into:obs s) shard_sinks;
+    Array.map (function Some r -> r | None -> assert false (* every block was run *)) results
+  in
+  (shards, run_blocks)
+
 let run ?(obs = Agrid_obs.Sink.noop)
     ?(weights = Agrid_core.Objective.make_weights ~alpha:0.4 ~beta:0.3)
     ?(policy = Agrid_churn.Retry.default) ?adapt ?(intensities = default_intensities)
     ?(replicates = 32) ?shards ~seed (config : Config.t) =
   if replicates <= 0 then invalid_arg "Campaign.run: nonpositive replicate count";
-  (match shards with
-  | Some s when s < 1 -> invalid_arg "Campaign.run: shards must be >= 1"
-  | Some _ | None -> ());
-  let shards =
-    match shards with
-    | Some s -> s
-    | None ->
-        (* Default: one shard per available domain, never more shards than
-           replicates (empty shards would spawn idle domains). *)
-        min replicates
-          (match config.Config.domains with
-          | Some d -> max 1 d
-          | None -> Agrid_par.Parallel.default_domains ())
+  (* Default: one shard per available domain. *)
+  let shards, run_blocks =
+    sharded ~fn:"Campaign.run" ~replicates shards ~default:(fun () ->
+        match config.Config.domains with
+        | Some d -> max 1 d
+        | None -> Agrid_par.Parallel.default_domains ())
   in
   List.iter
     (fun x -> if x < 0. then invalid_arg "Campaign.run: negative intensity")
@@ -71,16 +100,10 @@ let run ?(obs = Agrid_obs.Sink.noop)
   in
   let tau = Workload.tau workload in
   let n_machines = Workload.n_machines workload in
-  (* Replicates are statically sharded over worker domains via
-     [Parallel.run_workers] (one work item per shard). A sink is
-     single-domain, so each shard owns a private sink that every replicate
-     in its block records into; the calling domain folds the shard sinks
-     into [obs] after the join (merging is associative and commutative, so
-     the fold order never matters). Replicate PRNG streams derive from
-     [rng_for ~seed ~level ~rep] alone — independent of the shard layout —
-     and the level statistics fold over the results array in replicate
-     order, so campaign aggregates are identical for every shard count
-     (pinned by the differential suite). *)
+  (* Replicate PRNG streams derive from [rng_for ~seed ~level ~rep] alone
+     — independent of the shard layout — and the level statistics fold
+     over the results in replicate order, so campaign aggregates are
+     identical for every shard count (pinned by the differential suite). *)
   let one_replicate ~rsink ~level ~intensity rep =
     let rparams = { params with Agrid_core.Slrh.obs = rsink } in
     (* the dual-ascent controller is mutable per-run state: every
@@ -121,29 +144,12 @@ let run ?(obs = Agrid_obs.Sink.noop)
   in
   List.mapi
     (fun level intensity ->
-      let shard_sinks =
-        Array.init shards (fun _ ->
-            if Agrid_obs.Sink.enabled obs then Agrid_obs.Sink.create ~capacity:256 ()
-            else Agrid_obs.Sink.noop)
+      let results =
+        Agrid_obs.Sink.span obs "campaign/level" (fun () ->
+            run_blocks ~obs (fun ~sink rep -> one_replicate ~rsink:sink ~level ~intensity rep))
       in
-      let results = Array.make replicates None in
-      Agrid_obs.Sink.span obs "campaign/level" (fun () ->
-          Agrid_par.Parallel.run_workers ~domains:shards ~n:shards (fun s ->
-              let rsink = shard_sinks.(s) in
-              (* Static block [lo, hi): contiguous replicate ranges keep the
-                 result-array writes disjoint across shards. *)
-              let lo = s * replicates / shards and hi = (s + 1) * replicates / shards in
-              for rep = lo to hi - 1 do
-                results.(rep) <- Some (one_replicate ~rsink ~level ~intensity rep)
-              done));
-      Array.iter (fun s -> Agrid_obs.Sink.merge_into ~into:obs s) shard_sinks;
       Agrid_obs.Sink.add obs "campaign/replicates" replicates;
       Agrid_obs.Sink.max_gauge obs "campaign/shards" (float_of_int shards);
-      let results =
-        Array.map
-          (function Some r -> r | None -> assert false (* every block was run *))
-          results
-      in
       let n = float_of_int replicates in
       let count f = Array.fold_left (fun acc r -> if f r then acc + 1 else acc) 0 results in
       let mean f = Array.fold_left (fun acc r -> acc +. f r) 0. results /. n in
@@ -229,43 +235,23 @@ let run_traffic ?(obs = Agrid_obs.Sink.noop) ?(replicates = 8) ?shards
     (spec : Traffic.spec) =
   if replicates <= 0 then
     invalid_arg "Campaign.run_traffic: nonpositive replicate count";
-  (match shards with
-  | Some s when s < 1 -> invalid_arg "Campaign.run_traffic: shards must be >= 1"
-  | Some _ | None -> ());
+  let _, run_blocks =
+    sharded ~fn:"Campaign.run_traffic" ~replicates shards
+      ~default:Agrid_par.Parallel.default_domains
+  in
   (match Traffic.validate spec with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Campaign.run_traffic: " ^ msg));
-  let shards =
-    match shards with
-    | Some s -> s
-    | None -> min replicates (Agrid_par.Parallel.default_domains ())
-  in
-  (* Same sharding discipline as [run]: contiguous replicate blocks on
-     worker domains, one private sink per shard folded into [obs] after
-     the join. Each replicate is a pure function of (spec, rep) — the
-     aggregates below fold in replicate order, so they are identical for
-     every shard count. Nothing wall-clock-dependent is recorded, so the
-     [obs] export is byte-identical across runs of the same spec. *)
-  let shard_sinks =
-    Array.init shards (fun _ ->
-        if Agrid_obs.Sink.enabled obs then Agrid_obs.Sink.create ~capacity:256 ()
-        else Agrid_obs.Sink.noop)
-  in
-  let results = Array.make replicates None in
-  Agrid_par.Parallel.run_workers ~domains:shards ~n:shards (fun s ->
-      let rsink = shard_sinks.(s) in
-      let lo = s * replicates / shards and hi = (s + 1) * replicates / shards in
-      for rep = lo to hi - 1 do
-        let rspec = { spec with Traffic.seed = traffic_seed ~seed:spec.Traffic.seed ~rep } in
-        results.(rep) <- Some (Traffic.run ~obs:rsink rspec)
-      done);
-  Array.iter (fun s -> Agrid_obs.Sink.merge_into ~into:obs s) shard_sinks;
-  Agrid_obs.Sink.add obs "campaign/traffic_replicates" replicates;
+  (* Each replicate is a pure function of (spec, rep), so the aggregates
+     below are identical for every shard count. Nothing
+     wall-clock-dependent is recorded, so the [obs] export is
+     byte-identical across runs of the same spec. *)
   let outcomes =
-    Array.map
-      (function Some o -> o | None -> assert false (* every block was run *))
-      results
+    run_blocks ~obs (fun ~sink rep ->
+        let rspec = { spec with Traffic.seed = traffic_seed ~seed:spec.Traffic.seed ~rep } in
+        Traffic.run ~obs:sink rspec)
   in
+  Agrid_obs.Sink.add obs "campaign/traffic_replicates" replicates;
   let n = float_of_int replicates in
   let mean f = Array.fold_left (fun acc o -> acc +. f o) 0. outcomes /. n in
   let tenants =

@@ -118,8 +118,9 @@ let table4 (config : Config.t) =
 (* T100 and heuristic execution time vs delta_t, SLRH-1, ETC 0, two DAGs,
    Case A (fixed weights; the paper ran this sweep before the weight
    study). *)
-let figure2 ?(weights = Agrid_core.Objective.make_weights ~alpha:0.3 ~beta:0.3)
-    ?(values = Agrid_tuner.Sweep.figure2_delta_t_values) (config : Config.t) =
+let figure2 (config : Config.t) =
+  let weights = Agrid_core.Objective.make_weights ~alpha:0.3 ~beta:0.3 in
+  let values = Agrid_tuner.Sweep.figure2_delta_t_values in
   let sweep dag_index =
     let workload =
       Workload.build config.Config.spec ~etc_index:0 ~dag_index ~case:Grid.A
@@ -218,8 +219,9 @@ let figure7 ev =
 (* Final T100 as a function of the loss instant, for losing a slow or a
    fast machine out of Case A — the dynamic transition the paper's static
    Cases B and C bracket. One series per lost machine class. *)
-let extension_loss_sweep ?(weights = Agrid_core.Objective.make_weights ~alpha:0.4 ~beta:0.3)
-    ?(fractions = [ 0.0; 0.1; 0.25; 0.5; 0.75 ]) (config : Config.t) =
+let extension_loss_sweep (config : Config.t) =
+  let weights = Agrid_core.Objective.make_weights ~alpha:0.4 ~beta:0.3 in
+  let fractions = [ 0.0; 0.1; 0.25; 0.5; 0.75 ] in
   let workload = Workload.build config.Config.spec ~etc_index:0 ~dag_index:0 ~case:Grid.A in
   let params =
     {

@@ -10,8 +10,8 @@
 (* Acklam's rational approximation to the inverse standard normal CDF:
    two tail branches plus a central branch, relative error < 1.15e-9 over
    all of (0, 1) — far below the 9 significant digits anything here
-   serialises. The test suite pins it against the erfc-based CDF in
-   Agrid_stats.Goodness. *)
+   serialises. The test suite pins it, through [inflation], against the
+   erfc-based normal CDF of its goodness-of-fit helpers. *)
 let a =
   [|
     -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;

@@ -29,14 +29,9 @@ open Agrid_workload
 open Agrid_sched
 open Agrid_platform
 
-type params = {
-  iterations : int;  (** subgradient steps (default 60) *)
-  eta : float;  (** initial multiplier step size (default 0.5) *)
-  repair_demotions : int;
-      (** max primaries demoted to secondary during repair (default: all) *)
-}
-
-let default_params = { iterations = 60; eta = 0.5; repair_demotions = max_int }
+(* Subgradient steps, and the initial multiplier step size. *)
+let iterations = 60
+let eta = 0.5
 
 type dual_point = {
   iteration : int;
@@ -107,14 +102,14 @@ let dual_step wl ~lambda ~nu =
   (assignment, energy_load, time_load, !dual, int_of_float !primal_reward)
 
 (* Projected subgradient ascent on (lambda, nu). *)
-let optimise params wl =
+let optimise wl =
   let m = Workload.n_machines wl in
   let grid = Workload.grid wl in
   let tau = float_of_int (Workload.tau wl) in
   let lambda = Array.make m 0. and nu = Array.make m 0. in
   let trace = ref [] in
   let last_assignment = ref None and best_dual = ref infinity in
-  for k = 0 to params.iterations - 1 do
+  for k = 0 to iterations - 1 do
     let assignment, energy_load, time_load, dual, n_primary =
       dual_step wl ~lambda ~nu
     in
@@ -125,7 +120,7 @@ let optimise params wl =
        all-primary assignments that the repair would shred). *)
     if dual < !best_dual then best_dual := dual;
     last_assignment := Some assignment;
-    let step = params.eta /. sqrt (float_of_int (k + 1)) in
+    let step = eta /. sqrt (float_of_int (k + 1)) in
     let max_ev = ref 0. and max_tv = ref 0. in
     for j = 0 to m - 1 do
       let b = (Grid.machine grid j).Agrid_platform.Machine.battery in
@@ -202,10 +197,9 @@ let demote_candidate wl sched ~over_energy ~over_time assignment =
     (Schedule.placements sched);
   Option.map fst !worst
 
-let run ?(params = default_params) wl =
-  if params.iterations <= 0 then invalid_arg "Lrnn.run: iterations must be positive";
+let run wl =
   let t0 = Agrid_obs.Clock.monotonic_ns () in
-  let assignment, dual_bound, dual_trace = optimise params wl in
+  let assignment, dual_bound, dual_trace = optimise wl in
   let assignment = Array.copy assignment in
   let demoted = ref 0 in
   let sched = ref (realise wl assignment) in
@@ -213,7 +207,6 @@ let run ?(params = default_params) wl =
   while !continue_ do
     let over_energy, over_time = violations wl !sched in
     if over_energy = [] && not over_time then continue_ := false
-    else if !demoted >= params.repair_demotions then continue_ := false
     else begin
       match demote_candidate wl !sched ~over_energy ~over_time assignment with
       | None -> continue_ := false (* nothing left to demote *)

@@ -10,14 +10,6 @@
 
 open Agrid_sched
 
-type params = {
-  iterations : int;  (** subgradient steps (default 60) *)
-  eta : float;  (** initial step size (default 0.5) *)
-  repair_demotions : int;  (** cap on repair demotions (default: unlimited) *)
-}
-
-val default_params : params
-
 type dual_point = {
   iteration : int;
   dual_value : float;  (** upper bound on the primal optimum (weak duality) *)
@@ -36,7 +28,8 @@ type outcome = {
   wall_seconds : float;
 }
 
-val run : ?params:params -> Agrid_workload.Workload.t -> outcome
-(** @raise Invalid_argument when [iterations <= 0]. *)
+val run : Agrid_workload.Workload.t -> outcome
+(** 60 subgradient steps from an initial step size of 0.5, then repair
+    demotes primaries until the schedule is feasible or none is left. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -25,9 +25,6 @@ val summary_json :
     object, each with the same spans/counters/gauges shape, so the CI
     regression gate compares them with the same rules. *)
 
-val metrics_csv_header : string list
-val metrics_csv_rows : Sink.t -> string list list
-
 val write_csv_files : prefix:string -> Sink.t -> string list
 (** Write [<prefix>_metrics.csv], [<prefix>_spans.csv] and
     [<prefix>_snapshots.csv]; returns the paths written. *)

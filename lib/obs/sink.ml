@@ -74,9 +74,6 @@ let tick_snapshot t ~make =
       if due then Snapshot.Ring.push a.snapshots (make ());
       due
 
-let push_snapshot t s =
-  match t with Noop -> () | Active a -> Snapshot.Ring.push a.snapshots s
-
 let metrics = function Noop -> [] | Active a -> Registry.to_alist a.registry
 let span_stats = function Noop -> [] | Active a -> Span.stats a.spans
 let snapshots = function Noop -> [] | Active a -> Snapshot.Ring.to_list a.snapshots

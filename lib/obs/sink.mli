@@ -48,8 +48,6 @@ val tick_snapshot : t -> make:(unit -> Snapshot.t) -> bool
     caller can reset per-window accumulators. Always [false] on the no-op
     sink. *)
 
-val push_snapshot : t -> Snapshot.t -> unit
-
 val metrics : t -> (string * Registry.metric) list
 (** Name-sorted; empty on the no-op sink. *)
 

@@ -423,5 +423,3 @@ let chrome_of_lines lines =
          ("displayTimeUnit", Json.Str "ms");
          ("otherData", Json.Obj [ ("schema", Json.Str schema) ]);
        ])
-
-let chrome_json t = chrome_of_lines (lines t)

@@ -52,11 +52,10 @@ val create :
     [nonce] seeds trace-id derivation — give every run a distinct one
     (the CLI uses its PRNG seed). *)
 
-val id_of : nonce:int -> job:int -> string
-(** The deterministic trace id: a 16-hex-digit splitmix64 hash. *)
-
 val id_for : t -> int -> string
-(** [id_of ~nonce:(nonce t) ~job]. *)
+(** The deterministic trace id of a job: a 16-hex-digit splitmix64 hash
+    of ({!nonce}, job id), so any collector with the same nonce derives
+    the same id. *)
 
 val nonce : t -> int
 
@@ -94,14 +93,10 @@ val jsonl_lines : t -> string list
 val to_jsonl : t -> string
 val write_jsonl : string -> t -> unit
 
-val parse_line : string -> (line, string) result
-(** Total: hostile bytes come back as [Error], never an exception. *)
-
 val parse_jsonl : string list -> (line list, string) result
-(** Every line through {!parse_line} (blank lines skipped); the first
-    failure is reported with its line number. *)
-
-val kind_to_string : kind -> string
+(** Parse every line (blank lines skipped); the first failure is reported
+    with its line number. Total: hostile bytes come back as [Error],
+    never an exception. *)
 
 (** {2 Chrome trace-event JSON} *)
 
@@ -109,6 +104,3 @@ val chrome_of_lines : line list -> string
 (** One Chrome trace-event document: an instant event per point event and
     a complete ("X") span per job. Ring events render under pid 0,
     exemplar timelines under pid 1. *)
-
-val chrome_json : t -> string
-(** {!chrome_of_lines} over this collector's {!line}s. *)

@@ -46,9 +46,6 @@ val quantile : t -> now:float -> string -> float -> float
 val count : t -> now:float -> string -> int
 (** Observation count of {!merged_hist} over the live window. *)
 
-val covered_s : t -> now:float -> float
-(** Seconds of window actually covered by live slots (<= {!window_s}). *)
-
 val merge_into : into:t -> t -> unit
 (** Slot-by-slot merge keyed on absolute interval stamps — windows merge
     like histograms, so per-worker windows can aggregate after a join.

@@ -2,16 +2,14 @@
     machine [i] to [j] is [CMT(i,j) = 1 / min(BW(i), BW(j))]; same-machine
     transfers are free and instantaneous (paper Section III). *)
 
-val cmt : Grid.t -> src:int -> dst:int -> float
-(** Seconds per bit; 0 when [src = dst]. *)
-
 val transfer_cycles : Grid.t -> src:int -> dst:int -> bits:float -> int
+(** [bits] times CMT, the seconds per bit [1 / min(BW(src), BW(dst))],
+    rounded up to whole cycles; 0 when [src = dst]. *)
 
 val transfer_energy : Grid.t -> src:int -> dst:int -> bits:float -> float
 (** Billed to the sender over the integer-cycle duration; receiving is
     free (assumption (a)). *)
 
-val worst_case_cycles : Grid.t -> bits:float -> int
 val worst_case_energy : Grid.t -> src:int -> bits:float -> float
 (** Cost if the recipient sat on the grid's lowest-bandwidth link — the
     feasibility check's conservative bound (paper Section IV). *)
@@ -42,7 +40,8 @@ val transfer_cycles_at : table -> src:int -> dst:int -> float array -> int -> in
     checks. *)
 
 val worst_case_cycles_at : table -> float array -> int -> int
-(** [worst_case_cycles grid ~bits:bits.(i)]. *)
+(** Cycles [bits.(i)] take on the grid's lowest-bandwidth link, the
+    duration {!worst_case_energy} bills. *)
 
 val transfer_energy_into : table -> src:int -> cycles:int -> float array -> int -> unit
 (** Stores in [a.(i)] the energy [src] spends transmitting for [cycles]:

@@ -88,43 +88,3 @@ let gamma_mean_cv rng ~mean ~cv =
 let bernoulli rng ~p =
   if p < 0. || p > 1. then invalid_arg "Dist.bernoulli: p outside [0,1]";
   unit rng < p
-
-(* Fisher-Yates shuffle, in place. *)
-let shuffle_in_place rng arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = Splitmix64.next_int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-(* [sample_distinct rng ~n ~bound] draws [n] distinct ints from [0, bound).
-   Uses rejection for sparse draws and a partial shuffle otherwise. *)
-let sample_distinct rng ~n ~bound =
-  if n < 0 || n > bound then invalid_arg "Dist.sample_distinct";
-  if n = 0 then [||]
-  else if n * 3 < bound then begin
-    let seen = Hashtbl.create (2 * n) in
-    let out = Array.make n 0 in
-    let filled = ref 0 in
-    while !filled < n do
-      let v = Splitmix64.next_int rng bound in
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
-        out.(!filled) <- v;
-        incr filled
-      end
-    done;
-    out
-  end
-  else begin
-    let all = Array.init bound Fun.id in
-    (* partial Fisher-Yates: the first n slots end up a uniform sample *)
-    for i = 0 to n - 1 do
-      let j = i + Splitmix64.next_int rng (bound - i) in
-      let tmp = all.(i) in
-      all.(i) <- all.(j);
-      all.(j) <- tmp
-    done;
-    Array.sub all 0 n
-  end

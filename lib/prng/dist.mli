@@ -20,9 +20,3 @@ val gamma_mean_cv : rng -> mean:float -> cv:float -> float
     "CVB" parameterisation): shape [1/cv^2], scale [mean*cv^2]. *)
 
 val bernoulli : rng -> p:float -> bool
-
-val shuffle_in_place : rng -> 'a array -> unit
-(** Fisher-Yates shuffle. *)
-
-val sample_distinct : rng -> n:int -> bound:int -> int array
-(** [n] distinct integers uniformly from [\[0, bound)], unordered. *)

@@ -38,8 +38,6 @@ let[@inline] next_mixed t =
   set64 t 0 s;
   mix s
 
-let next_int64 t = next_mixed t
-
 (* A derived generator whose starting point is decorrelated from [t] by an
    extra mixing round; used to give every (etc, dag, machine, ...) index its
    own independent stream. *)

@@ -21,9 +21,6 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     decorrelated from [t]'s; use one split stream per independent artefact. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val next_bits53 : t -> int
 (** The top 53 bits of the next raw output, as a non-negative [int].
     [next_unit_float t] is [float_of_int (next_bits53 t) *. 0x1p-53];

@@ -117,12 +117,6 @@ val parse_stats : string -> (stats_snapshot, string) result
 (** Total, like every parser here. Non-finite quantiles travel as JSON
     [null] and come back as NaN. *)
 
-val reason_to_string :
-  [ `Queue_full | `Malformed | `Draining | `All_backends_saturated | `Tenant_quota ] -> string
-
-val reason_of_string :
-  string -> [ `Queue_full | `Malformed | `Draining | `All_backends_saturated | `Tenant_quota ] option
-
 (** {2 Response parsing} — the router's view of a backend's lines. *)
 
 type response = {

@@ -26,13 +26,11 @@ val create :
 val with_lock : Mutex.t -> (unit -> 'a) -> 'a
 (** Run [f] holding the mutex, releasing it on any exit. *)
 
-val minor_heap_words : int
-(** The minor heap size, in words, of every daemon domain: 32,768
-    (256 KiB) in place of OCaml's 262,144. *)
-
 val size_minor_heap : unit -> unit
-(** Resize the calling domain's minor heap to {!minor_heap_words}, once
-    per domain (later calls are a domain-local flag check). {!submit}
+(** Resize the calling domain's minor heap to the size every daemon
+    domain runs with, 32,768 words (256 KiB) in place of OCaml's
+    262,144, once per domain (later calls are a domain-local flag
+    check). {!submit}
     calls it on a domain's first job; worker domains call it on theirs.
     The first call forces a minor collection, so it stays off the path
     to a daemon's first health answer. *)

@@ -209,15 +209,3 @@ let execute ?(obs = Sink.noop) { spec; workload; realize_ns } =
                 out.Agrid_churn.Engine.schedule))
 
 let run ?obs spec = execute ?obs (prepare spec)
-
-let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let equal_modulo_wall a b =
-  a.status = b.status && a.completed = b.completed && a.t100 = b.t100
-  && a.mapped = b.mapped && a.aet = b.aet
-  && float_bits_equal a.tec b.tec
-  && Array.length a.energy_remaining = Array.length b.energy_remaining
-  && Array.for_all2 float_bits_equal a.energy_remaining b.energy_remaining
-  && a.final_clock = b.final_clock
-  && a.n_discarded = b.n_discarded
-  && float_bits_equal a.sunk_energy b.sunk_energy

@@ -10,7 +10,7 @@
 type spec = {
   tag : string option;  (** opaque client correlation token, echoed back *)
   trace_id : string option;
-      (** distributed-tracing correlation id ({!Agrid_obs.Trace.id_of}),
+      (** distributed-tracing correlation id ({!Agrid_obs.Trace.id_for}),
           stamped by a relaying router; [None] = untraced *)
   tenant : string option;
       (** owning tenant id, checked against the server's per-tenant
@@ -102,7 +102,3 @@ val run : ?obs:Agrid_obs.Sink.t -> spec -> result
     did not fire), every field except [wall_seconds] is a pure function of
     the spec — pinned by the soak harness's served-vs-one-shot
     comparison, and split or not: [execute (prepare s)] equals [run s]. *)
-
-val equal_modulo_wall : result -> result -> bool
-(** Bitwise equality on every field except [wall_seconds] (floats compared
-    through their bit patterns). *)

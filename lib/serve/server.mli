@@ -12,8 +12,8 @@
     queue holds realized workloads. Each accepted job gets one
     {!Codec.result_line} through the caller's [respond] as workers
     finish. Responses are serialized, so [respond] needs no locking of
-    its own. Every domain that takes a job runs with a
-    {!Front.minor_heap_words} minor heap.
+    its own. Every domain that takes a job runs with a 32,768-word minor
+    heap ({!Front.size_minor_heap}).
 
     Telemetry: each job runs against a private sink (snapshot stride 8) merged into the pool
     sink afterwards, alongside [serve/*] counters (accepted, completed,
@@ -120,8 +120,7 @@ val tenant_rejected : t -> string -> int
 val worker_heap_words : t -> int list
 (** The minor heap size, in words, that each worker loop's domain ran
     with, recorded as the loop ended ([0] while it runs). Read it after
-    {!drain} or {!stop}: a worker that served a job reports
-    {!Front.minor_heap_words}. *)
+    {!drain} or {!stop}: a worker that served a job reports 32,768. *)
 
 val queue_depth : t -> int
 val uptime_s : t -> float

@@ -2,10 +2,10 @@
     [Invalid_argument] — experiment aggregation should fail loudly). *)
 
 val mean : float array -> float
-val variance : float array -> float
-(** Sample variance (n-1 denominator); 0 for a singleton. *)
-
 val stddev : float array -> float
+(** Square root of the sample variance (n-1 denominator); 0 for a
+    singleton. *)
+
 val min : float array -> float
 val max : float array -> float
 val sum : float array -> float

@@ -2,10 +2,6 @@ open Agrid_prng
 
 type process = Poisson of float | Trace of int list
 
-let process_to_string = function
-  | Poisson rate -> Fmt.str "poisson(%g/cycle)" rate
-  | Trace ts -> Fmt.str "trace[%d]" (List.length ts)
-
 (* The expected-count cap keeps a mistyped rate ("1000" where "0.001" was
    meant) from generating millions of applications before anything runs. *)
 let max_expected_arrivals = 10_000.

@@ -12,8 +12,6 @@ type process =
       (** explicit arrival cycles (sorted on generation; duplicates
           allowed — simultaneous arrivals) *)
 
-val process_to_string : process -> string
-
 val validate_process : horizon:int -> process -> (unit, string) result
 (** Rates must be finite and positive with a bounded expected arrival
     count ([rate *. horizon <= 10_000] — a runaway-spec guard, not a

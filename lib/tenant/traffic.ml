@@ -18,9 +18,16 @@ type spec = {
 let default_scale = 0.05
 let default_chunk = 8
 
-let make_spec ?(scale = default_scale) ?(case = Agrid_platform.Grid.A)
-    ?(chunk = default_chunk) ?(events = []) ~seed ~horizon tenants =
-  { seed; horizon; scale; case; chunk; events; tenants }
+let make_spec ~seed ~horizon tenants =
+  {
+    seed;
+    horizon;
+    scale = default_scale;
+    case = Agrid_platform.Grid.A;
+    chunk = default_chunk;
+    events = [];
+    tenants;
+  }
 
 let grid_machines case =
   Agrid_platform.Grid.n_machines (Agrid_platform.Grid.of_case case)
@@ -71,51 +78,6 @@ let validate spec =
 (* --- wire format (agrid-traffic/1) ------------------------------------- *)
 
 let schema = "agrid-traffic/1"
-
-let case_to_string = function
-  | Agrid_platform.Grid.A -> "A"
-  | Agrid_platform.Grid.B -> "B"
-  | Agrid_platform.Grid.C -> "C"
-
-let tenant_to_json ts =
-  let t = ts.ts_tenant in
-  let proc =
-    match ts.ts_process with
-    | Arrivals.Poisson rate -> [ ("rate", Json.Flt rate) ]
-    | Arrivals.Trace times -> [ ("trace", Json.Arr (List.map (fun x -> Json.Int x) times)) ]
-  in
-  let quota =
-    (match t.Tenant.quota.Feasibility.q_energy with
-    | None -> []
-    | Some e -> [ ("energy_quota", Json.Flt e) ])
-    @
-    match t.Tenant.quota.Feasibility.q_machines with
-    | None -> []
-    | Some m -> [ ("machines", Json.Int m) ]
-  in
-  Json.Obj
-    ([
-       ("id", Json.Str t.Tenant.id);
-       ("priority", Json.Str (Tenant.priority_to_string t.Tenant.priority));
-     ]
-    @ proc @ quota)
-
-let spec_to_json spec =
-  Json.Obj
-    ([
-       ("schema", Json.Str schema);
-       ("seed", Json.Int spec.seed);
-       ("horizon", Json.Int spec.horizon);
-       ("scale", Json.Flt spec.scale);
-       ("case", Json.Str (case_to_string spec.case));
-       ("chunk", Json.Int spec.chunk);
-     ]
-    @ (match spec.events with
-      | [] -> []
-      | evs -> [ ("events", Json.Str (Event.trace_to_string evs)) ])
-    @ [ ("tenants", Json.Arr (List.map tenant_to_json spec.tenants)) ])
-
-let spec_to_string spec = Json.to_string (spec_to_json spec)
 
 let case_of_string = function
   | "A" -> Ok Agrid_platform.Grid.A

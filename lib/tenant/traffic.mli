@@ -30,30 +30,19 @@ type spec = {
   tenants : tenant_stream list;
 }
 
-val make_spec :
-  ?scale:float ->
-  ?case:Agrid_platform.Grid.case ->
-  ?chunk:int ->
-  ?events:Agrid_churn.Event.t list ->
-  seed:int ->
-  horizon:int ->
-  tenant_stream list ->
-  spec
+val make_spec : seed:int -> horizon:int -> tenant_stream list -> spec
+(** A spec with the defaults the wire format fills in: scale 0.05, Case
+    A, chunk 8, no churn events. *)
 
 val validate : spec -> (unit, string) result
 
 (** {2 Wire format}
 
     Schema ["agrid-traffic/1"]: one JSON object. Parsing is total —
-    malformed input yields [Error], never an exception — and
-    [spec_of_json (spec_to_json s) = Ok s] (the fuzz suite's print/parse
-    fixed point). *)
+    malformed input yields [Error], never an exception (the fuzz suite
+    checks it, and that parsing its printer's text gives the spec back). *)
 
 val schema : string
-
-val spec_to_json : spec -> Agrid_obs.Json.t
-val spec_of_json : Agrid_obs.Json.t -> (spec, string) result
-val spec_to_string : spec -> string
 
 val spec_of_string : string -> (spec, string) result
 (** Parse + validate. *)

@@ -45,8 +45,11 @@ let clamp_simplex = Agrid_lagrange.Dual.clamp_simplex
 (* Step-size constant c of the c/sqrt(round) schedule. *)
 let eta = 0.15
 
-let tune ?(init = (0.3, 0.3)) ?(iterations = 16) (runner : Weight_search.runner) workload =
-  if iterations <= 0 then invalid_arg "Adaptive.tune: iterations must be positive";
+(* Runs per tuning, and the starting (alpha, beta). *)
+let iterations = 16
+let init = (0.3, 0.3)
+
+let tune (runner : Weight_search.runner) workload =
   let tau = Workload.tau workload in
   let best = ref None in
   let trace = ref [] in

@@ -19,14 +19,8 @@ type result = {
   evaluations : int;
 }
 
-val tune :
-  ?init:float * float ->
-  ?iterations:int ->
-  Weight_search.runner ->
-  Agrid_workload.Workload.t ->
-  result
-(** Defaults: init (0.3, 0.3), 16 iterations. The step size at round [k]
-    is [0.15 / sqrt k].
-    @raise Invalid_argument on nonpositive [iterations]. *)
+val tune : Weight_search.runner -> Agrid_workload.Workload.t -> result
+(** 16 runs from (alpha, beta) = (0.3, 0.3). The step size at round [k]
+    is [0.15 / sqrt k]. *)
 
 val pp_step : Format.formatter -> step -> unit

@@ -15,10 +15,9 @@ type point = {
   wall_seconds : float;
 }
 
-let run_point ~variant ~weights ~delta_t ~horizon workload =
-  let params =
-    { (Slrh.default_params ~variant weights) with Slrh.delta_t; horizon }
-  in
+(* One SLRH-1 run at the given step and horizon. *)
+let run_point ~weights ~delta_t ~horizon workload =
+  let params = { (Slrh.default_params weights) with Slrh.delta_t; horizon } in
   let o = Slrh.run params workload in
   let r = Agrid_sched.Validate.check o.Slrh.schedule in
   {
@@ -29,16 +28,14 @@ let run_point ~variant ~weights ~delta_t ~horizon workload =
     wall_seconds = o.Slrh.wall_seconds;
   }
 
-let delta_t ?(variant = Slrh.V1) ?(horizon = 100) ~weights ~values workload =
+let delta_t ?(horizon = 100) ~weights ~values workload =
   List.map
-    (fun dt ->
-      { (run_point ~variant ~weights ~delta_t:dt ~horizon workload) with value = dt })
+    (fun dt -> { (run_point ~weights ~delta_t:dt ~horizon workload) with value = dt })
     values
 
-let horizon ?(variant = Slrh.V1) ?(delta_t = 10) ~weights ~values workload =
+let horizon ?(delta_t = 10) ~weights ~values workload =
   List.map
-    (fun h ->
-      { (run_point ~variant ~weights ~delta_t ~horizon:h workload) with value = h })
+    (fun h -> { (run_point ~weights ~delta_t ~horizon:h workload) with value = h })
     values
 
 (* The paper's Figure 2 sweep values (delta_t in cycles): small values blow

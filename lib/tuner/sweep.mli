@@ -1,5 +1,5 @@
-(** Parameter sweeps over the SLRH knobs: the delta-T sweep behind paper
-    Figure 2 and the horizon-H ablation (paper: negligible impact). *)
+(** Parameter sweeps over the SLRH-1 knobs: the delta-T sweep behind
+    paper Figure 2 and the horizon-H ablation (paper: negligible impact). *)
 
 open Agrid_core
 
@@ -12,7 +12,6 @@ type point = {
 }
 
 val delta_t :
-  ?variant:Slrh.variant ->
   ?horizon:int ->
   weights:Objective.weights ->
   values:int list ->
@@ -20,7 +19,6 @@ val delta_t :
   point list
 
 val horizon :
-  ?variant:Slrh.variant ->
   ?delta_t:int ->
   weights:Objective.weights ->
   values:int list ->

@@ -23,9 +23,6 @@ val maxmax_runner : runner
 val simplex_grid : step:float -> (float * float) list
 (** All (alpha, beta) with nonnegative entries summing to <= 1. *)
 
-val refinement_grid :
-  centre:float * float -> radius:float -> step:float -> (float * float) list
-
 type result = {
   best : run_result option;  (** [None] if no feasible weight point exists *)
   evaluations : int;

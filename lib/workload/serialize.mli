@@ -16,11 +16,9 @@ val save_file :
 val to_string :
   Spec.t -> etc_index:int -> dag_index:int -> case:Agrid_platform.Grid.case -> string
 
-val load_string : string -> Workload.t
+val load_file : string -> Workload.t
 (** @raise Parse_error on malformed input, including a float field that
     parses to NaN or an infinity. *)
-
-val load_file : string -> Workload.t
 
 (** {2 Scenario references}
 
@@ -46,7 +44,7 @@ val spec_for : seed:int -> scale:float -> Spec.t
 
 val realize : scenario_ref -> Workload.t
 (** Instantiate the referenced workload.
-    @raise Parse_error on a malformed [Pinned] text.
+    @raise Parse_error on a malformed [Pinned] text (as {!load_file}).
     @raise Invalid_argument on out-of-range [Generated] coordinates. *)
 
 val scenario_ref_to_json : scenario_ref -> Agrid_obs.Json.t

@@ -15,7 +15,7 @@ type t = {
   tau_seconds : float;
       (** time constraint; the paper picked 34,075 s from greedy-heuristic
           experiments — [Calibrate] (in agrid_baselines) recomputes it the
-          same way and {!with_tau_seconds} installs the result *)
+          same way *)
   seed : int;
 }
 
@@ -61,10 +61,6 @@ let scaled ?seed ~factor () =
 
 (* Demo scale used by default in examples and benches: |T| = 128. *)
 let default ?seed () = scaled ?seed ~factor:0.125 ()
-
-let with_tau_seconds t tau_seconds =
-  if tau_seconds <= 0. then invalid_arg "Spec.with_tau_seconds: must be positive";
-  { t with tau_seconds }
 
 let tau_cycles t = Agrid_platform.Units.cycles_of_seconds t.tau_seconds
 

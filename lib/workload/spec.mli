@@ -23,7 +23,6 @@ val scaled : ?seed:int -> factor:float -> unit -> t
 val default : ?seed:int -> unit -> t
 (** Demo scale: |T| = 128. *)
 
-val with_tau_seconds : t -> float -> t
 val tau_cycles : t -> int
 
 val validate : t -> unit

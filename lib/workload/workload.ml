@@ -153,11 +153,6 @@ let build ?etc ?dag ?data_bits spec ~etc_index ~dag_index ~case =
     tse = Grid.total_system_energy grid;
   }
 
-let with_tau t ~tau_cycles =
-  if tau_cycles <= 0 then invalid_arg "Workload.with_tau: must be positive";
-  check_total_work t.grid t.data_bits t.cycles ~tau:tau_cycles;
-  { t with tau = tau_cycles }
-
 (* Scale one machine's bandwidth mid-run (churn extension): the ETC matrix
    and the cycle table are unaffected — only communication durations
    and energies computed against the grid change for future plans. *)

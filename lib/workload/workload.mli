@@ -30,10 +30,6 @@ val etc_for_spec : Spec.t -> etc_index:int -> Agrid_etc.Etc.t
 val dag_for_spec : Spec.t -> dag_index:int -> Agrid_dag.Dag.t
 val data_for_spec : Spec.t -> Agrid_dag.Dag.t -> dag_index:int -> float array
 
-val with_tau : t -> tau_cycles:int -> t
-(** @raise Invalid_argument on a nonpositive tau, or one that takes the
-    total work past the bound {!build} enforces. *)
-
 val degrade_bandwidth : t -> machine:int -> factor:float -> t
 (** Scale one machine's bandwidth (churn extension). Indices are stable;
     the ETC matrix is unaffected.

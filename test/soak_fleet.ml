@@ -425,7 +425,7 @@ let () =
     (fun id evs ->
       let evs = List.rev evs in
       let kinds = List.map (fun (e : Trace.event) -> e.Trace.ev_kind) evs in
-      let expected_tid = Trace.id_of ~nonce:!seed ~job:id in
+      let expected_tid = Trace.id_for tracer id in
       List.iter
         (fun (e : Trace.event) ->
           if e.Trace.ev_trace <> expected_tid then
@@ -555,7 +555,8 @@ let () =
   if !trace_out <> "" then Trace.write_jsonl !trace_out tracer;
   if !chrome_out <> "" then begin
     let oc = open_out !chrome_out in
-    output_string oc (Trace.chrome_json tracer);
+    output_string oc
+      (Trace.chrome_of_lines (Result.get_ok (Trace.parse_jsonl (Trace.jsonl_lines tracer))));
     output_char oc '\n';
     close_out oc
   end;

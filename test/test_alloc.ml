@@ -394,13 +394,17 @@ let () =
   let module Traffic = Agrid_tenant.Traffic in
   let module Tenant = Agrid_tenant.Tenant in
   let traffic_spec =
-    Traffic.make_spec ~scale:(48. /. 1024.) ~seed:11 ~horizon:10
-      [
-        {
-          Traffic.ts_tenant = Tenant.make "solo";
-          ts_process = Agrid_tenant.Arrivals.Trace [ 0 ];
-        };
-      ]
+    {
+      (Traffic.make_spec ~seed:11 ~horizon:10
+         [
+           {
+             Traffic.ts_tenant = Tenant.make "solo";
+             ts_process = Agrid_tenant.Arrivals.Trace [ 0 ];
+           };
+         ])
+      with
+      Traffic.scale = 48. /. 1024.;
+    }
   in
   let solo_workload = Traffic.app_workload traffic_spec ~stream:0 ~seq:0 in
   (* Unlike the commit-free windows above, these runs commit and allocate

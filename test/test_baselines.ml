@@ -107,21 +107,20 @@ let test_random_mapper_validates_structure () =
   Alcotest.(check (list string)) "structurally valid" [] r.Validate.violations
 
 let test_random_mapper_bias () =
+  (* primary with probability 0.5: both versions show up *)
   let wl = Testlib.small_workload () in
-  let all_primary = Random_mapper.run ~primary_bias:1. (Testlib.rng ()) wl in
-  let none_primary = Random_mapper.run ~primary_bias:0. (Testlib.rng ()) wl in
-  Alcotest.(check int) "bias 1 -> all primary" (Workload.n_tasks wl)
-    (Schedule.n_primary all_primary.Random_mapper.schedule);
-  Alcotest.(check int) "bias 0 -> none" 0
-    (Schedule.n_primary none_primary.Random_mapper.schedule)
+  let o = Random_mapper.run (Testlib.rng ()) wl in
+  let n_primary = Schedule.n_primary o.Random_mapper.schedule in
+  if n_primary = 0 || n_primary = Workload.n_tasks wl then
+    Alcotest.failf "%d of %d primaries" n_primary (Workload.n_tasks wl)
 
 (* qcheck: random mappings always produce structurally valid schedules —
    the engine's invariants hold under arbitrary placement pressure *)
 let test_random_mapper_qcheck () =
-  let gen = QCheck2.Gen.(pair (int_range 0 10_000) (float_range 0. 1.)) in
+  let gen = QCheck2.Gen.int_range 0 10_000 in
   let wl = Testlib.small_workload () in
-  let prop (seed, primary_bias) =
-    let o = Random_mapper.run ~primary_bias (Testlib.rng ~seed ()) wl in
+  let prop seed =
+    let o = Random_mapper.run (Testlib.rng ~seed ()) wl in
     let r = Validate.check o.Random_mapper.schedule in
     r.Validate.complete && r.Validate.violations = []
   in
@@ -189,11 +188,6 @@ let test_calibrate_slack () =
   let slacked = Calibrate.tau_cycles ~slack:2. spec in
   (* ceil can add a cycle *)
   Alcotest.(check bool) "slack doubles" true (abs (slacked - (2 * base)) <= 2)
-
-let test_calibrated_spec_roundtrip () =
-  let spec = Testlib.small_spec () in
-  let cal = Calibrate.calibrated_spec spec in
-  Alcotest.(check int) "tau installed" (Calibrate.tau_cycles spec) (Spec.tau_cycles cal)
 
 let test_calibrate_validation () =
   Alcotest.check_raises "bad slack"
@@ -334,7 +328,6 @@ let suites =
         Alcotest.test_case "calibrate deterministic" `Quick
           test_calibrate_positive_and_deterministic;
         Alcotest.test_case "calibrate slack" `Quick test_calibrate_slack;
-        Alcotest.test_case "calibrated spec" `Quick test_calibrated_spec_roundtrip;
         Alcotest.test_case "calibrate validation" `Quick test_calibrate_validation;
         Alcotest.test_case "schedule digests pinned" `Quick test_schedule_digests;
         Alcotest.test_case "wall_seconds nonnegative" `Quick test_wall_seconds_nonnegative;

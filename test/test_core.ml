@@ -16,13 +16,6 @@ let test_weights_construction () =
     (Invalid_argument "Objective.make_weights: alpha + beta must not exceed 1")
     (fun () -> ignore (Objective.make_weights ~alpha:0.9 ~beta:0.2))
 
-let test_weights_exact () =
-  let w = Objective.weights_exact ~alpha:0.2 ~beta:0.3 ~gamma:0.5 in
-  Testlib.close "alpha" 0.2 w.Objective.alpha;
-  Alcotest.check_raises "bad sum"
-    (Invalid_argument "Objective.weights_exact: weights must sum to 1") (fun () ->
-      ignore (Objective.weights_exact ~alpha:0.2 ~beta:0.3 ~gamma:0.6))
-
 let test_objective_formula () =
   (* hand evaluation: alpha*T100/|T| - beta*TEC/TSE + gamma*AET/tau *)
   let v =
@@ -73,7 +66,10 @@ let test_estimate_vs_after_plan () =
   (* on an empty machine with mapped parents the estimate and the exact plan
      agree for the diamond root *)
   let s = Schedule.create (Testlib.diamond_workload ()) in
-  let est = Objective.estimate w331 s ~task:0 ~version:Version.Primary ~machine:0 ~now:0 in
+  let est =
+    (Objective.estimate_parts w331 s ~task:0 ~version:Version.Primary ~machine:0 ~now:0)
+      .Objective.total
+  in
   let p = Schedule.plan s ~task:0 ~version:Version.Primary ~machine:0 ~not_before:0 in
   let exact = Objective.after_plan w331 s p in
   Testlib.close "estimate = exact for root" exact est
@@ -147,32 +143,42 @@ let test_feasibility_energy_gate () =
   let s = Schedule.create wl in
   Alcotest.(check (list int)) "empty pool" [] (Feasibility.candidate_pool s ~machine:0)
 
+(* A diamond workload whose fast machines hold [battery] energy units. *)
+let diamond_with_battery battery =
+  let spec = { (Testlib.diamond_spec ()) with Spec.battery_scale = battery /. 580. } in
+  Workload.build spec ~etc:(Testlib.diamond_etc ()) ~dag:(Testlib.diamond_dag ())
+    ~data_bits:(Testlib.diamond_data ()) ~etc_index:0 ~dag_index:0
+    ~case:Agrid_platform.Grid.A
+
 let test_feasibility_required_energy () =
-  let s = Schedule.create (Testlib.diamond_workload ()) in
   (* task 0 secondary on machine 0: exec 10 cycles = 1s * 0.1 = 0.1;
      worst-case comm: children volumes 1e5 bits each (secondary), worst link
-     4 Mb/s -> 0.025 s -> 1 cycle = 0.1 s * 0.2 = 0.02 each, 0.04 total *)
-  Testlib.close "required" 0.14
-    (Feasibility.required_energy s ~task:0 ~machine:0 ~version:Version.Secondary);
-  Testlib.close "optimistic skips comm" 0.1
-    (Feasibility.required_energy ~mode:Feasibility.Optimistic s ~task:0 ~machine:0
-       ~version:Version.Secondary)
+     4 Mb/s -> 0.025 s -> 1 cycle = 0.1 s * 0.2 = 0.02 each, 0.04 total.
+     A 0.12 battery holds the execution but not the communication bound. *)
+  let s = Schedule.create (diamond_with_battery 0.12) in
+  (match Feasibility.verdict s ~task:0 ~machine:0 with
+  | Error (Feasibility.Comm_energy { exec; comm; _ }) ->
+      Testlib.close "exec" 0.1 exec;
+      Testlib.close "comm" 0.04 comm
+  | _ -> Alcotest.fail "expected a communication-energy rejection");
+  Alcotest.(check bool) "optimistic skips comm" true
+    (Result.is_ok (Feasibility.verdict ~mode:Feasibility.Optimistic s ~task:0 ~machine:0))
 
 let test_feasibility_conservative_stricter () =
-  let s = Schedule.create (Testlib.diamond_workload ()) in
-  for task = 0 to 3 do
-    for machine = 0 to 3 do
-      List.iter
-        (fun version ->
-          let c = Feasibility.required_energy s ~task ~machine ~version in
-          let o =
-            Feasibility.required_energy ~mode:Feasibility.Optimistic s ~task ~machine
-              ~version
-          in
-          if c < o then Alcotest.fail "conservative below optimistic")
-        Version.all
-    done
-  done
+  List.iter
+    (fun battery ->
+      let s = Schedule.create (diamond_with_battery battery) in
+      for task = 0 to 3 do
+        for machine = 0 to 3 do
+          List.iter
+            (fun version ->
+              let admits mode = Feasibility.version_feasible ~mode s ~task ~machine ~version in
+              if admits Feasibility.Conservative && not (admits Feasibility.Optimistic) then
+                Alcotest.fail "conservative admits what optimistic refuses")
+            Version.all
+        done
+      done)
+    [ 0.01; 0.05; 0.1; 0.12; 0.14; 0.2; 0.5; 1.; 5.; 580. ]
 
 (* ---- SLRH ---- *)
 
@@ -269,12 +275,12 @@ let test_slrh_infeasible_stops_at_tau () =
 (* ---- upper bound ---- *)
 
 let test_min_ratio_reference () =
-  let etc = Testlib.diamond_etc () in
-  Testlib.close "MR(0)=1" 1. (Upper_bound.min_ratio etc ~machine:0);
+  let mr = Upper_bound.min_ratios (Testlib.diamond_etc ()) in
+  Testlib.close "MR(0)=1" 1. mr.(0);
   (* machine 1 ratios: 1.2, 0.9, 1.1, 16/14 -> min 0.9 *)
-  Testlib.close "MR(1)" 0.9 (Upper_bound.min_ratio etc ~machine:1);
+  Testlib.close "MR(1)" 0.9 mr.(1);
   (* machine 2 ratios: 10, 10, 280/30, 150/14 -> min 280/30 *)
-  Testlib.close "MR(2)" (280. /. 30.) (Upper_bound.min_ratio etc ~machine:2)
+  Testlib.close "MR(2)" (280. /. 30.) mr.(2)
 
 let test_upper_bound_all_fit () =
   let etc = Testlib.diamond_etc () in
@@ -362,8 +368,7 @@ let test_flat_create () =
   in
   Alcotest.(check int) "one row per machine" (Workload.n_machines wl)
     (Array.length a.Pool.Flat.rows);
-  Alcotest.(check int) "default capacity" Pool.Flat.default_capacity
-    (Pool.Flat.capacity a);
+  Alcotest.(check int) "default capacity" 16 (Pool.Flat.capacity a);
   Alcotest.(check int) "no regrowth yet" 0 (Pool.Flat.regrown a);
   Alcotest.(check int) "hwm starts at 0" 0 (Pool.Flat.hwm a);
   Array.iter
@@ -540,7 +545,6 @@ let suites =
     ( "core",
       [
         Alcotest.test_case "weights construction" `Quick test_weights_construction;
-        Alcotest.test_case "weights exact" `Quick test_weights_exact;
         Alcotest.test_case "objective formula" `Quick test_objective_formula;
         Alcotest.test_case "objective monotonicity" `Quick test_objective_monotonicity;
         Alcotest.test_case "objective bounded (qcheck)" `Quick test_objective_bounded;

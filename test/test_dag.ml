@@ -213,8 +213,10 @@ let test_metrics_diamond () =
   Alcotest.(check int) "max in" 2 m.Metrics.max_in_degree
 
 let test_width_per_level () =
-  Alcotest.(check (array int)) "widths" [| 1; 2; 1 |]
-    (Metrics.width_per_level (Testlib.diamond_dag ()))
+  (* levels of 0 -> {1, 2, 3}, 1 -> 4: widths 1, 3, 1 *)
+  let m = Metrics.compute (Dag.of_edges ~n:5 [ (0, 1); (0, 2); (0, 3); (1, 4) ]) in
+  Alcotest.(check int) "depth" 3 m.Metrics.depth;
+  Alcotest.(check int) "max width" 3 m.Metrics.max_width
 
 let test_dot_output () =
   let s = Dot.to_string ~name:"g" (Testlib.diamond_dag ()) in

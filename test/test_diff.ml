@@ -507,7 +507,8 @@ let test_adaptive_ledger mode () =
   done
 
 (* Campaign sharding: aggregates and counter totals are shard-count
-   invariant (1, 3 — uneven blocks — and 4 shards over 6 replicates). *)
+   invariant (1, 3 — uneven blocks — and 4 shards over 6 replicates), for
+   the churn campaign and the traffic campaign alike. *)
 let counters_only sink =
   Sink.metrics sink
   |> List.filter_map (fun (n, m) ->
@@ -532,6 +533,40 @@ let test_campaign_shards () =
         Alcotest.failf "campaign levels diverge between 1 and %d shards" shards;
       Alcotest.(check (list (pair string int)))
         (Fmt.str "campaign counters, 1 vs %d shards" shards)
+        (counters_only s1) (counters_only sn))
+    [ 3; 4 ];
+  let module Traffic = Agrid_tenant.Traffic in
+  let module Tenant = Agrid_tenant.Tenant in
+  let spec =
+    Traffic.make_spec ~seed:515 ~horizon:400
+      [
+        {
+          Traffic.ts_tenant = Tenant.make ~priority:Tenant.High "gold";
+          ts_process = Agrid_tenant.Arrivals.Poisson 0.005;
+        };
+        {
+          Traffic.ts_tenant = Tenant.make ~priority:Tenant.Low ~energy_quota:100. "bronze";
+          ts_process = Agrid_tenant.Arrivals.Poisson 0.005;
+        };
+      ]
+  in
+  let run_traffic shards =
+    let sink = Sink.create ~stride:8 () in
+    (Agrid_exper.Campaign.run_traffic ~obs:sink ~replicates:6 ~shards spec, sink)
+  in
+  let t1, s1 = run_traffic 1 in
+  if
+    List.for_all
+      (fun t -> t.Agrid_exper.Campaign.t_mean_completed = 0.)
+      t1.Agrid_exper.Campaign.ts_tenants
+  then Alcotest.fail "traffic campaign completed no application";
+  List.iter
+    (fun shards ->
+      let tn, sn = run_traffic shards in
+      if t1 <> tn then
+        Alcotest.failf "traffic campaign summary diverges between 1 and %d shards" shards;
+      Alcotest.(check (list (pair string int)))
+        (Fmt.str "traffic campaign counters, 1 vs %d shards" shards)
         (counters_only s1) (counters_only sn))
     [ 3; 4 ]
 
@@ -648,19 +683,22 @@ let traffic_params ~mode ~adaptive ~tenant:_ ~seq:_ =
   if adaptive then with_adapt p else p
 
 let traffic_spec ~seed ~events =
-  Traffic.make_spec ~seed ~horizon:1600 ~events
-    [
-      {
-        Traffic.ts_tenant = Tenant.make ~priority:Tenant.High "gold";
-        (* two simultaneous arrivals force the chunked multi-app path *)
-        ts_process = Agrid_tenant.Arrivals.Trace [ 0; 0 ];
-      };
-      {
-        Traffic.ts_tenant =
-          Tenant.make ~priority:Tenant.Low ~energy_quota:400. "bronze";
-        ts_process = Agrid_tenant.Arrivals.Poisson 0.002;
-      };
-    ]
+  let spec =
+    Traffic.make_spec ~seed ~horizon:1600
+      [
+        {
+          Traffic.ts_tenant = Tenant.make ~priority:Tenant.High "gold";
+          (* two simultaneous arrivals force the chunked multi-app path *)
+          ts_process = Agrid_tenant.Arrivals.Trace [ 0; 0 ];
+        };
+        {
+          Traffic.ts_tenant =
+            Tenant.make ~priority:Tenant.Low ~energy_quota:400. "bronze";
+          ts_process = Agrid_tenant.Arrivals.Poisson 0.002;
+        };
+      ]
+  in
+  { spec with Traffic.events }
 
 let served_bits (o : Traffic.outcome) =
   List.map

@@ -49,7 +49,7 @@ let test_table4_case_c_below_a () =
   done
 
 let test_figure2_series () =
-  let s = Experiments.figure2 ~values:[ 10; 100 ] config in
+  let s = Experiments.figure2 config in
   let str = Series.to_string s in
   Alcotest.(check bool) "has T100 series" true (Testlib.contains str "T100 (DAG 0)");
   Alcotest.(check bool) "has exec time series" true (Testlib.contains str "exec time")
@@ -120,7 +120,7 @@ let test_figures_render () =
     (Testlib.contains f3 "SLRH-1" && Testlib.contains f3 "Max-Max")
 
 let test_extension_loss_sweep () =
-  let s = Experiments.extension_loss_sweep ~fractions:[ 0.0; 0.5 ] config in
+  let s = Experiments.extension_loss_sweep config in
   let str = Series.to_string s in
   Alcotest.(check bool) "slow series" true (Testlib.contains str "lose slow machine 3");
   Alcotest.(check bool) "fast series" true (Testlib.contains str "lose fast machine 1")

@@ -188,13 +188,15 @@ let test_codec_saturated_roundtrip () =
 let test_codec_reason_roundtrip () =
   List.iter
     (fun reason ->
-      let s = Codec.reason_to_string reason in
-      match Codec.reason_of_string s with
-      | Some r -> Alcotest.(check bool) (Fmt.str "reason %s" s) true (r = reason)
-      | None -> Alcotest.failf "reason %s did not round-trip" s)
-    [ `Queue_full; `Malformed; `Draining; `All_backends_saturated ];
+      let line = Codec.rejected_line ~id:1 ~reason ~detail:"d" () in
+      match Codec.parse_response line with
+      | Ok r -> Alcotest.(check bool) line true (r.Codec.r_reason = Some reason)
+      | Error msg -> Alcotest.failf "%s did not round-trip: %s" line msg)
+    [ `Queue_full; `Malformed; `Draining; `All_backends_saturated; `Tenant_quota ];
   Alcotest.(check bool) "unknown reason rejected" true
-    (Codec.reason_of_string "tired" = None)
+    (Result.is_error
+       (Codec.parse_response
+          {|{"schema":"agrid-job-result/1","id":1,"type":"rejected","reason":"tired"}|}))
 
 let test_codec_fleet_health () =
   let line =
@@ -593,22 +595,19 @@ let test_router_trace_timelines () =
   List.iter
     (fun (e : Trace.event) ->
       Alcotest.(check string) "derived trace id"
-        (Trace.id_of ~nonce ~job:0) e.Trace.ev_trace)
+        (Trace.id_for (Trace.create ~nonce ()) 0) e.Trace.ev_trace)
     t0;
   (match List.map (fun (e : Trace.event) -> e.Trace.ev_kind) t0 with
   | [ Trace.Enqueue; Trace.Dispatch { backend = "b0"; attempt = 1 };
       Trace.Respond { outcome = "result" } ] -> ()
-  | kinds ->
-      Alcotest.failf "unexpected result timeline: %s"
-        (String.concat " -> " (List.map Trace.kind_to_string kinds)));
+  | kinds -> Alcotest.failf "unexpected result timeline (%d events)" (List.length kinds));
   (* job 1 was ambiguous: the timeline must show the full
      dispatch -> death-detect -> resolve arc *)
   (match List.map (fun (e : Trace.event) -> e.Trace.ev_kind) (timeline 1) with
   | [ Trace.Enqueue; Trace.Dispatch { backend = "b0"; _ }; Trace.Death { backend = "b0" };
       Trace.Respond { outcome = "maybe_executed" } ] -> ()
   | kinds ->
-      Alcotest.failf "unexpected ambiguous timeline: %s"
-        (String.concat " -> " (List.map Trace.kind_to_string kinds)));
+      Alcotest.failf "unexpected ambiguous timeline (%d events)" (List.length kinds));
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped tracer)
 
 (* A backend that answers the health probe with some other line fails

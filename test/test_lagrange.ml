@@ -80,11 +80,16 @@ let test_dual_validation () =
   (* failed steps must not have advanced the round counter *)
   Alcotest.(check int) "no round consumed by rejected steps" 0 (Dual.round t)
 
-(* ---- Chance: quantile against the stats-library CDF ---- *)
+(* ---- Chance: quantile against the erfc-based CDF ---- *)
+
+(* Phi^-1 p read back through the margin it prices: [inflation] is
+   [1 + Phi^-1 p * sigma], and at this sigma it never clamps. *)
+let normal_quantile p =
+  let sigma = 1e-3 in
+  (Chance.inflation ~p ~sigma -. 1.) /. sigma
 
 let test_quantile_half_is_zero () =
-  Alcotest.(check bool) "quantile(0.5) = 0 exactly" true
-    (Chance.normal_quantile 0.5 = 0.)
+  Alcotest.(check bool) "quantile(0.5) = 0 exactly" true (normal_quantile 0.5 = 0.)
 
 let test_quantile_inverts_cdf () =
   (* Goodness.normal_cdf is erfc-based; Acklam's approximation must agree
@@ -96,15 +101,15 @@ let test_quantile_inverts_cdf () =
   in
   List.iter
     (fun p ->
-      let z = Chance.normal_quantile p in
-      let back = Agrid_stats.Goodness.normal_cdf ~mean:0. ~stddev:1. z in
+      let z = normal_quantile p in
+      let back = Goodness.normal_cdf ~mean:0. ~stddev:1. z in
       Testlib.close ~eps:1e-8 (Fmt.str "cdf(quantile %g)" p) p back)
     ps;
   (* and it is strictly monotone across the branch boundaries *)
   let prev = ref neg_infinity in
   List.iter
     (fun p ->
-      let z = Chance.normal_quantile p in
+      let z = normal_quantile p in
       if not (z > !prev) then Alcotest.failf "quantile not monotone at p=%g" p;
       prev := z)
     ps
@@ -114,8 +119,8 @@ let test_quantile_symmetry () =
     (fun p ->
       Testlib.close ~eps:1e-8
         (Fmt.str "quantile symmetric at %g" p)
-        (-.Chance.normal_quantile (1. -. p))
-        (Chance.normal_quantile p))
+        (-.normal_quantile (1. -. p))
+        (normal_quantile p))
     [ 0.01; 0.1; 0.3; 0.45 ]
 
 let test_inflation () =
@@ -129,8 +134,8 @@ let test_inflation () =
     (Chance.inflation ~p:0.1 ~sigma:0.1 < 1.);
   Alcotest.(check bool) "extreme pair clamps at zero" true
     (Chance.inflation ~p:1e-9 ~sigma:10. = 0.);
-  raises_invalid "inside (0, 1)" (fun () -> Chance.normal_quantile 0.);
-  raises_invalid "inside (0, 1)" (fun () -> Chance.normal_quantile 1.);
+  raises_invalid "inside (0, 1)" (fun () -> Chance.inflation ~p:0. ~sigma:0.1);
+  raises_invalid "inside (0, 1)" (fun () -> Chance.inflation ~p:1. ~sigma:0.1);
   raises_invalid "sigma" (fun () -> Chance.inflation ~p:0.9 ~sigma:(-0.1))
 
 (* ---- chance-mode feasibility degenerates to the nominal bound ---- *)
@@ -241,7 +246,7 @@ let test_create_explicit_inits () =
   Testlib.close "gamma = lambda_a/s" 0. w.Objective.gamma
 
 let test_create_rejects_zero_alpha () =
-  let w0 = Objective.weights_exact ~alpha:0. ~beta:0.6 ~gamma:0.4 in
+  let w0 = Objective.make_weights ~alpha:0. ~beta:0.6 in
   raises_invalid "alpha > 0" (fun () -> Adapt.create Adapt.default_spec w0);
   raises_invalid "step constant" (fun () ->
       Adapt.create
@@ -385,7 +390,13 @@ let test_recovery_within_5_percent () =
   List.iter
     (fun (name, case) ->
       let wl = Testlib.small_workload ~case () in
-      let score sched = Objective.of_schedule w_eval sched in
+      let score sched =
+        let open Agrid_workload in
+        Objective.value w_eval ~t100:(Schedule.n_primary sched)
+          ~n_tasks:(Workload.n_tasks wl) ~tec:(Schedule.tec sched)
+          ~tse:(Workload.total_system_energy wl) ~aet:(Schedule.aet sched)
+          ~tau:(Workload.tau wl)
+      in
       let best =
         List.fold_left
           (fun acc (alpha, beta) ->

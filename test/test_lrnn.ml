@@ -25,8 +25,8 @@ let test_deterministic () =
   Alcotest.(check int) "same demotions" a.Lrnn.demoted b.Lrnn.demoted
 
 let test_dual_trace_shape () =
-  let o = Lrnn.run ~params:{ Lrnn.default_params with Lrnn.iterations = 25 } (workload ()) in
-  Alcotest.(check int) "trace length" 25 (List.length o.Lrnn.dual_trace);
+  let o = Lrnn.run (workload ()) in
+  Alcotest.(check int) "trace length" 60 (List.length o.Lrnn.dual_trace);
   List.iteri
     (fun i p -> Alcotest.(check int) "iteration numbering" i p.Lrnn.iteration)
     o.Lrnn.dual_trace;
@@ -46,24 +46,13 @@ let test_dual_bound_dominates_t100 () =
 let test_violations_shrink () =
   (* the multiplier iteration must reduce the worst relative energy
      violation between the first and last iterations *)
-  let o = Lrnn.run ~params:{ Lrnn.default_params with Lrnn.iterations = 50 } (workload ()) in
+  let o = Lrnn.run (workload ()) in
   match o.Lrnn.dual_trace with
   | first :: _ :: _ ->
       let last = List.nth o.Lrnn.dual_trace (List.length o.Lrnn.dual_trace - 1) in
       Alcotest.(check bool) "energy violation non-increasing" true
         (last.Lrnn.max_energy_violation <= first.Lrnn.max_energy_violation +. 1e-9)
   | _ -> Alcotest.fail "trace too short"
-
-let test_repair_cap () =
-  let o =
-    Lrnn.run ~params:{ Lrnn.default_params with Lrnn.repair_demotions = 0 } (workload ())
-  in
-  Alcotest.(check int) "no demotions allowed" 0 o.Lrnn.demoted
-
-let test_param_validation () =
-  Alcotest.check_raises "iterations" (Invalid_argument "Lrnn.run: iterations must be positive")
-    (fun () ->
-      ignore (Lrnn.run ~params:{ Lrnn.default_params with Lrnn.iterations = 0 } (workload ())))
 
 let test_all_secondary_fallback () =
   (* with a tiny battery the repair demotes everything and the schedule is
@@ -86,8 +75,6 @@ let suites =
         Alcotest.test_case "dual trace shape" `Quick test_dual_trace_shape;
         Alcotest.test_case "weak duality" `Quick test_dual_bound_dominates_t100;
         Alcotest.test_case "violations shrink" `Quick test_violations_shrink;
-        Alcotest.test_case "repair cap" `Quick test_repair_cap;
-        Alcotest.test_case "param validation" `Quick test_param_validation;
         Alcotest.test_case "all-secondary fallback" `Quick test_all_secondary_fallback;
       ] );
   ]

@@ -277,7 +277,7 @@ let test_sink_merge () =
   Sink.add a "n" 2;
   Sink.add b "n" 5;
   Sink.record_span b "sp" 0.25;
-  Sink.push_snapshot b (snap 7);
+  ignore (Sink.tick_snapshot b ~make:(fun () -> snap 7));
   Sink.merge_into ~into:a b;
   (match List.assoc "n" (Sink.metrics a) with
   | Registry.Counter c -> Alcotest.(check int) "counters add" 7 c
@@ -451,7 +451,7 @@ let test_window_rate_early_life () =
      nominal 60 s window *)
   Testlib.close "early rate uses covered time" (3. /. 5.) (Window.rate w ~now:0.2 "jobs");
   Alcotest.(check bool) "covered below nominal" true
-    (Window.covered_s w ~now:0.2 < Window.window_s w)
+    (Window.rate w ~now:0.2 "jobs" > 3. /. Window.window_s w)
 
 let test_window_merge () =
   let a = Window.create ~slots:4 ~slot_s:1. () in
@@ -475,16 +475,15 @@ let test_window_merge () =
 module Trace = Agrid_obs.Trace
 
 let test_trace_ids () =
+  let id_of ~nonce ~job = Trace.id_for (Trace.create ~nonce ()) job in
   Alcotest.(check string) "id is a pure function"
-    (Trace.id_of ~nonce:42 ~job:7)
-    (Trace.id_of ~nonce:42 ~job:7);
+    (id_of ~nonce:42 ~job:7)
+    (id_of ~nonce:42 ~job:7);
   Alcotest.(check bool) "nonce separates runs" true
-    (Trace.id_of ~nonce:1 ~job:7 <> Trace.id_of ~nonce:2 ~job:7);
+    (id_of ~nonce:1 ~job:7 <> id_of ~nonce:2 ~job:7);
   Alcotest.(check bool) "zero nonce, zero job is not all-zeros" true
-    (Trace.id_of ~nonce:0 ~job:0 <> "0000000000000000");
+    (id_of ~nonce:0 ~job:0 <> "0000000000000000");
   let t = Trace.create ~nonce:42 () in
-  Alcotest.(check string) "id_for matches id_of" (Trace.id_of ~nonce:42 ~job:7)
-    (Trace.id_for t 7);
   (* a backend adopts the id stamped by its router *)
   Trace.record ~id:"deadbeefdeadbeef" t ~job:7 Trace.Enqueue;
   (match Trace.events t with
@@ -576,7 +575,7 @@ let test_trace_jsonl_round_trip () =
   (* totality on hostile bytes *)
   List.iter
     (fun junk ->
-      match Trace.parse_line junk with
+      match Trace.parse_jsonl [ junk ] with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "junk parsed: %s" junk)
     [ "not json"; "{}"; "{\"type\":\"event\"}"; "{\"type\":\"nope\"}"; "[1,2]" ]
@@ -586,7 +585,8 @@ let test_trace_chrome_export () =
   Trace.record t ~job:1 Trace.Enqueue;
   Trace.record t ~job:1 (Trace.Dispatch { backend = "b0"; attempt = 1 });
   Trace.record t ~job:1 (Trace.Respond { outcome = "result" });
-  match Json.parse_opt (Trace.chrome_json t) with
+  let lines = Result.get_ok (Trace.parse_jsonl (Trace.jsonl_lines t)) in
+  match Json.parse_opt (Trace.chrome_of_lines lines) with
   | Some (Json.Obj fields) -> (
       match List.assoc_opt "traceEvents" fields with
       | Some (Json.Arr evs) ->

@@ -3,26 +3,26 @@ open Agrid_prng
 let test_determinism () =
   let a = Splitmix64.of_int 123 and b = Splitmix64.of_int 123 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Splitmix64.next_int64 a)
-      (Splitmix64.next_int64 b)
+    Alcotest.(check int) "same stream" (Splitmix64.next_bits53 a)
+      (Splitmix64.next_bits53 b)
   done
 
 let test_seed_sensitivity () =
   let a = Splitmix64.of_int 1 and b = Splitmix64.of_int 2 in
   let distinct = ref false in
   for _ = 1 to 10 do
-    if Splitmix64.next_int64 a <> Splitmix64.next_int64 b then distinct := true
+    if Splitmix64.next_bits53 a <> Splitmix64.next_bits53 b then distinct := true
   done;
   Alcotest.(check bool) "different seeds differ" true !distinct
 
 let test_copy_independent () =
   let a = Splitmix64.of_int 5 in
-  let _ = Splitmix64.next_int64 a in
+  let _ = Splitmix64.next_bits53 a in
   let b = Splitmix64.copy a in
-  let va = Splitmix64.next_int64 a in
-  let vb = Splitmix64.next_int64 b in
-  Alcotest.(check int64) "copy continues identically" va vb;
-  let _ = Splitmix64.next_int64 a in
+  let va = Splitmix64.next_bits53 a in
+  let vb = Splitmix64.next_bits53 b in
+  Alcotest.(check int) "copy continues identically" va vb;
+  let _ = Splitmix64.next_bits53 a in
   Alcotest.(check bool) "copy does not share state" true
     (Splitmix64.state a <> Splitmix64.state b)
 
@@ -30,8 +30,8 @@ let test_split_decorrelated () =
   let a = Splitmix64.of_int 9 in
   let b = Splitmix64.split a in
   (* the split stream must not reproduce the parent stream *)
-  let pa = Array.init 20 (fun _ -> Splitmix64.next_int64 a) in
-  let pb = Array.init 20 (fun _ -> Splitmix64.next_int64 b) in
+  let pa = Array.init 20 (fun _ -> Splitmix64.next_bits53 a) in
+  let pb = Array.init 20 (fun _ -> Splitmix64.next_bits53 b) in
   Alcotest.(check bool) "streams differ" true (pa <> pb)
 
 let test_unit_float_range () =
@@ -154,40 +154,6 @@ let test_bernoulli_frequency () =
   let f = float_of_int !hits /. float_of_int n in
   if Float.abs (f -. 0.3) > 0.01 then Alcotest.failf "bernoulli frequency %g" f
 
-let test_shuffle_permutation () =
-  let r = Splitmix64.of_int 1009 in
-  let arr = Array.init 100 Fun.id in
-  Dist.shuffle_in_place r arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 100 Fun.id) sorted
-
-let test_sample_distinct_properties () =
-  let r = Splitmix64.of_int 1010 in
-  List.iter
-    (fun (n, bound) ->
-      let s = Dist.sample_distinct r ~n ~bound in
-      Alcotest.(check int) "size" n (Array.length s);
-      let sorted = Array.copy s in
-      Array.sort compare sorted;
-      for i = 0 to n - 2 do
-        if sorted.(i) = sorted.(i + 1) then Alcotest.fail "duplicate in sample"
-      done;
-      Array.iter
-        (fun v -> if v < 0 || v >= bound then Alcotest.fail "sample out of range")
-        s)
-    [ (0, 5); (1, 1); (5, 100); (50, 60); (100, 100) ]
-
-let test_sample_distinct_uniform_coverage () =
-  (* drawing 1 of 4 many times should hit all values *)
-  let r = Splitmix64.of_int 1011 in
-  let counts = Array.make 4 0 in
-  for _ = 1 to 4000 do
-    let s = Dist.sample_distinct r ~n:1 ~bound:4 in
-    counts.(s.(0)) <- counts.(s.(0)) + 1
-  done;
-  Array.iter (fun c -> if c < 800 then Alcotest.failf "biased coverage: %d" c) counts
-
 let suites =
   [
     ( "prng",
@@ -210,8 +176,5 @@ let suites =
         Alcotest.test_case "gamma positivity" `Quick test_gamma_positive;
         Alcotest.test_case "gamma bad params" `Quick test_gamma_rejects_bad_params;
         Alcotest.test_case "bernoulli frequency" `Quick test_bernoulli_frequency;
-        Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
-        Alcotest.test_case "sample_distinct properties" `Quick test_sample_distinct_properties;
-        Alcotest.test_case "sample_distinct coverage" `Quick test_sample_distinct_uniform_coverage;
       ] );
   ]

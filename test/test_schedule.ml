@@ -247,7 +247,13 @@ let test_validator_detects_energy_violation () =
   Alcotest.(check bool) "energy flagged" false r.Validate.energy_ok
 
 let test_validator_detects_time_violation () =
-  let wl = Workload.with_tau (Testlib.diamond_workload ()) ~tau_cycles:50 in
+  let wl =
+    Workload.build
+      { (Testlib.diamond_spec ()) with Spec.tau_seconds = 5. }
+      ~etc:(Testlib.diamond_etc ()) ~dag:(Testlib.diamond_dag ())
+      ~data_bits:(Testlib.diamond_data ()) ~etc_index:0 ~dag_index:0
+      ~case:Agrid_platform.Grid.A
+  in
   let s = Schedule.create wl in
   let p = Schedule.plan s ~task:0 ~version:Version.Primary ~machine:0 ~not_before:0 in
   Schedule.commit s p;

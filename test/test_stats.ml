@@ -7,9 +7,10 @@ let test_mean () =
   Testlib.close "singleton" 7. (Descriptive.mean (arr [ 7. ]))
 
 let test_variance () =
-  Testlib.close "variance" (5. /. 3.)
-    (Descriptive.variance (arr [ 1.; 2.; 3.; 4. ]));
-  Testlib.close "singleton variance" 0. (Descriptive.variance (arr [ 9. ]))
+  (* sample variance (n-1 denominator), read through the stddev *)
+  Testlib.close "variance" (sqrt (5. /. 3.))
+    (Descriptive.stddev (arr [ 1.; 2.; 3.; 4. ]));
+  Testlib.close "singleton variance" 0. (Descriptive.stddev (arr [ 9. ]))
 
 let test_stddev () =
   (* [1;3]: mean 2, sample variance (1+1)/1 = 2 *)

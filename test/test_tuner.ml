@@ -16,8 +16,30 @@ let test_simplex_grid_valid_points () =
         Alcotest.failf "invalid simplex point (%g, %g)" a b)
     (Weight_search.simplex_grid ~step:0.1)
 
+(* The fine grid [search] walks, read through a fake runner that is
+   feasible only at [centre], so the coarse sweep picks it as the centre:
+   the points evaluated after the 66-point coarse sweep. *)
+let refinement_points ~centre:(ca, cb) =
+  let calls = ref [] in
+  let runner (w : Objective.weights) _ =
+    let a = w.Objective.alpha and b = w.Objective.beta in
+    calls := (a, b) :: !calls;
+    {
+      Weight_search.weights = w;
+      t100 = 1;
+      aet = 0;
+      tec = 0.;
+      feasible = Float.abs (a -. ca) < 1e-9 && Float.abs (b -. cb) < 1e-9;
+      wall_seconds = 0.;
+    }
+  in
+  ignore
+    (Weight_search.search ~coarse_step:0.1 ~fine_step:0.02 ~fine_radius:0.04 runner
+       (Testlib.small_workload ()));
+  List.filteri (fun i _ -> i >= 66) (List.rev !calls)
+
 let test_refinement_grid_clipped () =
-  let pts = Weight_search.refinement_grid ~centre:(1.0, 0.0) ~radius:0.04 ~step:0.02 in
+  let pts = refinement_points ~centre:(1.0, 0.0) in
   List.iter
     (fun (a, b) ->
       if a < 0. || b < 0. || a +. b > 1. +. 1e-9 then
@@ -26,7 +48,7 @@ let test_refinement_grid_clipped () =
   Alcotest.(check bool) "nonempty" true (pts <> [])
 
 let test_refinement_grid_contains_centre () =
-  let pts = Weight_search.refinement_grid ~centre:(0.4, 0.3) ~radius:0.04 ~step:0.02 in
+  let pts = refinement_points ~centre:(0.4, 0.3) in
   Alcotest.(check bool) "centre present" true
     (List.exists (fun (a, b) -> Float.abs (a -. 0.4) < 1e-9 && Float.abs (b -. 0.3) < 1e-9) pts)
 
@@ -145,29 +167,20 @@ let test_adaptive_finds_feasible () =
   Alcotest.(check int) "trace length" r.Adaptive.evaluations (List.length r.Adaptive.trace)
 
 let test_adaptive_cheaper_than_grid () =
-  let r = Adaptive.tune ~iterations:12 (Weight_search.slrh_runner Slrh.V1)
-      (Testlib.small_workload ())
-  in
-  Alcotest.(check bool) "12 evaluations" true (r.Adaptive.evaluations = 12)
+  let r = Adaptive.tune (Weight_search.slrh_runner Slrh.V1) (Testlib.small_workload ()) in
+  Alcotest.(check bool) "16 evaluations" true (r.Adaptive.evaluations = 16)
 
 let test_adaptive_trace_moves_weights () =
   let wl = Testlib.small_workload () in
-  let r = Adaptive.tune ~init:(0.9, 0.05) (Weight_search.slrh_runner Slrh.V1) wl in
+  let r = Adaptive.tune (Weight_search.slrh_runner Slrh.V1) wl in
   match r.Adaptive.trace with
   | first :: _ :: _ ->
-      Testlib.close "starts at init alpha" 0.9 first.Adaptive.alpha;
+      Testlib.close "starts at init alpha" 0.3 first.Adaptive.alpha;
       let last = List.nth r.Adaptive.trace (List.length r.Adaptive.trace - 1) in
       Alcotest.(check bool) "weights moved" true
-        (Float.abs (last.Adaptive.alpha -. 0.9) > 1e-9
-        || Float.abs (last.Adaptive.beta -. 0.05) > 1e-9)
+        (Float.abs (last.Adaptive.alpha -. 0.3) > 1e-9
+        || Float.abs (last.Adaptive.beta -. 0.3) > 1e-9)
   | _ -> Alcotest.fail "trace too short"
-
-let test_adaptive_validation () =
-  Alcotest.check_raises "iterations" (Invalid_argument "Adaptive.tune: iterations must be positive")
-    (fun () ->
-      ignore
-        (Adaptive.tune ~iterations:0 (Weight_search.slrh_runner Slrh.V1)
-           (Testlib.diamond_workload ())))
 
 let suites =
   [
@@ -190,6 +203,5 @@ let suites =
         Alcotest.test_case "adaptive finds feasible" `Quick test_adaptive_finds_feasible;
         Alcotest.test_case "adaptive evaluation budget" `Quick test_adaptive_cheaper_than_grid;
         Alcotest.test_case "adaptive trace" `Quick test_adaptive_trace_moves_weights;
-        Alcotest.test_case "adaptive validation" `Quick test_adaptive_validation;
       ] );
   ]

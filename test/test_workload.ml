@@ -112,12 +112,6 @@ let test_worst_case_child_comm () =
   Testlib.close "leaf" 0.
     (Workload.worst_case_child_comm_energy w ~task:3 ~machine:0 ~version:Version.Primary)
 
-let test_with_tau () =
-  let w = Testlib.diamond_workload () in
-  let w' = Workload.with_tau w ~tau_cycles:555 in
-  Alcotest.(check int) "tau updated" 555 (Workload.tau w');
-  Alcotest.(check int) "original untouched" 20_000 (Workload.tau w)
-
 let test_tse_scaled () =
   let w = Testlib.small_workload () in
   let expected = 1276. *. (Workload.spec w).Spec.battery_scale in
@@ -137,7 +131,7 @@ let test_build_validation () =
 
 let roundtrip ?(case = Grid.A) spec ~etc_index ~dag_index =
   let s = Serialize.to_string spec ~etc_index ~dag_index ~case in
-  (Serialize.load_string s, Workload.build spec ~etc_index ~dag_index ~case)
+  (Serialize.realize (Serialize.Pinned s), Workload.build spec ~etc_index ~dag_index ~case)
 
 let test_serialize_roundtrip_exact () =
   let spec = Testlib.small_spec () in
@@ -195,7 +189,7 @@ let test_serialize_file_roundtrip () =
 
 let test_serialize_rejects_garbage () =
   let attempt s =
-    match Serialize.load_string s with
+    match Serialize.realize (Serialize.Pinned s) with
     | _ -> Alcotest.failf "accepted %S" s
     | exception Serialize.Parse_error _ -> ()
   in
@@ -209,7 +203,7 @@ let test_serialize_tolerates_comments () =
   let spec = Testlib.small_spec () in
   let s = Serialize.to_string spec ~etc_index:0 ~dag_index:0 ~case:Grid.A in
   let with_comments = "# a pinned scenario\n\n" ^ s in
-  let wl = Serialize.load_string with_comments in
+  let wl = Serialize.realize (Serialize.Pinned with_comments) in
   Alcotest.(check int) "loads with comments" spec.Spec.n_tasks (Workload.n_tasks wl)
 
 (* ---- bit-identity oracle for realize ----
@@ -326,7 +320,6 @@ let suites =
         Alcotest.test_case "exec energy" `Quick test_exec_energy;
         Alcotest.test_case "edge bits by version" `Quick test_edge_bits_versions;
         Alcotest.test_case "worst-case child comm" `Quick test_worst_case_child_comm;
-        Alcotest.test_case "with_tau" `Quick test_with_tau;
         Alcotest.test_case "TSE scaled" `Quick test_tse_scaled;
         Alcotest.test_case "build validation" `Quick test_build_validation;
         Alcotest.test_case "version module" `Quick test_version_module;

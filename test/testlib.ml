@@ -150,3 +150,62 @@ let workload_digest wl =
   let buf = Buffer.create 4096 in
   digest_workload buf wl;
   Digest.string (Buffer.contents buf)
+
+(* The agrid-traffic/1 text of a traffic spec: the printer half of the
+   spec's print/parse fixed point, which the program only parses. *)
+let traffic_spec_to_string (spec : Agrid_tenant.Traffic.spec) =
+  let module Json = Agrid_obs.Json in
+  let module Tenant = Agrid_tenant.Tenant in
+  let module Feasibility = Agrid_core.Feasibility in
+  let tenant_to_json (ts : Agrid_tenant.Traffic.tenant_stream) =
+    let t = ts.ts_tenant in
+    let proc =
+      match ts.ts_process with
+      | Agrid_tenant.Arrivals.Poisson rate -> [ ("rate", Json.Flt rate) ]
+      | Agrid_tenant.Arrivals.Trace times ->
+          [ ("trace", Json.Arr (List.map (fun x -> Json.Int x) times)) ]
+    in
+    let quota =
+      (match t.Tenant.quota.Feasibility.q_energy with
+      | None -> []
+      | Some e -> [ ("energy_quota", Json.Flt e) ])
+      @
+      match t.Tenant.quota.Feasibility.q_machines with
+      | None -> []
+      | Some m -> [ ("machines", Json.Int m) ]
+    in
+    Json.Obj
+      ([
+         ("id", Json.Str t.Tenant.id);
+         ("priority", Json.Str (Tenant.priority_to_string t.Tenant.priority));
+       ]
+      @ proc @ quota)
+  in
+  let case = match spec.case with Grid.A -> "A" | Grid.B -> "B" | Grid.C -> "C" in
+  Json.to_string
+    (Json.Obj
+       ([
+          ("schema", Json.Str Agrid_tenant.Traffic.schema);
+          ("seed", Json.Int spec.seed);
+          ("horizon", Json.Int spec.horizon);
+          ("scale", Json.Flt spec.scale);
+          ("case", Json.Str case);
+          ("chunk", Json.Int spec.chunk);
+        ]
+       @ (match spec.events with
+         | [] -> []
+         | evs -> [ ("events", Json.Str (Agrid_churn.Event.trace_to_string evs)) ])
+       @ [ ("tenants", Json.Arr (List.map tenant_to_json spec.tenants)) ]))
+
+(* Bitwise equality of two job results on every field except
+   [wall_seconds] (floats compared through their bit patterns). *)
+let job_equal_modulo_wall (a : Agrid_serve.Job.result) (b : Agrid_serve.Job.result) =
+  let float_bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  a.status = b.status && a.completed = b.completed && a.t100 = b.t100
+  && a.mapped = b.mapped && a.aet = b.aet
+  && float_bits_equal a.tec b.tec
+  && Array.length a.energy_remaining = Array.length b.energy_remaining
+  && Array.for_all2 float_bits_equal a.energy_remaining b.energy_remaining
+  && a.final_clock = b.final_clock
+  && a.n_discarded = b.n_discarded
+  && float_bits_equal a.sunk_energy b.sunk_energy
